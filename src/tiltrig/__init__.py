@@ -7,7 +7,6 @@ from .modules import (
     Morphism,
     Representation,
     SubFamily,
-    decompose,
     direct_sum,
     ext1,
     hom_space,
@@ -26,7 +25,6 @@ from .highest_weight import (
     DeltaFiltration,
     StandardSystem,
     WeightPoset,
-    build_standard_system,
     check_bgg,
     check_quasihereditary,
     check_radical_respecting,

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 = success / verdict true, 1 = verdict false or property
-failure, 2 = input or parse error.  Identical inputs and seed produce
-byte-identical reports.
+failure, 2 = input or parse error (including a non-quasi-hereditary order
+for `tilting build` and `rigidity check`).  Identical inputs produce
+byte-identical reports.  `--seed` is accepted and recorded in reports;
+results do not depend on it.
 """
 
 from __future__ import annotations
@@ -97,14 +99,14 @@ def _print_qh_text(report) -> None:
 
 def cmd_tilting(args) -> int:
     sys_ = _load_system(args.path, args.field)
-    T = sys_.tilting(args.weight, seed=args.seed)
-    labels = sys_.algebra.quiver.vertices
+    T = sys_.tilting(args.weight)
+    profile = radical_profile(T)
     payload = {
         "weight": args.weight,
         "seed": args.seed,
         "dims": dict(T.dims),
-        "radical_profile": [dict(layer) for layer in radical_profile(T)],
-        "profile_text": format_profile(radical_profile(T), labels),
+        "radical_profile": [dict(layer) for layer in profile],
+        "profile_text": format_profile(profile, sys_.algebra.quiver.vertices),
     }
     _emit(payload, args.format, lambda p: print(f"T({args.weight}) = {p['profile_text']}"))
     return 0
@@ -112,7 +114,8 @@ def cmd_tilting(args) -> int:
 
 def cmd_rigidity(args) -> int:
     sys_ = _load_system(args.path, args.field)
-    report = rigidity_pipeline(sys_, args.weight, seed=args.seed, method=args.method)
+    report = rigidity_pipeline(sys_, args.weight, method=args.method)
+    report["seed"] = args.seed
     _emit(report, "json" if args.format == "json" else args.format, _print_rigidity_text)
     if args.format == "text" and args.verbose and "filteredExt" in report:
         for entry in report["filteredExt"]:
@@ -207,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tiltrig", description="Rigidity toolkit for tilting modules over quasi-hereditary path algebras")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--field", type=int, default=None, help="override the ground field characteristic")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="recorded in reports; results do not depend on it")
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,17 +16,16 @@ from .modules import (
     Morphism,
     Representation,
     SubFamily,
-    decompose,
     direct_sum,
     ext1,
     hom_space,
-    identity_morphism,
+    linear_combination,
+    morphism_from_flat,
     projective_rep,
     quotient_rep,
     radical_profile,
     radical_series,
     simple_rep,
-    sub_rep,
 )
 from .quiver import FinDimAlgebra
 
@@ -187,18 +186,6 @@ class StandardSystem:
             self._op_system = StandardSystem(self.algebra.opposite())
         return self._op_system
 
-    def injective(self, lam: str) -> Representation:
-        def build():
-            if self.algebra.duality_pairs is not None:
-                M = dualize(self.projective(lam))
-            else:
-                op = self.op_system()
-                M = transpose_to_opposite(op.projective(lam), self.algebra)
-            M.name = f"I({lam})"
-            return M
-
-        return self._memo(("I", lam), build)
-
     def costandard(self, lam: str) -> Representation:
         def build():
             if self.algebra.duality_pairs is not None:
@@ -211,8 +198,20 @@ class StandardSystem:
 
         return self._memo(("Nabla", lam), build)
 
-    def tilting(self, lam: str, seed: int = 0) -> Representation:
-        return self._memo(("T", lam, seed), lambda: ringel_tilting(self, lam, seed=seed))
+    def tilting(self, lam: str) -> Representation:
+        self.require_quasihereditary()
+        return self._memo(("T", lam), lambda: ringel_tilting(self, lam))
+
+    def require_quasihereditary(self) -> None:
+        """Raise ModuleError naming the first weight that breaks an axiom."""
+        report = self._memo(("qh",), lambda: check_quasihereditary(self))
+        for lam, entry in report["weights"].items():
+            if not entry["axiom_i"]:
+                raise ModuleError(f"not quasi-hereditary at weight {lam}: axiom (i), End Delta({lam}) = K, fails")
+            if not entry["axiom_ii"]:
+                raise ModuleError(
+                    f"not quasi-hereditary at weight {lam}: axiom (ii), a heredity-ordered standard filtration of P({lam}), fails"
+                )
 
     def dual_module(self, M: Representation) -> Tuple[Representation, "StandardSystem"]:
         """Duality image of M together with the system it lives over."""
@@ -225,10 +224,6 @@ class StandardSystem:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
-
-
-def build_standard_system(algebra: FinDimAlgebra) -> StandardSystem:
-    return StandardSystem(algebra)
 
 
 # -- Delta-filtrations ------------------------------------------------------------
@@ -416,14 +411,11 @@ def check_quasihereditary(sys: StandardSystem) -> dict:
 # -- universal extensions and Ringel tilting ------------------------------------------
 
 
-def universal_extension(
-    X: Representation, delta: Representation, ext
-) -> Tuple[Representation, Morphism]:
+def universal_extension(X: Representation, delta: Representation, ext) -> Representation:
     """0 -> X -> X' -> delta^d -> 0 along a basis of Ext^1(delta, X).
 
     Realized as (X (+) P0^d) / graph, where P0 covers delta and the graph
-    identifies each syzygy copy with its cocycle image in X.  Returns X' and
-    the inclusion of X.
+    identifies each syzygy copy with its cocycle image in X.  Returns X'.
     """
     d = ext.dim
     cover = ext.cover
@@ -442,54 +434,20 @@ def universal_extension(
                 vectors.append((v, [X.field.add(a, b) for a, b in zip(vec, neg)]))
     graph = SubFamily.from_vectors(big, vectors)
     quot, proj = quotient_rep(big, graph)
-    include_X = proj.compose(injs[0])
-    if not include_X.is_injective():
+    if not proj.compose(injs[0]).is_injective():
         raise ModuleError("universal extension failed to embed the base module")
     if quot.total_dim != X.total_dim + d * delta.total_dim:
         raise ModuleError("universal extension has the wrong dimension")
-    return quot, include_X
+    return quot
 
 
-def _summand_projection(M: Representation, families: List[SubFamily], which: int) -> Morphism:
-    """Projection M -> summand rep for an internal direct-sum decomposition."""
-    F = M.field
-    target_rep, _ = sub_rep(M, families[which])
-    mats = {}
-    for v in M.vertices:
-        cols = []
-        sizes = []
-        for fam in families:
-            cols.extend(fam.spaces[v].basis)
-            sizes.append(fam.spaces[v].dim)
-        if M.dims[v] == 0:
-            mats[v] = Mat.zero(F, target_rep.dims[v], 0)
-            continue
-        B = Mat.from_cols(F, cols) if cols else Mat.zero(F, M.dims[v], 0)
-        # solve B * y = e_j for each ambient basis vector, read off the block
-        rows_out = [[F.zero] * M.dims[v] for _ in range(sizes[which])]
-        start = sum(sizes[:which])
-        from .linalg import solve
-
-        for j in range(M.dims[v]):
-            e = [F.zero] * M.dims[v]
-            e[j] = F.one
-            y = solve(B, e)
-            if y is None:
-                raise ModuleError("families do not span the module")
-            for i in range(sizes[which]):
-                rows_out[i][j] = y[start + i]
-        mats[v] = Mat(F, rows_out) if rows_out else Mat.zero(F, 0, M.dims[v])
-    return Morphism(M, target_rep, mats)
-
-
-def ringel_tilting(sys: StandardSystem, lam: str, seed: int = 0) -> Representation:
-    """Iterated universal extensions from Delta(lam); the summand containing it.
+def ringel_tilting(sys: StandardSystem, lam: str) -> Representation:
+    """Iterated universal extensions from Delta(lam), certified to be T(lam).
 
     Weights are processed maximal-first, so each universal extension kills the
     extensions against its weight for good and the loop terminates.
     """
     X = sys.standard(lam)
-    include = identity_morphism(X)
     max_mult = 1
     iterations = 0
     while True:
@@ -507,23 +465,35 @@ def ringel_tilting(sys: StandardSystem, lam: str, seed: int = 0) -> Representati
         mu = sorted(sys.poset.maximal([m for m, _ in pending]))[0]
         e = dict(pending)[mu]
         max_mult = max(max_mult, e.dim)
-        X, inc = universal_extension(X, sys.standard(mu), e)
-        include = inc.compose(include)
-        X.name = f"ext({lam})"
+        X = universal_extension(X, sys.standard(mu), e)
+    X.name = f"T({lam})"
+    certify_indecomposable(X, lam)
+    return X
 
-    parts = decompose(X, seed=seed)
-    candidates = []
-    for i, part in enumerate(parts):
-        proj = _summand_projection(X, [p.family for p in parts], i)
-        if not proj.compose(include).is_injective():
-            continue
-        candidates.append(part)
-    if not candidates:
-        raise ModuleError("no summand embeds the standard module; construction bug")
-    best = max(candidates, key=lambda p: p.rep.total_dim)
-    T = best.rep
-    T.name = f"T({lam})"
-    return T
+
+def certify_indecomposable(M: Representation, lam: str) -> None:
+    """Raise ModuleError unless End(M) is local, read off the line M_lam.
+
+    Over a quasi-hereditary order [T(lam):L(lam)] = 1, so dim T(lam)_lam = 1.
+    When dim M_lam = 1, each endomorphism acts on M_lam by a scalar c(f), and
+    c: End(M) -> K is an algebra map onto K.  M is indecomposable exactly when
+    I = ker c is nilpotent.  Its powers are compared as spans of flattened
+    morphisms; they shrink strictly until they reach 0 or stall.  A nilpotent
+    I gives M > IM > I^2 M > ... strictly, so I^(dim M) = 0.
+    """
+    if M.dims[lam] != 1:
+        raise ModuleError(f"{M.name or 'module'} has dimension {M.dims[lam]} at weight {lam}, not 1")
+    F = M.field
+    endo = hom_space(M, M)
+    scalars = Mat(F, [[f.mats[lam].data[0][0] for f in endo]])
+    ideal = [linear_combination(endo, coords) for coords in kernel_basis(scalars)]
+    power = Subspace(F, len(endo[0].flatten()), [f.flatten() for f in ideal])
+    while power.dim:
+        products = [morphism_from_flat(M, M, flat).compose(g).flatten() for flat in power.basis for g in ideal]
+        nxt = Subspace(F, power.ambient, products)
+        if nxt.dim == power.dim:
+            raise ModuleError(f"{M.name or 'module'} is decomposable: the maps vanishing at {lam} are not nilpotent")
+        power = nxt
 
 
 # -- BGG duality check -------------------------------------------------------------

@@ -89,9 +89,6 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> List:
         """All field elements; only available over a finite field."""
         if self.p == 0:
@@ -139,17 +136,10 @@ class Mat:
         return m
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Mat":
-        return cls(field, rows)
-
-    @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Mat":
         if not cols:
             return cls.zero(field, 0, 0)
         return cls(field, [[col[i] for col in cols] for i in range(len(cols[0]))])
-
-    def copy(self) -> "Mat":
-        return Mat(self.field, [row[:] for row in self.data])
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,16 +214,6 @@ class Mat:
 
     def col(self, j: int) -> Vec:
         return [self.data[i][j] for i in range(self.rows)]
-
-    def vstack(self, other: "Mat") -> "Mat":
-        if other.cols != self.cols:
-            raise ValueError("column mismatch in vstack")
-        return Mat(self.field, self.data + other.data)
-
-    def hstack(self, other: "Mat") -> "Mat":
-        if other.rows != self.rows:
-            raise ValueError("row mismatch in hstack")
-        return Mat(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
 
 def rref(m: Mat) -> Tuple[Mat, List[int]]:

@@ -4,14 +4,13 @@ representations: one exact matrix per arrow.
 Submodules are per-vertex subspace families closed under the arrow action
 (vertex idempotents split any module element into its vertex components, so
 nothing is lost by working per vertex).  Radical and socle series, spins,
-subquotients with induced filtrations, Hom and Ext^1 spaces, direct-sum
-decomposition and the rigidity test all live here.
+subquotients with induced filtrations, Hom and Ext^1 spaces and the rigidity
+test all live here.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -262,14 +261,6 @@ class Morphism:
         return out
 
 
-def identity_morphism(rep: Representation) -> Morphism:
-    return Morphism(rep, rep, {v: Mat.identity(rep.field, rep.dims[v]) for v in rep.vertices})
-
-
-def zero_morphism(source: Representation, target: Representation) -> Morphism:
-    return Morphism(source, target, {v: Mat.zero(source.field, target.dims[v], source.dims[v]) for v in source.vertices})
-
-
 def morphism_from_flat(source: Representation, target: Representation, flat: Sequence) -> Morphism:
     mats = {}
     pos = 0
@@ -321,6 +312,18 @@ def hom_space(M: Representation, N: Representation) -> List[Morphism]:
     else:
         sols = kernel_basis(Mat(F, rows))
     return [morphism_from_flat(M, N, s) for s in sols]
+
+
+def linear_combination(basis: List[Morphism], coords: Sequence) -> Morphism:
+    """sum_k coords[k] * basis[k] over a nonempty hom basis."""
+    F = basis[0].source.field
+    out = None
+    for c, g in zip(coords, basis):
+        if c == F.zero:
+            continue
+        term = g.scale(c)
+        out = term if out is None else out.add(term)
+    return out if out is not None else basis[0].scale(F.zero)
 
 
 def morphism_coords(basis: List[Morphism], f: Morphism) -> Optional[list]:
@@ -716,7 +719,7 @@ def ext1_dim_by_cocycles(M: Representation, N: Representation) -> int:
         return 0
     cocycles = len(kernel_basis(Mat(F, rows))) if rows else nvars
 
-    # coboundary space: h = (h_v), C_a = X^N_a h_u - h_w X^M_a ... wait, sign
+    # coboundary space: h = (h_v), C_a = X^N_a h_u - h_w X^M_a; the sign
     # convention is irrelevant for the span.
     hvars = 0
     hoffs = {}
@@ -745,132 +748,6 @@ def ext1_dim_by_cocycles(M: Representation, N: Representation) -> int:
         cob_rows.append(vec)
     boundaries = Subspace(F, nvars, cob_rows).dim if cob_rows else 0
     return cocycles - boundaries
-
-
-# -- decomposition ------------------------------------------------------------------
-
-
-class Summand:
-    def __init__(self, family: SubFamily, rep: Representation, inclusion: Morphism, certificate: str):
-        self.family = family
-        self.rep = rep
-        self.inclusion = inclusion
-        self.certificate = certificate  # "exhaustive" | "sampled" | "trivial"
-
-
-def _fitting_split(M: Representation, f: Morphism) -> Optional[Tuple[SubFamily, SubFamily]]:
-    """M = ker f^n (+) im f^n when f is neither nilpotent nor invertible."""
-    n = M.total_dim
-    power = f
-    for _ in range(max(1, n.bit_length() + 1)):
-        power = power.compose(power)
-    ker, im = power.kernel(), power.image()
-    if ker.total_dim == 0 or im.total_dim == 0:
-        return None
-    if ker.total_dim + im.total_dim != M.total_dim:
-        return None  # not yet stabilized along this f; treat as no split
-    return ker, im
-
-
-def _endo_candidates(M: Representation, basis: List[Morphism], seed: int) -> Iterable[Morphism]:
-    F = M.field
-    ident = identity_morphism(M)
-    for f in basis:
-        yield f
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            yield basis[i].add(basis[j])
-            yield basis[i].add(basis[j].scale(F.neg(F.one)))
-    shift_consts = [1, -1, 2, -2] if F.p == 0 else [c for c in range(1, min(F.p, 5))]
-    for f in list(basis):
-        for c in shift_consts:
-            yield f.add(ident.scale(F.neg(F.of(c))))
-    if F.p != 0 and F.p ** len(basis) <= 2 ** 14:
-        for coeffs in itertools.product(F.elements(), repeat=len(basis)):
-            f = None
-            for c, g in zip(coeffs, basis):
-                if c == F.zero:
-                    continue
-                term = g.scale(c)
-                f = term if f is None else f.add(term)
-            if f is not None:
-                yield f
-        return
-    rng = random.Random(seed)
-    lo, hi = (-4, 4) if F.p == 0 else (0, F.p - 1)
-    for _ in range(200):
-        f = None
-        for g in basis:
-            c = F.of(rng.randint(lo, hi))
-            if c == F.zero:
-                continue
-            term = g.scale(c)
-            f = term if f is None else f.add(term)
-        if f is not None:
-            yield f
-            for c in shift_consts:
-                yield f.add(ident.scale(F.neg(F.of(c))))
-
-
-def _certify_local(M: Representation, basis: List[Morphism], seed: int) -> Optional[str]:
-    """Check sampled endomorphisms are nilpotent or invertible; None = failed."""
-    exhaustive = M.field.p != 0 and M.field.p ** len(basis) <= 2 ** 14
-    n = M.total_dim
-    for f in _endo_candidates(M, basis, seed):
-        power = f
-        for _ in range(max(1, n.bit_length() + 1)):
-            power = power.compose(power)
-        k = power.kernel().total_dim
-        if 0 < k < M.total_dim:
-            return None
-    return "exhaustive" if exhaustive else "sampled"
-
-
-def decompose(M: Representation, seed: int = 0) -> List[Summand]:
-    """Indecomposable summands via Fitting decompositions (deterministic seed).
-
-    Over a small finite field the endomorphism algebra is searched
-    exhaustively, making the local-ring certificate exact; over the rationals
-    the certificate is sampled.
-    """
-    if M.total_dim == 0:
-        return []
-    out: List[Summand] = []
-    stack: List[SubFamily] = [SubFamily.full(M)]
-    while stack:
-        fam = stack.pop()
-        rep, inc = sub_rep(M, fam)
-        endo = hom_space(rep, rep)
-        if rep.total_dim == 1 or len(endo) == 1:
-            out.append(Summand(fam, rep, inc, "trivial" if rep.total_dim == 1 else "exhaustive"))
-            continue
-        split = None
-        for f in _endo_candidates(rep, endo, seed):
-            split = _fitting_split(rep, f)
-            if split:
-                break
-        if split:
-            for part in split:
-                stack.append(_pull_back(M, fam, rep, part))
-            continue
-        cert = _certify_local(rep, endo, seed)
-        out.append(Summand(fam, rep, inc, cert if cert else "inconclusive"))
-    out.sort(key=lambda s: (-s.rep.total_dim, tuple(s.family.dim_at(v) for v in M.vertices)))
-    return out
-
-
-def _pull_back(M: Representation, fam: SubFamily, rep: Representation, part: SubFamily) -> SubFamily:
-    """Family of `rep` (in fam coordinates) as a family of the ambient M."""
-    vecs = []
-    for v in M.vertices:
-        fam_basis = fam.spaces[v].basis
-        for coords in part.spaces[v].basis:
-            vec = [M.field.zero] * M.dims[v]
-            for c, b in zip(coords, fam_basis):
-                if c != M.field.zero:
-                    vec = [M.field.add(x, M.field.mul(c, y)) for x, y in zip(vec, b)]
-            vecs.append((v, vec))
-    return SubFamily.from_vectors(M, vecs)
 
 
 # -- finite-field enumeration helpers (oracles) -------------------------------------
@@ -922,28 +799,8 @@ def hom_combinations(basis: List[Morphism]) -> Iterable[Morphism]:
     if F.p == 0 or F.p ** len(basis) > 2 ** 14:
         raise ModuleError("hom-space enumeration out of range")
     for coeffs in itertools.product(F.elements(), repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        f = None
-        for c, g in zip(coeffs, basis):
-            if c == 0:
-                continue
-            term = g.scale(c)
-            f = term if f is None else f.add(term)
-        yield f
-
-
-def is_isomorphic_bruteforce(M: Representation, N: Representation) -> Optional[Morphism]:
-    """Search for an isomorphism over a small finite field (oracle use only)."""
-    if M.total_dim != N.total_dim or any(M.dims[v] != N.dims[v] for v in M.vertices):
-        return None
-    homs = hom_space(M, N)
-    if not homs:
-        return None if M.total_dim else identity_morphism(M)
-    for f in hom_combinations(homs):
-        if f.kernel().total_dim == 0:
-            return f
-    return None
+        if any(coeffs):
+            yield linear_combination(basis, coeffs)
 
 
 # -- .rep file format -----------------------------------------------------------------
@@ -969,8 +826,11 @@ def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Represe
             if a not in algebra.quiver.arrows:
                 raise ModuleError(f"unknown arrow {a!r} in representation file")
             u, w = algebra.quiver.arrows[a]
+            header = i  # 1-based line number of this map line
             rows = []
-            for _ in range(dims.get(w, 0)):
+            for k in range(dims.get(w, 0)):
+                if i >= len(lines):
+                    raise ModuleError(f"line {header}: map {a!r} needs {dims[w]} rows, the file ends after {k}")
                 row_line = lines[i].split("#", 1)[0].strip()
                 i += 1
                 rows.append([algebra.field.of(x) for x in row_line.split()])

@@ -125,9 +125,6 @@ class FinDimAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def vertex_of_idempotent(self, path: Path) -> Optional[str]:
-        return path[0] if len(path) == 1 and path[0] in self.quiver.vertices else None
-
     def path_source(self, p: Path) -> str:
         if p[0] in self.quiver.vertices:
             return p[0]

@@ -21,6 +21,7 @@ from .modules import (
     hom_combinations,
     hom_space,
     is_rigid,
+    linear_combination,
     loewy_length,
     morphism_coords,
     radical_of,
@@ -64,21 +65,8 @@ def _clamped(chain: List[SubFamily], i: int) -> SubFamily:
     return chain[i]
 
 
-def _combination(basis: List[Morphism], coords: Sequence) -> Morphism:
-    F = basis[0].source.field
-    out = None
-    for c, g in zip(coords, basis):
-        if c == F.zero:
-            continue
-        term = g.scale(c)
-        out = term if out is None else out.add(term)
-    if out is None:
-        out = basis[0].scale(F.zero)
-    return out
-
-
 def _coords_subspace_to_morphisms(basis: List[Morphism], space: Subspace) -> List[Morphism]:
-    return [_combination(basis, coords) for coords in space.basis]
+    return [linear_combination(basis, coords) for coords in space.basis]
 
 
 def _constrain(
@@ -89,8 +77,6 @@ def _constrain(
 
     Each condition is (vertex, vector in source coords, target family).
     """
-    if not hom_basis:
-        return Subspace(Field0 := hom_basis[0].source.field if hom_basis else None, 0)  # unreachable
     F = hom_basis[0].source.field
     n = len(hom_basis)
     rows = []
@@ -239,7 +225,7 @@ def _image_constrained_restrictions(
         space = _constrain(hom_P, conditions)
     restricted = []
     for coords in space.basis:
-        g = _combination(hom_P, coords)
+        g = linear_combination(hom_P, coords)
         c = morphism_coords(hom_syz, g.compose(pres.inclusion))
         if c is None:
             raise ModuleError("restriction escaped Hom(syzygy, T)")
@@ -349,7 +335,7 @@ def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-
                 entries.append(StretchEntry(lam, s, True, None))
             else:
                 coords = next(c for c in G_s.basis if not span.contains(c))
-                entries.append(StretchEntry(lam, s, False, _combination(hom_syz, coords)))
+                entries.append(StretchEntry(lam, s, False, linear_combination(hom_syz, coords)))
     return StretchReport("delta-L", entries)
 
 
@@ -369,10 +355,6 @@ class BruteForceWitness:
             f"StretchedSubquotient(head weight {self.label}, socle weight {self.mu}, "
             f"layers {self.positions})"
         )
-
-
-def _chain_dims(chain: List[SubFamily]) -> List[Tuple[int, ...]]:
-    return [tuple(f.dim_at(v) for v in f.rep.vertices) for f in chain]
 
 
 def _normalize_chain(chain: List[SubFamily]) -> List[SubFamily]:
@@ -533,7 +515,7 @@ def _induced_positions(induced: List[SubFamily]) -> List[Tuple[int, ...]]:
 # -- the pipeline ------------------------------------------------------------------------
 
 
-def rigidity_pipeline(sys: StandardSystem, lam: str, seed: int = 0, method: str = "both") -> dict:
+def rigidity_pipeline(sys: StandardSystem, lam: str, method: str = "both") -> dict:
     """Theorem-path rigidity check with the direct series oracle alongside.
 
     The theorem path never asserts non-rigidity; when its hypotheses fail the
@@ -541,7 +523,7 @@ def rigidity_pipeline(sys: StandardSystem, lam: str, seed: int = 0, method: str 
     """
     if method not in ("theorem", "direct", "both"):
         raise ValueError(f"unknown method {method!r}")
-    report: dict = {"weight": lam, "seed": seed, "shift_convention": "non-negative radical depths"}
+    report: dict = {"weight": lam, "shift_convention": "non-negative radical depths"}
 
     hypothesis = {"ok": True, "projectives": {}}
     for mu in sys.labels:
@@ -559,7 +541,7 @@ def rigidity_pipeline(sys: StandardSystem, lam: str, seed: int = 0, method: str 
         hypothesis["ok"] = hypothesis["ok"] and respecting
     report["hypothesis"] = hypothesis
 
-    T = sys.tilting(lam, seed=seed)
+    T = sys.tilting(lam)
     report["tilting"] = {
         "dims": dict(T.dims),
         "radical_profile": [dict(layer) for layer in radical_profile(T)],

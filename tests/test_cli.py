@@ -51,6 +51,25 @@ def test_qh_verify_exit_codes(tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
+def test_tilting_and_rigidity_refuse_non_quasihereditary_order(tmp_path, capsys):
+    reversed_alg = tmp_path / "rev.alg"
+    reversed_alg.write_text(
+        "field 0\nvertex 1 2\norder 2 < 1\narrow a 1 2\narrow b 2 1\nrelation 1*b.a\nduality a=b\n"
+    )
+    for command in (("tilting", "build"), ("rigidity", "check")):
+        code, out, err = run(capsys, *command, str(reversed_alg), "--weight", "1")
+        assert code == 2 and out == ""
+        assert "not quasi-hereditary at weight 1: axiom (i)" in err
+
+
+def test_truncated_rep_exit_2(tmp_path, capsys):
+    truncated = tmp_path / "short.rep"
+    truncated.write_text(f"algebra {SL2}\ndim 1 2\ndim 2 1\nmap a\n1 0\nmap b\n0\n")
+    code, _, err = run(capsys, "module", "series", str(truncated))
+    assert code == 2 and "line 6" in err and "'b'" in err
+    assert "Traceback" not in err
+
+
 def test_tilting_build(capsys):
     code, out, _ = run(capsys, "tilting", "build", SL2, "--weight", "2")
     assert code == 0 and "1 | 2 | 1" in out

@@ -6,6 +6,7 @@ from tiltrig.highest_weight import (
     FiltrationFailure,
     StandardSystem,
     WeightPoset,
+    certify_indecomposable,
     check_bgg,
     check_quasihereditary,
     check_radical_respecting,
@@ -15,6 +16,7 @@ from tiltrig.highest_weight import (
     nabla_multiplicities,
 )
 from tiltrig.modules import (
+    ModuleError,
     SubFamily,
     direct_sum,
     ext1,
@@ -86,6 +88,9 @@ duality a=b
     rep = check_quasihereditary(sys)
     assert not rep["ok"]
     assert not rep["weights"]["2"]["axiom_ii"]
+    # the tilting construction refuses the order, naming the first failing weight
+    with pytest.raises(ModuleError, match=r"not quasi-hereditary at weight 1: axiom \(i\)"):
+        sys.tilting("1")
 
 
 def test_find_delta_filtration_examples(sl2):
@@ -151,6 +156,52 @@ def test_ringel_examples(sl2):
     T2 = sl2.tilting("2")
     assert radical_profile(T2) == [Counter({"1": 1}), Counter({"2": 1}), Counter({"1": 1})]
     assert sl2.tilting("1").total_dim == 1
+
+
+def test_certificate_rejects_decomposable_modules(sl2):
+    T2 = sl2.tilting("2")
+    certify_indecomposable(T2, "2")
+    with_simple, _, _ = direct_sum([T2, sl2.simple("1")])
+    with pytest.raises(ModuleError, match="decomposable"):
+        certify_indecomposable(with_simple, "2")
+    doubled, _, _ = direct_sum([T2, T2])
+    with pytest.raises(ModuleError, match="dimension 2 at weight 2"):
+        certify_indecomposable(doubled, "2")
+
+
+def _auslander(n: int, p: int) -> StandardSystem:
+    """Auslander algebra of K[x]/(x^n): arrows a_i: i -> i+1, b_i: i+1 -> i."""
+    lines = [f"field {p}", "vertex " + " ".join(str(i) for i in range(1, n + 1))]
+    lines += [f"order {i + 1} < {i}" for i in range(1, n)]
+    for i in range(1, n):
+        lines += [f"arrow a{i} {i} {i + 1}", f"arrow b{i} {i + 1} {i}"]
+    lines.append("relation a1.b1")
+    lines += [f"relation b{i - 1}.a{i - 1} + -1*a{i}.b{i}" for i in range(2, n)]
+    lines.append("duality " + " ".join(f"a{i}=b{i}" for i in range(1, n)))
+    return StandardSystem(parse_alg_text("\n".join(lines) + "\n", name=f"aus{n}_{p}"))
+
+
+def _plain(profile) -> list:
+    return [{k: v for k, v in layer.items() if v} for layer in profile]
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (4, 3), (3, 0)])
+def test_auslander_top_tilting_is_projective_injective(n, p):
+    # T(1) = P(n): dims 1..n, layer k holds L(n - j) for j = k mod 2, ..., min(k, 2n - 2 - k)
+    T = _auslander(n, p).tilting("1")
+    assert T.dims == {str(i): i for i in range(1, n + 1)}
+    expected = [
+        {str(n - j): 1 for j in range(k % 2, min(k, 2 * n - 2 - k) + 1, 2)} for k in range(2 * n - 1)
+    ]
+    assert _plain(radical_profile(T)) == expected
+
+
+def test_auslander_tiltings_agree_over_q_and_f3():
+    q, f3 = _auslander(3, 0), _auslander(3, 3)
+    for lam in q.labels:
+        Tq, Tf = q.tilting(lam), f3.tilting(lam)
+        assert Tq.dims == Tf.dims
+        assert _plain(radical_profile(Tq)) == _plain(radical_profile(Tf))
 
 
 def test_tilting_has_both_filtrations_and_ext_vanishing(sl2, ce3):

@@ -7,7 +7,6 @@ from tiltrig.modules import (
     SubFamily,
     all_submodules,
     composition_counter,
-    decompose,
     direct_sum,
     ext1,
     ext1_dim_by_cocycles,
@@ -181,24 +180,6 @@ def test_ext1_matches_literal_middle_term_enumeration(sl2_f2):
                     break
         d = ext1(M, N).dim
         assert valid % split == 0 and valid // split == 2 ** d, (lm, ln, valid, split, d)
-
-
-def test_decompose_examples(sl2):
-    M, _, _ = direct_sum([L(sl2, "1"), L(sl2, "2")])
-    parts = decompose(M)
-    assert sorted(p.rep.total_dim for p in parts) == [1, 1]
-    parts = decompose(P(sl2, "1"))
-    assert len(parts) == 1 and parts[0].rep.total_dim == 3
-    MM, _, _ = direct_sum([P(sl2, "1"), P(sl2, "1")])
-    parts = decompose(MM)
-    assert sorted(p.rep.total_dim for p in parts) == [3, 3]
-
-
-def test_decompose_deterministic(sl2):
-    MM, _, _ = direct_sum([P(sl2, "1"), P(sl2, "2")])
-    a = [tuple(p.family.dim_at(v) for v in MM.vertices) for p in decompose(MM, seed=0)]
-    b = [tuple(p.family.dim_at(v) for v in MM.vertices) for p in decompose(MM, seed=0)]
-    assert a == b
 
 
 def test_is_rigid_examples(sl2):

@@ -1,0 +1,53 @@
+"""Every function, method and class in the library has a use somewhere.
+
+A definition counts as used when its name appears in `src/` or `tests/`,
+outside its own definition, as a name, an attribute or an imported name.
+Dunders are exempt, and a re-export in the package `__init__.py` is not a
+use.  The match is by name only, so it errs on the side of keeping code.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tiltrig"
+
+
+def _uses(path: Path, tree: ast.AST):
+    """(name, line) for every name, attribute and import in a parsed file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and path != PACKAGE / "__init__.py":
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1], node.lineno
+
+
+def unused_definitions() -> list:
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in files}
+    uses = {}
+    for path, tree in trees.items():
+        for name, line in _uses(path, tree):
+            uses.setdefault(name, []).append((path, line))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            outside = [
+                (p, line)
+                for p, line in uses.get(node.name, [])
+                if not (p == path and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_no_unused_definitions():
+    assert unused_definitions() == []
