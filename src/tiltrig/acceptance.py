@@ -144,7 +144,8 @@ def criterion_3_wall_crossing() -> Tuple[bool, str]:
 
 
 def criterion_4_bgg_symmetry() -> Tuple[bool, str]:
-    report = ch.bgg_symmetry_check(ch.load_block())
+    b = ch.load_block()
+    report = ch.bgg_symmetry_check(b.labels, {mu: ch.projective_layers(b, mu) for mu in b.labels})
     if not report["ok"]:
         return False, f"failures: {report['failures']}"
     return True, "layer reciprocity holds on the computed projective profiles"
@@ -292,7 +293,7 @@ def criterion_7_negative_controls() -> Tuple[bool, str]:
     b = ch.load_block()
     profiles = {mu: ch.projective_layers(b, mu) for mu in b.labels}
     profiles["1"][1]["4"] -= 1  # drop one entry from the computed table
-    report = ch.bgg_symmetry_check(b, profiles)
+    report = ch.bgg_symmetry_check(b.labels, profiles)
     if report["ok"]:
         return False, "corrupted table passed the symmetry check"
     witness = report["failures"][0]

@@ -272,20 +272,17 @@ def solve_placement(target: Profile, mults: Dict[str, int], b: BlockData) -> Lis
     return results
 
 
-def bgg_symmetry_check(b: BlockData, profiles: Optional[Dict[str, Profile]] = None) -> dict:
-    """Layer reciprocity of projective profiles, all layers.
+def bgg_symmetry_check(labels: Sequence[str], profiles: Dict[str, Profile]) -> dict:
+    """Layer reciprocity [rad_s P(mu) : L(lam)] = [rad_s P(lam) : L(mu)], all layers.
 
-    Profiles default to the ones computed from the layered table; a caller
-    may supply externally obtained profiles (for example golden data) to
-    validate them against the reciprocity.
+    The profiles may come from a layered table (`projective_layers`), from
+    modules, or from golden data; each unordered pair is reported once.
     """
-    if profiles is None:
-        profiles = {mu: projective_layers(b, mu) for mu in b.labels}
     depth = max(len(p) for p in profiles.values())
     failures = []
     for s in range(depth):
-        for i, lam in enumerate(b.labels):
-            for mu in b.labels[i:]:
+        for i, lam in enumerate(labels):
+            for mu in labels[i:]:
                 a = profiles[mu][s][lam] if s < len(profiles[mu]) else 0
                 c = profiles[lam][s][mu] if s < len(profiles[lam]) else 0
                 if a != c:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, kernel_basis
+from .linalg import Mat, Subspace, kernel_basis, quotient_map, solve
 from .modules import (
     LoewyProfile,
     ModuleError,
@@ -23,9 +23,11 @@ from .modules import (
     morphism_from_flat,
     projective_rep,
     quotient_rep,
+    radical_of,
     radical_profile,
     radical_series,
     simple_rep,
+    subquotient,
 )
 from .quiver import FinDimAlgebra
 
@@ -145,16 +147,16 @@ class StandardSystem:
             raise PosetError("algebra file declares no weight order")
         self.poset = WeightPoset(algebra.quiver.vertices, algebra.order_covers)
         self.labels = list(algebra.quiver.vertices)
-        self._cache: Dict[Tuple[str, str], object] = {}
+        self._cache: Dict[tuple, object] = {}
         self._op_system: Optional["StandardSystem"] = None
 
     # -- the six families ----------------------------------------------------
 
     def simple(self, lam: str) -> Representation:
-        return self._memo(("L", lam), lambda: simple_rep(self.algebra, lam))
+        return self.memo(("L", lam), lambda: simple_rep(self.algebra, lam))
 
     def projective(self, lam: str) -> Representation:
-        return self._memo(("P", lam), lambda: projective_rep(self.algebra, lam))
+        return self.memo(("P", lam), lambda: projective_rep(self.algebra, lam))
 
     def standard_kernel(self, lam: str) -> SubFamily:
         """Sum of traces of higher projectives inside P(lam)."""
@@ -167,7 +169,7 @@ class StandardSystem:
                     fam = fam.sum(trace_of(self.projective(mu), P))
             return fam
 
-        return self._memo(("Ukernel", lam), build)
+        return self.memo(("Ukernel", lam), build)
 
     def standard_with_projection(self, lam: str) -> Tuple[Representation, Morphism]:
         def build():
@@ -176,7 +178,7 @@ class StandardSystem:
             delta.name = f"Delta({lam})"
             return delta, proj
 
-        return self._memo(("Delta+proj", lam), build)
+        return self.memo(("Delta+proj", lam), build)
 
     def standard(self, lam: str) -> Representation:
         return self.standard_with_projection(lam)[0]
@@ -196,15 +198,32 @@ class StandardSystem:
             M.name = f"Nabla({lam})"
             return M
 
-        return self._memo(("Nabla", lam), build)
+        return self.memo(("Nabla", lam), build)
 
     def tilting(self, lam: str) -> Representation:
         self.require_quasihereditary()
-        return self._memo(("T", lam), lambda: ringel_tilting(self, lam))
+        return self.memo(("T", lam), lambda: ringel_tilting(self, lam))
+
+    def projective_filtration(self, lam: str):
+        """The greedy standard filtration of P(lam), or its FiltrationFailure."""
+        return self.memo(("P filtration", lam), lambda: find_delta_filtration(self, self.projective(lam)))
+
+    def block(self):
+        """Labels, order and Delta radical profiles as a character-level block."""
+        from .characters import BlockData
+
+        return self.memo(
+            ("block",),
+            lambda: BlockData(
+                self.labels,
+                self.algebra.order_covers,
+                {lam: radical_profile(self.standard(lam)) for lam in self.labels},
+            ),
+        )
 
     def require_quasihereditary(self) -> None:
         """Raise ModuleError naming the first weight that breaks an axiom."""
-        report = self._memo(("qh",), lambda: check_quasihereditary(self))
+        report = self.memo(("qh",), lambda: check_quasihereditary(self))
         for lam, entry in report["weights"].items():
             if not entry["axiom_i"]:
                 raise ModuleError(f"not quasi-hereditary at weight {lam}: axiom (i), End Delta({lam}) = K, fails")
@@ -220,7 +239,8 @@ class StandardSystem:
         op = self.op_system()
         return transpose_to_opposite(M, op.algebra), op
 
-    def _memo(self, key, build):
+    def memo(self, key, build):
+        """The object stored under key, built on first request."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -242,8 +262,6 @@ def _class_depth(M: Representation, rad_chain: List[SubFamily], vertex: str, vec
 
 def _preimage_family(M: Representation, proj: Morphism, fam: SubFamily) -> SubFamily:
     """{x in M : proj(x) in fam}, computed per vertex."""
-    from .linalg import quotient_map
-
     spaces = {}
     for v in M.vertices:
         Q, _ = quotient_map(M.field, fam.spaces[v])
@@ -309,8 +327,6 @@ def _generator_vector(P: Representation, lam: str) -> list:
 
 
 def _lift_through(proj: Morphism, vertex: str, vec: list) -> list:
-    from .linalg import solve
-
     lifted = solve(proj.mats[vertex], vec)
     if lifted is None:
         raise ModuleError("projection lift failed")
@@ -325,8 +341,6 @@ def delta_filtration_from_chain(
     Each successive quotient must be isomorphic to a standard module; the
     step's head shift is the radical depth of its head class in M.
     """
-    from .modules import radical_profile as _rprof, subquotient as _subq
-
     if chain[0].total_dim != 0 or chain[-1].total_dim != M.total_dim:
         raise ModuleError("chain must run from 0 to the whole module")
     rad_chain = radical_series(M)
@@ -334,8 +348,8 @@ def delta_filtration_from_chain(
     for below, above in zip(chain, chain[1:]):
         if not above.contains(below):
             raise ModuleError("chain is not nested")
-        Q, _, _ = _subq(M, above, below)
-        head = _rprof(Q)[0]
+        Q, _, _ = subquotient(M, above, below)
+        head = radical_profile(Q)[0]
         if sum(head.values()) != 1:
             raise ModuleError("chain step does not have a simple head")
         lam = next(iter(head))
@@ -345,9 +359,7 @@ def delta_filtration_from_chain(
         ):
             raise ModuleError(f"chain step is not a standard module at weight {lam}")
         # head class representative: complement of below + J*above inside above
-        from .modules import radical_of as _radof
-
-        shallow = below.sum(_radof(M, above))
+        shallow = below.sum(radical_of(M, above))
         comp = shallow.spaces[lam].complement_in(above.spaces[lam])
         if not comp:
             raise ModuleError("could not locate the step head")
@@ -356,22 +368,13 @@ def delta_filtration_from_chain(
     return DeltaFiltration(M, steps, list(chain))
 
 
-def predicted_profile(sys: StandardSystem, placement: Sequence[Tuple[str, int]]) -> LoewyProfile:
-    """Layer formula: shifted standard-module layers summed over the placement."""
-    layers: List[Counter] = []
-    for lam, shift in placement:
-        for t, layer in enumerate(radical_profile(sys.standard(lam))):
-            while len(layers) <= shift + t:
-                layers.append(Counter())
-            layers[shift + t] += layer
-    return layers
-
-
 def check_radical_respecting(
     sys: StandardSystem, M: Representation, filt: DeltaFiltration
 ) -> Tuple[bool, LoewyProfile, LoewyProfile]:
     """Compare the layer-formula prediction with the actual radical profile."""
-    predicted = predicted_profile(sys, filt.placement())
+    from .characters import layers_from_placement
+
+    predicted = layers_from_placement(filt.placement(), sys.block())
     actual = radical_profile(M)
     while len(predicted) < len(actual):
         predicted.append(Counter())
@@ -389,7 +392,7 @@ def check_quasihereditary(sys: StandardSystem) -> dict:
         entry["end_dim"] = end_dim
         entry["axiom_i"] = end_dim == 1
         entry["projective_profile"] = [dict(layer) for layer in radical_profile(sys.projective(lam))]
-        filt = find_delta_filtration(sys, sys.projective(lam))
+        filt = sys.projective_filtration(lam)
         if isinstance(filt, FiltrationFailure):
             entry["axiom_ii"] = False
             entry["witness"] = repr(filt)
@@ -503,23 +506,17 @@ def check_bgg(sys: StandardSystem) -> dict:
     """Fixed simples plus layer reciprocity of projective radical profiles."""
     if sys.algebra.duality_pairs is None:
         return {"applicable": False, "note": "not a BGG presentation (no duality declared)"}
-    report = {"applicable": True, "ok": True, "fixed_simples": True, "failures": []}
-    for lam in sys.labels:
-        img = dualize(sys.simple(lam))
-        if img.dims != sys.simple(lam).dims:
-            report["fixed_simples"] = False
-            report["ok"] = False
+    from .characters import bgg_symmetry_check
+
+    fixed = all(dualize(sys.simple(lam)).dims == sys.simple(lam).dims for lam in sys.labels)
     profiles = {lam: radical_profile(sys.projective(lam)) for lam in sys.labels}
-    depth = max(len(p) for p in profiles.values())
-    for s in range(depth):
-        for lam in sys.labels:
-            for mu in sys.labels:
-                a = profiles[lam][s][mu] if s < len(profiles[lam]) else 0
-                b = profiles[mu][s][lam] if s < len(profiles[mu]) else 0
-                if a != b:
-                    report["ok"] = False
-                    report["failures"].append({"layer": s, "pair": [lam, mu], "counts": [a, b]})
-    return report
+    symmetry = bgg_symmetry_check(sys.labels, profiles)
+    return {
+        "applicable": True,
+        "ok": fixed and symmetry["ok"],
+        "fixed_simples": fixed,
+        "failures": symmetry["failures"],
+    }
 
 
 def nabla_multiplicities(sys: StandardSystem, M: Representation) -> Optional[Counter]:

@@ -829,11 +829,15 @@ def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Represe
             header = i  # 1-based line number of this map line
             rows = []
             for k in range(dims.get(w, 0)):
-                if i >= len(lines):
-                    raise ModuleError(f"line {header}: map {a!r} needs {dims[w]} rows, the file ends after {k}")
-                row_line = lines[i].split("#", 1)[0].strip()
+                row = lines[i].split("#", 1)[0].split() if i < len(lines) else None
+                if row is None or row[:1] in (["algebra"], ["dim"], ["map"]):
+                    cut = "the file ends" if row is None else f"line {i + 1} starts the next block"
+                    raise ModuleError(f"line {header}: map {a!r} needs {dims[w]} rows, {cut} after {k}")
                 i += 1
-                rows.append([algebra.field.of(x) for x in row_line.split()])
+                try:
+                    rows.append([algebra.field.of(x) for x in row])
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ModuleError(f"line {i}: map {a!r}: {exc}") from exc
             mats[a] = Mat(algebra.field, rows) if rows else Mat.zero(algebra.field, 0, dims.get(u, 0))
         else:
             raise ModuleError(f"unknown keyword {parts[0]!r} in representation file")

@@ -470,7 +470,9 @@ def parse_alg_text(
         relations = []
         for line_no, terms in raw_relations:
             try:
-                relations.append(Relation(quiver, [(Field(0).of(c), tuple(p)) for c, p in terms]))
+                relations.append(Relation(quiver, [(field.of(c), tuple(p)) for c, p in terms]))
+            except ZeroDivisionError as exc:
+                raise AlgParseError(line_no, f"relation coefficient {exc}") from exc
             except (QuiverError, ValueError) as exc:
                 raise AlgParseError(line_no, str(exc)) from exc
         return build_algebra(

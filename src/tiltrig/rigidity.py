@@ -3,13 +3,19 @@ filtered Ext^1 against standard modules, detection of stretched subquotients
 by hom lifting, a definitional brute-force enumerator over small finite
 fields, and the pipeline tying them to the direct radical-vs-socle oracle.
 
+Filtered Ext^1 and the stretched-subquotient detector read the same
+positioned cocycle and boundary spaces of the minimal presentation of
+Delta(lam).  A `PositionedLifting` holds them for one (lam, T) and builds
+each shift's spaces on first use; it and the `MinimalPresentation` of each
+weight live in the `StandardSystem` memo, so each is built once per system.
+
 Shift conventions: a map of shift r sends rad^i of the source into rad^(i+r)
 of the target; head shifts in filtrations are non-negative radical depths.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Mat, Subspace, kernel_basis, quotient_map
 from .modules import (
@@ -31,13 +37,9 @@ from .modules import (
     spin_submodule,
     sub_rep,
     subquotient,
+    subspace_vectors,
 )
-from .highest_weight import (
-    FiltrationFailure,
-    StandardSystem,
-    check_radical_respecting,
-    find_delta_filtration,
-)
+from .highest_weight import StandardSystem, check_radical_respecting
 
 
 # -- filtered hom spaces ---------------------------------------------------------
@@ -185,52 +187,69 @@ class MinimalPresentation:
             self.layer_spaces.append(spaces_j)
 
 
-def _deep_cocycle_space(pres: MinimalPresentation, T: Representation, hom_basis: List[Morphism], rad_T: List[SubFamily], shift: int) -> Subspace:
-    """Coordinate space of f: syzygy -> T with f(J^t A v_j) <= rad^(m_j+t+shift) T."""
-    conditions = []
-    for gen, spaces_j in zip(pres.generators, pres.layer_spaces):
-        for t, vecs in enumerate(spaces_j):
-            depth = gen.depth + t + shift
-            if depth <= 0:
-                continue
-            target = _clamped(rad_T, depth)
-            for v, coords in vecs:
-                conditions.append((v, coords, target))
-    return _constrain(hom_basis, conditions)
+class PositionedLifting:
+    """Positioned cocycles and boundaries of Delta(lam) against one module T.
+
+    Holds the system's presentation of Delta(lam), Hom(syzygy, T),
+    Hom(P(lam), T) and rad T.  The deep-cocycle and image-constrained
+    boundary spaces of a shift are built the first time that shift is asked
+    for; every boundary space of a shift s <= 0 is the one of s = 0.
+    """
+
+    def __init__(self, sys: StandardSystem, lam: str, T: Representation):
+        self.pres = sys.memo(("presentation", lam), lambda: MinimalPresentation(sys, lam))
+        self.hom_syz = hom_space(self.pres.syzygy, T)
+        self.hom_P = hom_space(self.pres.P, T) if self.hom_syz else []
+        self.rad_T = radical_series(T)
+        self._deep: Dict[int, Subspace] = {}
+        self._boundary: Dict[int, Subspace] = {}
+
+    def deep(self, shift: int) -> Subspace:
+        """Coordinate space of f: syzygy -> T with f(J^t A v_j) <= rad^(m_j+t+shift) T."""
+        if shift not in self._deep:
+            conditions = []
+            for gen, spaces_j in zip(self.pres.generators, self.pres.layer_spaces):
+                for t, vecs in enumerate(spaces_j):
+                    depth = gen.depth + t + shift
+                    if depth > 0:
+                        target = _clamped(self.rad_T, depth)
+                        conditions.extend((v, coords, target) for v, coords in vecs)
+            self._deep[shift] = _constrain(self.hom_syz, conditions)
+        return self._deep[shift]
+
+    def boundary(self, shift: int) -> Subspace:
+        """Restrictions to the syzygy of maps P(lam) -> T with image in rad^shift T."""
+        shift = max(shift, 0)
+        if shift not in self._boundary:
+            P, F = self.pres.P, self.pres.P.field
+            if shift == 0 or not self.hom_P:
+                space = Subspace.full(F, len(self.hom_P))
+            else:
+                target = _clamped(self.rad_T, shift)
+                conditions = []
+                for v in P.vertices:
+                    for k in range(P.dims[v]):
+                        unit = [F.zero] * P.dims[v]
+                        unit[k] = F.one
+                        conditions.append((v, unit, target))
+                space = _constrain(self.hom_P, conditions)
+            restricted = []
+            for coords in space.basis:
+                g = linear_combination(self.hom_P, coords)
+                c = morphism_coords(self.hom_syz, g.compose(self.pres.inclusion))
+                if c is None:
+                    raise ModuleError("restriction escaped Hom(syzygy, T)")
+                restricted.append(c)
+            self._boundary[shift] = Subspace(F, len(self.hom_syz), restricted)
+        return self._boundary[shift]
 
 
-def _image_constrained_restrictions(
-    pres: MinimalPresentation,
-    T: Representation,
-    hom_P: List[Morphism],
-    hom_syz: List[Morphism],
-    rad_T: List[SubFamily],
-    depth: int,
-) -> Subspace:
-    """Restrictions to the syzygy of maps P(lam) -> T with image in rad^depth T."""
-    F = T.field
-    n = len(hom_syz)
-    if not hom_P:
-        return Subspace(F, n)
-    if depth <= 0:
-        space = Subspace.full(F, len(hom_P))
-    else:
-        target = _clamped(rad_T, depth)
-        conditions = []
-        for v in pres.P.vertices:
-            for k in range(pres.P.dims[v]):
-                unit = [F.zero] * pres.P.dims[v]
-                unit[k] = F.one
-                conditions.append((v, unit, target))
-        space = _constrain(hom_P, conditions)
-    restricted = []
-    for coords in space.basis:
-        g = linear_combination(hom_P, coords)
-        c = morphism_coords(hom_syz, g.compose(pres.inclusion))
-        if c is None:
-            raise ModuleError("restriction escaped Hom(syzygy, T)")
-        restricted.append(c)
-    return Subspace(F, n, restricted)
+def positioned_lifting(sys: StandardSystem, lam: str, T: Representation) -> PositionedLifting:
+    """The lifting data of (lam, T), built once per system and kept in its memo.
+
+    T is keyed by identity, so the system keeps it alive.
+    """
+    return sys.memo(("lifting", lam, T), lambda: PositionedLifting(sys, lam, T))
 
 
 class FilteredExtResult:
@@ -248,14 +267,10 @@ class FilteredExtResult:
 def filtered_ext1_delta(sys: StandardSystem, lam: str, shift: int, T: Representation) -> FilteredExtResult:
     """Filtered Ext^1(Delta(lam)<shift>, T): positioned cocycles mod positioned
     restrictions of maps out of the projective cover."""
-    pres = MinimalPresentation(sys, lam)
-    hom_syz = hom_space(pres.syzygy, T)
-    if not hom_syz:
+    lift = positioned_lifting(sys, lam, T)
+    if not lift.hom_syz:
         return FilteredExtResult(lam, shift, 0, 0, 0)
-    hom_P = hom_space(pres.P, T)
-    rad_T = radical_series(T)
-    deep = _deep_cocycle_space(pres, T, hom_syz, rad_T, shift)
-    boundaries = _image_constrained_restrictions(pres, T, hom_P, hom_syz, rad_T, shift)
+    deep, boundaries = lift.deep(shift), lift.boundary(shift)
     if not deep.contains_space(boundaries):
         raise ModuleError("filtered boundaries escaped the cocycle space; solver bug")
     return FilteredExtResult(lam, shift, deep.dim - boundaries.dim, deep.dim, boundaries.dim)
@@ -313,29 +328,21 @@ def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-
         return StretchReport("L-nabla", inner.entries)
 
     entries: List[StretchEntry] = []
-    rad_T = radical_series(T)
-    ell = len(rad_T) - 1
     for lam in sys.labels:
-        pres = MinimalPresentation(sys, lam)
-        hom_syz = hom_space(pres.syzygy, T)
-        if not hom_syz:
+        lift = positioned_lifting(sys, lam, T)
+        if not lift.hom_syz:
             entries.append(StretchEntry(lam, 0, True, None))
             continue
-        hom_P = hom_space(pres.P, T)
-        restr_all = _image_constrained_restrictions(pres, T, hom_P, hom_syz, rad_T, 0)
-        deep = {
-            s: _deep_cocycle_space(pres, T, hom_syz, rad_T, s) for s in range(ell + 2)
-        }
+        restr_all = lift.boundary(0)
+        ell = len(lift.rad_T) - 1
+        G = [lift.deep(s).intersect(restr_all) for s in range(ell + 2)]
         for s in range(ell + 1):
-            G_s = deep[s].intersect(restr_all)
-            G_up = deep[s + 1].intersect(restr_all)
-            B_s = _image_constrained_restrictions(pres, T, hom_P, hom_syz, rad_T, s)
-            span = B_s.sum(G_up)
-            if span.contains_space(G_s):
+            span = lift.boundary(s).sum(G[s + 1])
+            if span.contains_space(G[s]):
                 entries.append(StretchEntry(lam, s, True, None))
             else:
-                coords = next(c for c in G_s.basis if not span.contains(c))
-                entries.append(StretchEntry(lam, s, False, linear_combination(hom_syz, coords)))
+                coords = next(c for c in G[s].basis if not span.contains(c))
+                entries.append(StretchEntry(lam, s, False, linear_combination(lift.hom_syz, coords)))
     return StretchReport("delta-L", entries)
 
 
@@ -446,8 +453,6 @@ def stretched_subquotients_bruteforce(
             soc = socle_of(Q, SubFamily(Q))
             for mu in Q.vertices:
                 seen_lines = set()
-                from .modules import subspace_vectors
-
                 for w in subspace_vectors(soc.spaces[mu]):
                     line = SubFamily.from_vectors(Q, [(mu, w)])
                     if line in seen_lines or line.total_dim != 1:
@@ -523,17 +528,13 @@ def rigidity_pipeline(sys: StandardSystem, lam: str, method: str = "both") -> di
     """
     if method not in ("theorem", "direct", "both"):
         raise ValueError(f"unknown method {method!r}")
+    sys.require_quasihereditary()
     report: dict = {"weight": lam, "shift_convention": "non-negative radical depths"}
 
     hypothesis = {"ok": True, "projectives": {}}
     for mu in sys.labels:
-        P = sys.projective(mu)
-        filt = find_delta_filtration(sys, P)
-        if isinstance(filt, FiltrationFailure):
-            hypothesis["projectives"][mu] = {"ok": False, "reason": repr(filt)}
-            hypothesis["ok"] = False
-            continue
-        respecting, predicted, actual = check_radical_respecting(sys, P, filt)
+        filt = sys.projective_filtration(mu)
+        respecting, _, _ = check_radical_respecting(sys, filt.module, filt)
         hypothesis["projectives"][mu] = {
             "ok": respecting,
             "placement": filt.placement(),

@@ -130,10 +130,10 @@ def test_solve_placement_examples(block):
 
 
 def test_bgg_symmetry_and_corruption(block):
-    assert ch.bgg_symmetry_check(block)["ok"]
     profiles = {mu: ch.projective_layers(block, mu) for mu in block.labels}
+    assert ch.bgg_symmetry_check(block.labels, profiles)["ok"]
     profiles["1"][1]["4"] -= 1
-    report = ch.bgg_symmetry_check(block, profiles)
+    report = ch.bgg_symmetry_check(block.labels, profiles)
     assert not report["ok"]
     w = report["failures"][0]
     assert w["layer"] == 1 and set(w["pair"]) == {"1", "4"}

@@ -63,11 +63,28 @@ def test_tilting_and_rigidity_refuse_non_quasihereditary_order(tmp_path, capsys)
 
 
 def test_truncated_rep_exit_2(tmp_path, capsys):
-    truncated = tmp_path / "short.rep"
-    truncated.write_text(f"algebra {SL2}\ndim 1 2\ndim 2 1\nmap a\n1 0\nmap b\n0\n")
-    code, _, err = run(capsys, "module", "series", str(truncated))
-    assert code == 2 and "line 6" in err and "'b'" in err
-    assert "Traceback" not in err
+    # map b needs 2 rows: the file ends after 1, or map a follows after 1
+    cases = [("map a\n1 0\nmap b\n0\n", "line 6: "), ("map b\n0\nmap a\n1 0\n", "line 4: ")]
+    for body, where in cases:
+        truncated = tmp_path / "short.rep"
+        truncated.write_text(f"algebra {SL2}\ndim 1 2\ndim 2 1\n{body}")
+        code, _, err = run(capsys, "module", "series", str(truncated))
+        assert code == 2 and where in err and "'b'" in err
+        assert "Traceback" not in err
+
+
+def test_entry_with_no_image_in_field_exit_2(tmp_path, capsys):
+    alg = tmp_path / "third.alg"
+    alg.write_text("field 0\nvertex 1 2\norder 1 < 2\narrow a 1 2\narrow b 2 1\nrelation 1/3*b.a\n")
+    code, _, err = run(capsys, "--field", "3", "algebra", "check", str(alg))
+    assert code == 2 and "line 6: relation coefficient 1/3 has no image in F_3" in err
+    rep = tmp_path / "third.rep"
+    rep.write_text(f"algebra {SL2}\ndim 1 1\ndim 2 1\nmap a\n1/3\nmap b\n0\n")
+    code, _, err = run(capsys, "--field", "3", "module", "series", str(rep))
+    assert code == 2 and "line 5: map 'a': 1/3 has no image in F_3" in err
+    # over Q both files are fine
+    assert run(capsys, "algebra", "check", str(alg))[0] == 0
+    assert run(capsys, "module", "series", str(rep))[0] == 0
 
 
 def test_tilting_build(capsys):

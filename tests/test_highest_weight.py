@@ -169,26 +169,14 @@ def test_certificate_rejects_decomposable_modules(sl2):
         certify_indecomposable(doubled, "2")
 
 
-def _auslander(n: int, p: int) -> StandardSystem:
-    """Auslander algebra of K[x]/(x^n): arrows a_i: i -> i+1, b_i: i+1 -> i."""
-    lines = [f"field {p}", "vertex " + " ".join(str(i) for i in range(1, n + 1))]
-    lines += [f"order {i + 1} < {i}" for i in range(1, n)]
-    for i in range(1, n):
-        lines += [f"arrow a{i} {i} {i + 1}", f"arrow b{i} {i + 1} {i}"]
-    lines.append("relation a1.b1")
-    lines += [f"relation b{i - 1}.a{i - 1} + -1*a{i}.b{i}" for i in range(2, n)]
-    lines.append("duality " + " ".join(f"a{i}=b{i}" for i in range(1, n)))
-    return StandardSystem(parse_alg_text("\n".join(lines) + "\n", name=f"aus{n}_{p}"))
-
-
 def _plain(profile) -> list:
     return [{k: v for k, v in layer.items() if v} for layer in profile]
 
 
 @pytest.mark.parametrize("n,p", [(3, 3), (4, 3), (3, 0)])
-def test_auslander_top_tilting_is_projective_injective(n, p):
+def test_auslander_top_tilting_is_projective_injective(n, p, auslander):
     # T(1) = P(n): dims 1..n, layer k holds L(n - j) for j = k mod 2, ..., min(k, 2n - 2 - k)
-    T = _auslander(n, p).tilting("1")
+    T = auslander(n, p).tilting("1")
     assert T.dims == {str(i): i for i in range(1, n + 1)}
     expected = [
         {str(n - j): 1 for j in range(k % 2, min(k, 2 * n - 2 - k) + 1, 2)} for k in range(2 * n - 1)
@@ -196,8 +184,8 @@ def test_auslander_top_tilting_is_projective_injective(n, p):
     assert _plain(radical_profile(T)) == expected
 
 
-def test_auslander_tiltings_agree_over_q_and_f3():
-    q, f3 = _auslander(3, 0), _auslander(3, 3)
+def test_auslander_tiltings_agree_over_q_and_f3(auslander):
+    q, f3 = auslander(3, 0), auslander(3, 3)
     for lam in q.labels:
         Tq, Tf = q.tilting(lam), f3.tilting(lam)
         assert Tq.dims == Tf.dims

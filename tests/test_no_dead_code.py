@@ -1,9 +1,12 @@
-"""Every function, method and class in the library has a use somewhere.
+"""Every function, method and class in the library has a use somewhere,
+and every import in a library module is read by that module.
 
 A definition counts as used when its name appears in `src/` or `tests/`,
 outside its own definition, as a name, an attribute or an imported name.
 Dunders are exempt, and a re-export in the package `__init__.py` is not a
 use.  The match is by name only, so it errs on the side of keeping code.
+An import counts as read when the name it binds appears in its module as a
+name; `__init__.py` re-exports and `from __future__` imports are exempt.
 """
 
 import ast
@@ -51,3 +54,25 @@ def unused_definitions() -> list:
 
 def test_no_unused_definitions():
     assert unused_definitions() == []
+
+
+def unused_imports() -> list:
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".", 1)[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
