@@ -807,40 +807,55 @@ def hom_combinations(basis: List[Morphism]) -> Iterable[Morphism]:
 
 
 def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Representation:
+    """Parse the line-oriented .rep format (algebra/dim/map, then matrix rows).
+
+    Comments and blank lines may appear anywhere, inside `map` blocks too;
+    every malformed line raises a ModuleError that names it.
+    """
+    quiver = algebra.quiver
     dims: Dict[str, int] = {}
     mats: Dict[str, Mat] = {}
-    lines = text.splitlines()
+    # (1-based line number, tokens) of each line that is not blank or a comment
+    lines = [(n, parts) for n, raw in enumerate(text.splitlines(), start=1) if (parts := raw.split("#", 1)[0].split())]
     i = 0
     while i < len(lines):
-        line = lines[i].split("#", 1)[0].strip()
+        line_no, parts = lines[i]
         i += 1
-        if not line:
-            continue
-        parts = line.split()
         if parts[0] == "algebra":
             continue  # resolved by the caller
         if parts[0] == "dim":
+            if len(parts) != 3:
+                raise ModuleError(f"line {line_no}: expected 'dim <vertex> <count>'")
+            if parts[1] not in quiver.vertices:
+                raise ModuleError(f"line {line_no}: unknown vertex {parts[1]!r}")
+            if not parts[2].isdecimal():
+                raise ModuleError(f"line {line_no}: dimension {parts[2]!r} is not a non-negative integer")
             dims[parts[1]] = int(parts[2])
         elif parts[0] == "map":
+            if len(parts) != 2:
+                raise ModuleError(f"line {line_no}: expected 'map <arrow>'")
             a = parts[1]
-            if a not in algebra.quiver.arrows:
-                raise ModuleError(f"unknown arrow {a!r} in representation file")
-            u, w = algebra.quiver.arrows[a]
-            header = i  # 1-based line number of this map line
+            if a not in quiver.arrows:
+                raise ModuleError(f"line {line_no}: unknown arrow {a!r} in representation file")
+            u, w = quiver.arrows[a]
             rows = []
             for k in range(dims.get(w, 0)):
-                row = lines[i].split("#", 1)[0].split() if i < len(lines) else None
-                if row is None or row[:1] in (["algebra"], ["dim"], ["map"]):
-                    cut = "the file ends" if row is None else f"line {i + 1} starts the next block"
-                    raise ModuleError(f"line {header}: map {a!r} needs {dims[w]} rows, {cut} after {k}")
+                if i == len(lines) or lines[i][1][0] in ("algebra", "dim", "map"):
+                    cut = "the file ends" if i == len(lines) else f"line {lines[i][0]} starts the next block"
+                    raise ModuleError(f"line {line_no}: map {a!r} needs {dims[w]} rows, {cut} after {k}")
+                row_no, row = lines[i]
                 i += 1
+                if rows and len(row) != len(rows[0]):
+                    raise ModuleError(
+                        f"line {row_no}: map {a!r}: row has {len(row)} entries, the block's first row has {len(rows[0])}"
+                    )
                 try:
                     rows.append([algebra.field.of(x) for x in row])
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise ModuleError(f"line {i}: map {a!r}: {exc}") from exc
+                    raise ModuleError(f"line {row_no}: map {a!r}: {exc}") from exc
             mats[a] = Mat(algebra.field, rows) if rows else Mat.zero(algebra.field, 0, dims.get(u, 0))
         else:
-            raise ModuleError(f"unknown keyword {parts[0]!r} in representation file")
+            raise ModuleError(f"line {line_no}: unknown keyword {parts[0]!r} in representation file")
     return Representation(algebra, dims, mats, name=name)
 
 

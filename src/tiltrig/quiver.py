@@ -1,9 +1,10 @@
 """Quivers with admissible relations and the finite-dimensional path algebras
 they present.
 
-An algebra is built by spanning paths of increasing length and reducing each
-(source, target, length) stratum against the degreewise span of the relation
-ideal.  Relations must be admissible (paths of length >= 2) and
+An algebra is built degree by degree: the normal words of degree L are the
+products (normal word of degree L-1).(arrow) that survive reduction, in each
+(source, target, L) stratum, modulo the images of the relations under the
+lower degrees.  Relations must be admissible (paths of length >= 2) and
 length-homogeneous, which keeps the ideal graded so the stratum reduction is
 exact; the Jacobson radical is then exactly the arrow ideal and radical
 powers can be read off path lengths.
@@ -45,9 +46,6 @@ class Quiver:
     def arrows_from(self, v: str) -> List[str]:
         return [a for a, (s, _) in self.arrows.items() if s == v]
 
-    def arrows_into(self, v: str) -> List[str]:
-        return [a for a, (_, t) in self.arrows.items() if t == v]
-
     def opposite(self) -> "Quiver":
         return Quiver(self.vertices, [(a, t, s) for a, (s, t) in self.arrows.items()])
 
@@ -55,8 +53,10 @@ class Quiver:
         """(source, target) of a composable path; raises if not composable."""
         if not path:
             raise QuiverError("empty path has no unique endpoints")
-        src = self.source(path[0])
-        cur = src
+        for a in path:
+            if a not in self.arrows:
+                raise QuiverError(f"unknown arrow {a!r}")
+        src = cur = self.source(path[0])
         for a in path:
             if self.source(a) != cur:
                 raise QuiverError(f"path {'.'.join(path)} is not composable at {a!r}")
@@ -141,33 +141,19 @@ class FinDimAlgebra:
     def reduce(self, path: Path) -> Dict[Path, object]:
         """Image of a free composable path in the basis (may be empty = 0).
 
-        Recorded words are looked up directly; longer products are rewritten
-        one arrow at a time through the recorded one-step extensions.
+        Table entries are looked up directly; longer products are rewritten
+        one arrow at a time through the table of (normal word).(arrow)
+        products, and the result is kept.
         """
         if path in self._reductions:
             return self._reductions[path]
         if self.path_length(path) > self.max_length:
             return {}
-        F = self.field
-        arrows = tuple(a for a in path if a not in self.quiver.vertices)
-        src = self.quiver.source(arrows[0])
-        cur: Dict[Path, object] = {(src,): F.one}
+        vertices = self.quiver.vertices
+        arrows = tuple(a for a in path if a not in vertices)
+        cur: Dict[Path, object] = {(self.quiver.source(arrows[0]),): self.field.one}
         for a in arrows:
-            nxt: Dict[Path, object] = {}
-            for b, coef in cur.items():
-                ext = (a,) if b[0] in self.quiver.vertices else b + (a,)
-                red = self._reductions.get(ext)
-                if red is None:
-                    if self.path_length(ext) > self.max_length:
-                        continue
-                    raise QuiverError(f"path {'.'.join(ext)} was never enumerated")
-                for r, c in red.items():
-                    v = F.add(nxt.get(r, F.zero), F.mul(coef, c))
-                    if v == F.zero:
-                        nxt.pop(r, None)
-                    else:
-                        nxt[r] = v
-            cur = nxt
+            cur = _times_arrow(self.field, self._reductions, cur, a, vertices)
             if not cur:
                 break
         self._reductions[path] = cur
@@ -282,124 +268,118 @@ def build_algebra(
 ) -> FinDimAlgebra:
     """Quotient of the path algebra by the ideal the relations generate.
 
-    Paths are enumerated by increasing length; in each (source, target,
-    length) stratum the span of u.r.w (relation r, connecting paths u, w) is
-    removed and non-pivot paths survive as basis elements.  Stops at the
-    first length contributing nothing; aborts past dim_cap.
+    Built degree by degree (Green's graded construction).  The relations are
+    homogeneous, so I_L = I_{L-1}.V + sum_d V^{L-d}.R_d: degree L of the
+    quotient is spanned by the products w.a of a normal word w of degree L-1
+    with an arrow a, modulo the rows u.r for each relation r of length d and
+    each normal word u of degree L-d ending at its source (u.p' of a term
+    c*p'.a is reduced through the lower degrees).  In each (source, target,
+    L) stratum the non-pivot products survive as normal words and the pivots
+    get rewrite rules, which together form the table of (normal word).(arrow)
+    products.  Stops at the first degree with no normal word; aborts once the
+    basis passes dim_cap, so a degree never has more than dim_cap * (number
+    of arrows) columns.
     """
     if dim_cap <= 0:
         raise QuiverError("dim_cap must be positive")
 
-    basis: List[Path] = [(v,) for v in quiver.vertices]
-    reductions: Dict[Path, Dict[Path, object]] = {(v,): {(v,): field.one} for v in quiver.vertices}
+    vertices = quiver.vertices
+    basis: List[Path] = [(v,) for v in vertices]
+    table: Dict[Path, Dict[Path, object]] = {(v,): {(v,): field.one} for v in vertices}
+    # normal[L][(s, t)]: the normal words of degree L from s to t, in stratum order
+    normal: List[Dict[Tuple[str, str], List[Path]]] = [{(v, v): [(v,)] for v in vertices}]
 
-    by_len_rel: Dict[int, List[Relation]] = {}
-    for r in relations:
-        by_len_rel.setdefault(r.length, []).append(r)
-
-    # all composable words at the previous length, plus the ideal rows there
-    words_prev: Dict[Tuple[str, str], List[Path]] = {(v, v): [(v,)] for v in quiver.vertices}
-    rows_prev: Dict[Tuple[str, str], List[List]] = {}
-    total_words = len(quiver.vertices)
     length = 0
-
     while True:
         length += 1
-        words_cur: Dict[Tuple[str, str], List[Path]] = {}
-        for (s, t), ws in sorted(words_prev.items()):
+        cols: Dict[Tuple[str, str], List[Path]] = {}
+        for (s, t), ws in sorted(normal[-1].items()):
             for w in ws:
                 for a in sorted(quiver.arrows_from(t)):
-                    ext = (a,) if w[0] in quiver.vertices else w + (a,)
-                    words_cur.setdefault((s, quiver.target(a)), []).append(ext)
-                    total_words += 1
-        if total_words > 200000:
-            raise QuiverError("word enumeration exploded; raise relations or lower dim_cap scale")
-        if not words_cur:
-            max_length = length
+                    cols.setdefault((s, quiver.target(a)), []).append(_append(w, a, vertices))
+        if not cols:
             break
 
-        # ideal degree-`length` rows: fresh relations + one-arrow extensions
-        rows_cur: Dict[Tuple[str, str], List[List]] = {}
-        col_cur = {key: {w: i for i, w in enumerate(ws)} for key, ws in words_cur.items()}
+        col_index = {key: {w: i for i, w in enumerate(ws)} for key, ws in cols.items()}
+        rows: Dict[Tuple[str, str], List[List]] = {}
+        for rel in relations:
+            if rel.length > length:
+                continue
+            for (s, t), us in normal[length - rel.length].items():
+                key = (s, rel.dst)
+                if t != rel.src or key not in col_index:
+                    continue  # no product w.a spans this stratum, so every u.r is 0 here
+                index = col_index[key]
+                for u in us:
+                    row = [field.zero] * len(index)
+                    for c, p in rel.terms:
+                        up = {u: field.of(c)}
+                        for b in p[:-1]:
+                            up = _times_arrow(field, table, up, b, vertices)
+                        for w, x in up.items():
+                            j = index[_append(w, p[-1], vertices)]
+                            row[j] = field.add(row[j], x)
+                    rows.setdefault(key, []).append(row)
 
-        def add_row(key, entries):
-            cols = col_cur[key]
-            row = [field.zero] * len(cols)
-            for word, c in entries:
-                j = cols[word]
-                row[j] = field.add(row[j], c)
-            rows_cur.setdefault(key, []).append(row)
-
-        for rel in by_len_rel.get(length, []):
-            add_row((rel.src, rel.dst), [(p, field.of(c)) for c, p in rel.terms])
-        for (s, t), rows in rows_prev.items():
-            words = words_prev[(s, t)]
-            for a in quiver.arrows_into(s):
-                u = quiver.source(a)
-                for row in rows:
-                    add_row(
-                        (u, t),
-                        [(_prepend(a, w, quiver), c) for w, c in zip(words, row) if c != field.zero],
-                    )
-            for a in quiver.arrows_from(t):
-                v = quiver.target(a)
-                for row in rows:
-                    add_row(
-                        (s, v),
-                        [(_append(w, a, quiver), c) for w, c in zip(words, row) if c != field.zero],
-                    )
-
-        survivors = 0
-        for key in sorted(words_cur):
-            words = words_cur[key]
-            rows = rows_cur.get(key, [])
-            if not rows:
-                keep, rules = list(words), {w: {w: field.one} for w in words}
-            else:
-                R, pivots = rref(Mat(field, rows))
-                piv_set = set(pivots)
-                keep = [w for j, w in enumerate(words) if j not in piv_set]
-                rules = {w: {w: field.one} for w in keep}
-                for i, pc in enumerate(pivots):
-                    expr: Dict[Path, object] = {}
-                    for j, w in enumerate(words):
-                        if j not in piv_set and R.data[i][j] != field.zero:
-                            expr[w] = field.neg(R.data[i][j])
-                    rules[words[pc]] = expr
-                rows_cur[key] = [R.data[i] for i in range(len(pivots))]
-            reductions.update(rules)
+        degree: Dict[Tuple[str, str], List[Path]] = {}
+        for key in sorted(cols):
+            words = cols[key]
+            R, pivots = rref(Mat(field, rows[key])) if key in rows else (None, [])
+            piv_set = set(pivots)
+            keep = [w for j, w in enumerate(words) if j not in piv_set]
+            table.update((w, {w: field.one}) for w in keep)
+            for i, pc in enumerate(pivots):
+                table[words[pc]] = {
+                    w: field.neg(R.data[i][j])
+                    for j, w in enumerate(words)
+                    if j not in piv_set and R.data[i][j] != field.zero
+                }
+            if keep:
+                degree[key] = keep
             basis.extend(keep)
-            survivors += len(keep)
             if len(basis) > dim_cap:
                 raise QuiverError(
                     f"basis exceeded dim_cap={dim_cap}; the presentation may be infinite-dimensional"
                 )
-
-        if survivors == 0:
-            max_length = length
+        if not degree:
             break
-        words_prev, rows_prev = words_cur, rows_cur
+        normal.append(degree)
 
-    basis.sort(key=lambda p: (0 if p[0] in quiver.vertices else len(p), p))
+    basis.sort(key=lambda p: (0 if p[0] in vertices else len(p), p))
     return FinDimAlgebra(
         quiver,
         relations,
         field,
         basis,
-        reductions,
-        max_length,
+        table,
+        length,
         order_covers=order_covers,
         duality_pairs=duality_pairs,
         name=name,
     )
 
 
-def _prepend(a: str, w: Path, quiver: Quiver) -> Path:
-    return (a,) if w[0] in quiver.vertices else (a,) + w
+def _append(w: Path, a: str, vertices: Sequence[str]) -> Path:
+    return (a,) if w[0] in vertices else w + (a,)
 
 
-def _append(w: Path, a: str, quiver: Quiver) -> Path:
-    return (a,) if w[0] in quiver.vertices else w + (a,)
+def _times_arrow(
+    field: Field, table: Dict[Path, Dict[Path, object]], x: Dict[Path, object], a: str, vertices: Sequence[str]
+) -> Dict[Path, object]:
+    """x.a for a combination x of normal words, through the table of (normal word).(arrow)."""
+    out: Dict[Path, object] = {}
+    for w, coef in x.items():
+        ext = _append(w, a, vertices)
+        prod = table.get(ext)
+        if prod is None:
+            raise QuiverError(f"path {'.'.join(ext)} is not composable at {a!r}")
+        for r, c in prod.items():
+            v = field.add(out.get(r, field.zero), field.mul(coef, c))
+            if v == field.zero:
+                out.pop(r, None)
+            else:
+                out[r] = v
+    return out
 
 
 # -- .alg file format ---------------------------------------------------------

@@ -20,8 +20,8 @@ def ce3():
     return StandardSystem(parse_alg_text(CE3_BLOCK, name="ce3"))
 
 
-def _auslander(n: int, p: int) -> StandardSystem:
-    """Auslander algebra of K[x]/(x^n): arrows a_i: i -> i+1, b_i: i+1 -> i."""
+def _auslander_alg(n: int, p: int) -> str:
+    """`.alg` text of the Auslander algebra of K[x]/(x^n): arrows a_i: i -> i+1, b_i: i+1 -> i."""
     lines = [f"field {p}", "vertex " + " ".join(str(i) for i in range(1, n + 1))]
     lines += [f"order {i + 1} < {i}" for i in range(1, n)]
     for i in range(1, n):
@@ -29,10 +29,16 @@ def _auslander(n: int, p: int) -> StandardSystem:
     lines.append("relation a1.b1")
     lines += [f"relation b{i - 1}.a{i - 1} + -1*a{i}.b{i}" for i in range(2, n)]
     lines.append("duality " + " ".join(f"a{i}=b{i}" for i in range(1, n)))
-    return StandardSystem(parse_alg_text("\n".join(lines) + "\n", name=f"aus{n}_{p}"))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def auslander_alg():
+    """auslander_alg(n, p) is the `.alg` text over F_p (p = 0: over Q)."""
+    return _auslander_alg
 
 
 @pytest.fixture(scope="session")
 def auslander():
     """auslander(n, p) builds a fresh system over F_p (p = 0: over Q)."""
-    return _auslander
+    return lambda n, p: StandardSystem(parse_alg_text(_auslander_alg(n, p), name=f"aus{n}_{p}"))

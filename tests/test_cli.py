@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from tiltrig.cli import main
 
 
@@ -71,6 +73,46 @@ def test_truncated_rep_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "module", "series", str(truncated))
         assert code == 2 and where in err and "'b'" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("dim 1\n", "line 2: expected 'dim <vertex> <count>'"),
+        ("dim 1 x\n", "line 2: dimension 'x' is not a non-negative integer"),
+        ("dim 7 1\n", "line 2: unknown vertex '7'"),
+        ("dim 1 2\ndim 2 1\nmap\n", "line 4: expected 'map <arrow>'"),
+        ("dim 1 2\ndim 2 1\nmap a\n1 0\nmap b\n0 1\n1\n", "line 8: map 'b': row has 1 entries"),
+    ],
+)
+def test_malformed_rep_exit_2(tmp_path, capsys, body, message):
+    bad = tmp_path / "bad.rep"
+    bad.write_text(f"algebra {SL2}\n{body}")
+    code, _, err = run(capsys, "module", "series", str(bad))
+    assert code == 2 and message in err
+    assert "Traceback" not in err
+
+
+def test_rep_comments_inside_map_block(tmp_path, capsys):
+    rep = tmp_path / "commented.rep"
+    rep.write_text(f"algebra {SL2}\ndim 1 2\ndim 2 1\nmap a\n# generator to middle\n\n1 0\nmap b\n0\n  # socle\n1\n")
+    code, out, _ = run(capsys, "module", "series", str(rep))
+    assert code == 0 and out.strip() == "1 | 2 | 1"
+
+
+def test_relation_with_unknown_arrow_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("field 0\nvertex 1 2\narrow a 1 2\narrow b 2 1\nrelation b.c\n")
+    code, _, err = run(capsys, "algebra", "check", str(bad))
+    assert code == 2 and "line 5: unknown arrow 'c'" in err
+    assert "Traceback" not in err
+
+
+def test_free_two_loop_algebra_exit_2(tmp_path, capsys):
+    free = tmp_path / "free.alg"
+    free.write_text("field 3\nvertex 1\narrow x 1 1\narrow y 1 1\n")
+    code, _, err = run(capsys, "algebra", "check", str(free))
+    assert code == 2 and "dim_cap" in err
 
 
 def test_entry_with_no_image_in_field_exit_2(tmp_path, capsys):

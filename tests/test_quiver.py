@@ -1,6 +1,9 @@
+from importlib import resources
+
 import pytest
 
-from tiltrig.quiver import AlgParseError, QuiverError, parse_alg_text
+from tiltrig.linalg import Field, Mat, rref
+from tiltrig.quiver import AlgParseError, Quiver, QuiverError, build_algebra, parse_alg_text
 
 
 SL2 = """
@@ -123,9 +126,7 @@ def test_opposite_algebra():
     assert ("b", "a") in B.basis and ("a", "b") not in B.basis
 
 
-def test_commutative_square_relation():
-    # two paths identified: d.f = e.g on a commuting square
-    text = """
+SQUARE = """
 field 0
 vertex 1 2 3 4
 order 1 < 2
@@ -137,8 +138,131 @@ arrow f 2 4
 arrow g 3 4
 relation 1*d.f + -1*e.g
 """
-    A = parse_alg_text(text)
+
+
+def test_commutative_square_relation():
+    # two paths identified: d.f = e.g on a commuting square
+    A = parse_alg_text(SQUARE)
     # free paths: 4 idempotents + 4 arrows + 2 length-2 paths glued into 1
     assert A.dim == 9
     red = A.reduce(("d", "f"))
     assert list(red.values()) != [] and set(red) == {("e", "g")}
+
+
+# -- reference: the quotient from every free word ------------------------------
+
+DATA = resources.files("tiltrig").joinpath("data")
+SMALL = {
+    "x.x": "field 0\nvertex 1\narrow x 1 1\nrelation 1*x.x\n",
+    # the terms share their prefix, so the arrow order decides the pivot, and
+    # c, d are two normal words u in front of the relation
+    "parallel arrows": (
+        "field 0\nvertex 1 2 3 4\narrow c 1 2\narrow d 1 2\narrow p 2 3\narrow q 3 4\narrow r 3 4\n"
+        "relation p.q + -1*p.r\n"
+    ),
+    # relations of lengths 3 and 4, one of them killing a whole stratum
+    "mixed lengths": (
+        "field 5\nvertex 1 2\narrow x 1 1\narrow y 1 2\narrow z 2 1\nrelation x.x.x + 2*y.z.x\n"
+        "relation z.x.x + -1*z.y.z\nrelation y.z.y\nrelation x.y.z.x\nrelation x.x.y + y.z.y\n"
+    ),
+}
+
+
+def _enumerate_words(A):
+    """Basis, max length and reductions of A's presentation from every free word.
+
+    Words are listed by length in the order build_algebra lists its products
+    (sorted (source, target) keys, prefixes in stratum order, sorted arrows);
+    each (source, target, length) stratum is reduced by one rref against the
+    span of every u.r.w in it.
+    """
+    Q, F, V = A.quiver, A.field, A.quiver.vertices
+    words = {(v, v): [(v,)] for v in V}
+    basis = [(v,) for v in V]
+    red = {(v,): {(v,): F.one} for v in V}
+    length = 0
+    while True:
+        length += 1
+        longer = {}
+        for (s, t), ws in sorted(words.items()):
+            for w in ws:
+                for a in sorted(Q.arrows_from(t)):
+                    longer.setdefault((s, Q.target(a)), []).append((a,) if w[0] in V else w + (a,))
+        if not longer:
+            return basis, length, red
+        words, survivors = longer, 0
+        for key in sorted(words):
+            ws = words[key]
+            col = {w: j for j, w in enumerate(ws)}
+            rows = {}
+            for x in ws:
+                for k, rel in enumerate(A.relations):
+                    for i in range(length - rel.length + 1):
+                        u, w = x[:i], x[i + rel.length :]
+                        if (k, u, w) in rows or Q.path_endpoints(x[i : i + rel.length]) != (rel.src, rel.dst):
+                            continue
+                        row = [F.zero] * len(ws)
+                        for c, p in rel.terms:
+                            j = col[u + p + w]
+                            row[j] = F.add(row[j], F.of(c))
+                        rows[(k, u, w)] = row
+            R, pivots = rref(Mat(F, list(rows.values()))) if rows else (None, [])
+            piv_set = set(pivots)
+            keep = [w for j, w in enumerate(ws) if j not in piv_set]
+            red.update((w, {w: F.one}) for w in keep)
+            for i, pc in enumerate(pivots):
+                red[ws[pc]] = {w: F.neg(R.data[i][col[w]]) for w in keep if R.data[i][col[w]] != F.zero}
+            basis += keep
+            survivors += len(keep)
+        if not survivors:
+            basis.sort(key=lambda p: (0 if p[0] in V else len(p), p))
+            return basis, length, red
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(p.name for p in DATA.iterdir() if p.name.endswith(".alg"))
+    + ["square", *SMALL]
+    + [f"aus{n}_3" for n in range(2, 6)]
+    + [f"aus{n}_0" for n in range(2, 5)],
+)
+def test_build_algebra_matches_word_enumeration(case, auslander_alg):
+    if case.endswith(".alg"):
+        text = DATA.joinpath(case).read_text(encoding="utf-8")
+    elif case.startswith("aus"):
+        n, p = case[3:].split("_")
+        text = auslander_alg(int(n), int(p))
+    else:
+        text = SQUARE if case == "square" else SMALL[case]
+    A = parse_alg_text(text)
+    basis, max_length, red = _enumerate_words(A)
+    assert A.basis == basis and A.max_length == max_length
+    for p in basis:
+        for q in basis:
+            if A.path_target(p) != A.path_source(q):
+                expected = {}
+            elif A.path_length(p) == 0 or A.path_length(q) == 0:
+                expected = {q if A.path_length(p) == 0 else p: A.field.one}
+            else:
+                expected = red.get(p + q, {})
+            assert A.mult(p, q) == expected, (p, q)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_auslander_growth(n, auslander_alg):
+    A = parse_alg_text(auslander_alg(n, 3))
+    assert A.dim == n * (n + 1) * (2 * n + 1) // 6
+    assert A.loewy_length() == 2 * n - 1
+    F = A.field
+    for rel in A.relations:
+        image = {}
+        for c, p in rel.terms:
+            for r, x in A.reduce(p).items():
+                image[r] = F.add(image.get(r, F.zero), F.mul(c, x))
+        assert all(x == F.zero for x in image.values()), rel
+
+
+def test_free_two_loop_algebra_hits_dim_cap():
+    quiver = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    with pytest.raises(QuiverError, match="dim_cap"):
+        build_algebra(quiver, [], Field(3))
