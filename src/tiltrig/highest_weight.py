@@ -488,7 +488,7 @@ def certify_indecomposable(M: Representation, lam: str) -> None:
         raise ModuleError(f"{M.name or 'module'} has dimension {M.dims[lam]} at weight {lam}, not 1")
     F = M.field
     endo = hom_space(M, M)
-    scalars = Mat(F, [[f.mats[lam].data[0][0] for f in endo]])
+    scalars = Mat.canonical(F, [[f.mats[lam].data[0][0] for f in endo]])
     ideal = [linear_combination(endo, coords) for coords in kernel_basis(scalars)]
     power = Subspace(F, len(endo[0].flatten()), [f.flatten() for f in ideal])
     while power.dim:

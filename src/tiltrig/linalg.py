@@ -6,11 +6,29 @@ deliberately stays simple: matrices are lists of rows, entries are
 `fractions.Fraction` in characteristic 0 and plain ints in [0, p) over F_p,
 and the canonical form of a subspace is the reduced row-echelon basis of its
 row span.  No floating point anywhere.
+
+Coercion happens once, at the public boundary: `Field.of` and
+`Mat(field, rows)` turn ints, Fractions and 'n/d' strings into canonical
+entries.  Everything computed here is canonical already and is wrapped by
+`Mat.canonical`, which neither copies nor coerces; other modules use it for
+rows they build from canonical entries.
+
+Arithmetic runs on whole rows.  `rref` is the one elimination routine and
+has two row kernels.  Over F_p, `_rref_mod_p` updates each row with one list
+comprehension and one `% p` per entry.  Over Q, `_rref_rational` clears the
+denominators of each row and eliminates fraction-free on integer rows, by
+cross-multiplication as in Bareiss (Math. Comp. 1968) but dividing every new
+row by its content rather than by the previous pivot; it builds Fractions
+only when it normalises the pivot rows at the end.  The reduced
+row-echelon form is unique, so both give what element-wise Gauss-Jordan
+gives, entry for entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -25,6 +43,9 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+_QZERO = Fraction(0)
 
 
 class Field:
@@ -64,7 +85,7 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return _QZERO if self.p == 0 else 0
 
     @property
     def one(self):
@@ -73,21 +94,11 @@ class Field:
     def add(self, a, b):
         return a + b if self.p == 0 else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
-
     def mul(self, a, b):
         return a * b if self.p == 0 else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p == 0 else (-a) % self.p
-
-    def inv(self, a):
-        if self.p == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return 1 / Fraction(a)
-        return pow(a, -1, self.p)
 
     def elements(self) -> List:
         """All field elements; only available over a finite field."""
@@ -122,11 +133,19 @@ class Mat:
                 raise ValueError("ragged matrix rows")
 
     @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Mat":
+    def canonical(cls, field: Field, data: List[list], cols: int = 0) -> "Mat":
+        """Wrap rows of canonical entries as they are: no copy, no coercion.
+
+        `cols` gives the width only when there are no rows.
+        """
         m = cls.__new__(cls)
-        m.field, m.rows, m.cols = field, rows, cols
-        m.data = [[field.zero] * cols for _ in range(rows)]
+        m.field, m.data, m.rows = field, data, len(data)
+        m.cols = len(data[0]) if data else cols
         return m
+
+    @classmethod
+    def zero(cls, field: Field, rows: int, cols: int) -> "Mat":
+        return cls.canonical(field, [[field.zero] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
@@ -137,9 +156,10 @@ class Mat:
 
     @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Mat":
+        """The matrix whose columns are the given canonical vectors."""
         if not cols:
             return cls.zero(field, 0, 0)
-        return cls(field, [[col[i] for col in cols] for i in range(len(cols[0]))])
+        return cls.canonical(field, [list(row) for row in zip(*cols)], len(cols))
 
     def __eq__(self, other) -> bool:
         return (
@@ -153,111 +173,190 @@ class Mat:
         return f"Mat({self.field!r}, {self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def transpose(self) -> "Mat":
-        m = Mat.zero(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                m.data[j][i] = self.data[i][j]
-        return m
+        return Mat.from_cols(self.field, self.data) if self.rows else Mat.zero(self.field, self.cols, 0)
 
     def mul(self, other: "Mat") -> "Mat":
+        """Each row of the product is a combination of the rows of `other`."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        F = self.field
-        out = Mat.zero(F, self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a == F.zero:
+        F, p, n = self.field, self.field.p, other.cols
+        out = []
+        for row in self.data:
+            acc = None
+            for a, orow in zip(row, other.data):
+                if not a:
                     continue
-                ok = other.data[k]
-                oi = out.data[i]
-                for j in range(other.cols):
-                    oi[j] = F.add(oi[j], F.mul(a, ok[j]))
-        return out
+                if p:
+                    acc = [a * y for y in orow] if acc is None else [x + a * y for x, y in zip(acc, orow)]
+                elif acc is None:
+                    acc = [a * y if y else y for y in orow]
+                else:
+                    acc = [x + a * y if y else x for x, y in zip(acc, orow)]
+            if acc is None:
+                acc = [F.zero] * n
+            elif p:
+                acc = [x % p for x in acc]
+            out.append(acc)
+        return Mat.canonical(F, out, n)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        F = self.field
-        if self.rows == 0:
-            return Mat.zero(F, self.rows, self.cols)
-        return Mat(F, [[F.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        p = self.field.p
+        if p:
+            data = [[(a + b) % p for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        else:
+            data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return Mat.canonical(self.field, data, self.cols)
 
     def sub(self, other: "Mat") -> "Mat":
-        return self.add(other.scale(self.field.neg(self.field.one)))
+        return self.add(other.scale(-1))
 
     def scale(self, c) -> "Mat":
         F = self.field
         c = F.of(c)
-        if self.rows == 0:
-            return Mat.zero(F, self.rows, self.cols)
-        return Mat(F, [[F.mul(c, a) for a in row] for row in self.data])
+        if F.p:
+            data = [[c * a % F.p for a in row] for row in self.data]
+        else:
+            data = [[c * a for a in row] for row in self.data]
+        return Mat.canonical(F, data, self.cols)
 
     def apply(self, v: Vec) -> Vec:
-        """Matrix times column vector."""
+        """Matrix times a column vector of canonical entries."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        F = self.field
+        p = self.field.p
+        if p:
+            return [sum(map(mul, row, v)) % p for row in self.data]
+        support = [(k, x) for k, x in enumerate(v) if x]
         out = []
         for row in self.data:
-            s = F.zero
-            for a, x in zip(row, v):
-                if a != F.zero and x != F.zero:
-                    s = F.add(s, F.mul(a, x))
+            s = _QZERO
+            for k, x in support:
+                a = row[k]
+                if a:
+                    s += a * x
             out.append(s)
         return out
 
-    def col(self, j: int) -> Vec:
-        return [self.data[i][j] for i in range(self.rows)]
+
+# -- row kernels -------------------------------------------------------------
+#
+# Both take rows of canonical entries (plain ints are accepted too), leave the
+# input untouched and return the nonzero rows of the reduced row-echelon form
+# with their pivot columns.
+
+
+def _rref_mod_p(data: Sequence[Sequence], ncols: int, p: int) -> Tuple[List[list], List[int]]:
+    """Gauss-Jordan over F_p, one list comprehension per row update."""
+    rest = [row for row in ([x % p for x in r] for r in data) if any(row)]
+    done: List[list] = []
+    pivots: List[int] = []
+    for c in range(ncols):
+        if not rest:
+            break
+        k = next((k for k, row in enumerate(rest) if row[c]), None)
+        if k is None:
+            continue
+        prow = rest.pop(k)
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = [x * inv % p for x in prow]
+        for rows in (done, rest):
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f:
+                    rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        rest = [row for row in rest if any(row)]
+        done.append(prow)
+        pivots.append(c)
+    return done, pivots
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """An integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[list], List[int]]:
+    """Fraction-free Gauss-Jordan over Q on primitive integer rows."""
+    rest = []
+    for row in data:
+        den = 1
+        for x in row:
+            d = x.denominator
+            if d != 1:
+                den = den // gcd(den, d) * d
+        irow = _primitive([x.numerator * (den // x.denominator) for x in row])
+        if any(irow):
+            rest.append(irow)
+    done: List[list] = []
+    pivots: List[int] = []
+    for c in range(ncols):
+        if not rest:
+            break
+        k = next((k for k, row in enumerate(rest) if row[c]), None)
+        if k is None:
+            continue
+        prow = rest.pop(k)
+        a = prow[c]
+        for rows in (done, rest):
+            for i, row in enumerate(rows):
+                b = row[c]
+                if b:
+                    g = gcd(a, b)
+                    s, t = a // g, b // g
+                    rows[i] = _primitive([s * x - t * y for x, y in zip(row, prow)])
+        rest = [row for row in rest if any(row)]
+        done.append(prow)
+        pivots.append(c)
+    rows = [[Fraction(x, row[c]) if x else _QZERO for x in row] for row, c in zip(done, pivots)]
+    return rows, pivots
 
 
 def rref(m: Mat) -> Tuple[Mat, List[int]]:
-    """Reduced row-echelon form and pivot columns (Gauss-Jordan, exact)."""
+    """Reduced row-echelon form (same shape, zero rows last) and pivot columns."""
     F = m.field
-    out = [row[:] for row in m.data]
-    pivots: List[int] = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if out[i][c] != F.zero), None)
-        if pr is None:
-            continue
-        out[r], out[pr] = out[pr], out[r]
-        inv = F.inv(out[r][c])
-        out[r] = [F.mul(inv, x) for x in out[r]]
-        for i in range(m.rows):
-            if i != r and out[i][c] != F.zero:
-                f = out[i][c]
-                out[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(out[i], out[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Mat(F, out), pivots
+    if F.p:
+        rows, pivots = _rref_mod_p(m.data, m.cols, F.p)
+    else:
+        rows, pivots = _rref_rational(m.data, m.cols)
+    rows.extend([F.zero] * m.cols for _ in range(m.rows - len(rows)))
+    return Mat.canonical(F, rows, m.cols), pivots
 
 
 def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
+def _free_vectors(F: Field, rows: Sequence[Sequence], pivots: List[int], n: int) -> Tuple[List[Vec], List[int]]:
+    """e_fc - sum_i rows[i][fc] e_pivots[i] for every non-pivot column fc of an rref.
+
+    These span the right kernel of the rref, and are the rows of the
+    quotient map by the row span.
+    """
+    p, piv_set = F.p, set(pivots)
+    free = [c for c in range(n) if c not in piv_set]
+    vectors = []
+    for fc in free:
+        v = [F.zero] * n
+        v[fc] = F.one
+        for row, pc in zip(rows, pivots):
+            x = row[fc]
+            if x:
+                v[pc] = -x % p if p else -x
+        vectors.append(v)
+    return vectors, free
+
+
 def kernel_basis(m: Mat) -> List[Vec]:
     """Basis of the right kernel {v : m v = 0}, one vector per free column."""
-    F = m.field
     R, pivots = rref(m)
-    piv_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in piv_set]
-    basis = []
-    for fc in free:
-        v = [F.zero] * m.cols
-        v[fc] = F.one
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R.data[i][fc])
-        basis.append(v)
-    return basis
+    return _free_vectors(m.field, R.data, pivots, m.cols)[0]
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
@@ -267,7 +366,7 @@ def solve(m: Mat, b: Vec) -> Optional[Vec]:
         raise ValueError("right-hand side length mismatch")
     if m.rows == 0:
         return [F.zero] * m.cols
-    aug = Mat(F, [row + [F.of(bv)] for row, bv in zip(m.data, b)])
+    aug = Mat.canonical(F, [row + [F.of(bv)] for row, bv in zip(m.data, b)])
     R, pivots = rref(aug)
     if m.cols in pivots:
         return None
@@ -284,20 +383,20 @@ def solve(m: Mat, b: Vec) -> Optional[Vec]:
 
 
 class Subspace:
-    """Canonical (rref-basis) subspace of K^n."""
+    """Canonical (rref-basis) subspace of K^n, spanned by canonical vectors."""
 
     __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field: Field, ambient: int, vectors: Iterable[Vec] = ()):
         self.field = field
         self.ambient = ambient
-        vecs = [list(v) for v in vectors]
+        vecs = list(vectors)
         for v in vecs:
             if len(v) != ambient:
                 raise ValueError(f"vector length {len(v)} != ambient {ambient}")
         if vecs:
-            R, piv = rref(Mat(field, vecs))
-            self.basis = [R.data[i] for i in range(len(piv))]
+            R, piv = rref(Mat.canonical(field, vecs, ambient))
+            self.basis = R.data[: len(piv)]
             self.pivots = piv
         else:
             self.basis, self.pivots = [], []
@@ -324,18 +423,25 @@ class Subspace:
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
 
     def reduce(self, v: Vec) -> Vec:
-        """Residue of v after eliminating pivot coordinates; 0 iff v in U."""
-        F = self.field
-        v = [F.of(x) for x in v]
+        """Residue of v after eliminating pivot coordinates; 0 iff v in U.
+
+        The basis is reduced, so the coefficient of each basis row is the
+        entry of v itself at that row's pivot.
+        """
+        p = self.field.p
+        out = v
         for row, pc in zip(self.basis, self.pivots):
             c = v[pc]
-            if c != F.zero:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-        return v
+            if not c:
+                continue
+            if p:
+                out = [x - c * y for x, y in zip(out, row)]
+            else:
+                out = [x - c * y if y else x for x, y in zip(out, row)]
+        return [x % p for x in out] if p else list(out)
 
     def contains(self, v: Vec) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -343,7 +449,7 @@ class Subspace:
     def coords(self, v: Vec) -> Optional[Vec]:
         """Coordinates of v in this basis, or None if v is outside."""
         if not self.basis:
-            return [] if all(x == self.field.zero for x in v) else None
+            return [] if not any(v) else None
         return solve(Mat.from_cols(self.field, self.basis), v)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -359,12 +465,8 @@ class Subspace:
         rows = [u + u for u in self.basis] + [v + [F.zero] * n for v in other.basis]
         if not rows:
             return Subspace(F, n)
-        R, piv = rref(Mat(F, rows))
-        out = []
-        for i in range(len(piv)):
-            left = R.data[i][:n]
-            if all(x == F.zero for x in left):
-                out.append(R.data[i][n:])
+        R, piv = rref(Mat.canonical(F, rows))
+        out = [R.data[i][n:] for i in range(len(piv)) if not any(R.data[i][:n])]
         return Subspace(F, n, out)
 
     def complement_in(self, other: "Subspace") -> List[Vec]:
@@ -391,14 +493,5 @@ def quotient_map(field: Field, sub: Subspace) -> Tuple[Mat, List[int]]:
     by the subspace; the returned column list records which ambient
     coordinates survived (the section sends unit vectors back to them).
     """
-    n = sub.ambient
-    free = [c for c in range(n) if c not in set(sub.pivots)]
-    rows = []
-    for fc in free:
-        row = [field.zero] * n
-        row[fc] = field.one
-        # subtract the fc-column of each rref basis row times the pivot coord
-        for brow, pc in zip(sub.basis, sub.pivots):
-            row[pc] = field.sub(row[pc], brow[fc])
-        rows.append(row)
-    return (Mat(field, rows) if rows else Mat.zero(field, 0, n)), free
+    rows, free = _free_vectors(field, sub.basis, sub.pivots, sub.ambient)
+    return Mat.canonical(field, rows, sub.ambient), free

@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, kernel_basis, quotient_map
+from .linalg import Mat, Subspace, kernel_basis, quotient_map, solve
 from .quiver import FinDimAlgebra, Path
 
 
@@ -233,7 +233,7 @@ class Morphism:
         return SubFamily(
             self.target,
             {
-                v: Subspace(self.target.field, self.target.dims[v], [self.mats[v].col(j) for j in range(self.mats[v].cols)])
+                v: Subspace(self.target.field, self.target.dims[v], self.mats[v].transpose().data)
                 for v in self.target.vertices
             },
         )
@@ -261,7 +261,8 @@ class Morphism:
         return out
 
 
-def morphism_from_flat(source: Representation, target: Representation, flat: Sequence) -> Morphism:
+def morphism_from_flat(source: Representation, target: Representation, flat: list) -> Morphism:
+    """The morphism whose vertex matrices, row by row, are the canonical list `flat`."""
     mats = {}
     pos = 0
     for v in source.vertices:
@@ -269,48 +270,50 @@ def morphism_from_flat(source: Representation, target: Representation, flat: Seq
         if r == 0 or c == 0:
             mats[v] = Mat.zero(source.field, r, c)
         else:
-            mats[v] = Mat(source.field, [list(flat[pos + i * c : pos + (i + 1) * c]) for i in range(r)])
+            mats[v] = Mat.canonical(source.field, [flat[pos + i * c : pos + (i + 1) * c] for i in range(r)])
         pos += r * c
     return Morphism(source, target, mats)
 
 
 def hom_space(M: Representation, N: Representation) -> List[Morphism]:
-    """Basis of Hom(M, N): solve the commuting conditions exactly."""
+    """Basis of Hom(M, N): solve the commuting conditions exactly.
+
+    The unknowns are the entries of f_v (dim N_v x dim M_v), row by row,
+    vertex after vertex.  Arrow a: u -> w gives one equation per entry (r, c)
+    of f_w XM_a - XN_a f_u = 0: column c of XM_a on row r of f_w, and minus
+    row r of XN_a on column c of f_u.
+    """
     if M.algebra is not N.algebra and M.algebra.basis != N.algebra.basis:
         raise ModuleError("hom_space requires modules over the same algebra")
     F = M.field
+    p = F.p
     offsets = {}
     pos = 0
     for v in M.vertices:
         offsets[v] = pos
         pos += N.dims[v] * M.dims[v]
     nvars = pos
-    rows = []
-    for a, (u, w) in M.algebra.quiver.arrows.items():
-        XM, XN = M.mats[a], N.mats[a]
-        for r in range(N.dims[w]):
-            for c in range(M.dims[u]):
-                row = [F.zero] * nvars
-                # f_w[r, k] * XM[k, c]
-                for k in range(M.dims[w]):
-                    if XM.data[k][c] != F.zero:
-                        row[offsets[w] + r * M.dims[w] + k] = F.add(
-                            row[offsets[w] + r * M.dims[w] + k], XM.data[k][c]
-                        )
-                # - XN[r, k] * f_u[k, c]
-                for k in range(N.dims[u]):
-                    if XN.data[r][k] != F.zero:
-                        row[offsets[u] + k * M.dims[u] + c] = F.sub(
-                            row[offsets[u] + k * M.dims[u] + c], XN.data[r][k]
-                        )
-                if any(x != F.zero for x in row):
-                    rows.append(row)
     if nvars == 0:
         return []
-    if not rows:
-        sols = Mat.identity(F, nvars).data
-    else:
-        sols = kernel_basis(Mat(F, rows))
+    rows = []
+    for a, (u, w) in M.algebra.quiver.arrows.items():
+        Mw, Mu, Nu = M.dims[w], M.dims[u], N.dims[u]
+        XM_cols = list(zip(*M.mats[a].data)) if Mw else [()] * Mu
+        for r, XN_row in enumerate(N.mats[a].data):
+            minus = [-x % p for x in XN_row] if p else [-x for x in XN_row]
+            start = offsets[w] + r * Mw
+            for c in range(Mu):
+                row = [F.zero] * nvars
+                row[start : start + Mw] = XM_cols[c]
+                if u != w:
+                    row[offsets[u] + c : offsets[u] + c + Nu * Mu : Mu] = minus
+                else:  # a loop: both blocks sit in f_u
+                    for k, x in enumerate(minus):
+                        idx = offsets[u] + k * Mu + c
+                        row[idx] = F.add(row[idx], x)
+                if any(row):
+                    rows.append(row)
+    sols = kernel_basis(Mat.canonical(F, rows)) if rows else Mat.identity(F, nvars).data
     return [morphism_from_flat(M, N, s) for s in sols]
 
 
@@ -331,10 +334,7 @@ def morphism_coords(basis: List[Morphism], f: Morphism) -> Optional[list]:
     if not basis:
         return [] if f.is_zero() else None
     F = f.source.field
-    cols = [g.flatten() for g in basis]
-    from .linalg import solve as lin_solve
-
-    return lin_solve(Mat.from_cols(F, cols), f.flatten())
+    return solve(Mat.from_cols(F, [g.flatten() for g in basis]), f.flatten())
 
 
 # -- sums, subs, quotients ------------------------------------------------------
@@ -471,7 +471,7 @@ def socle_of(M: Representation, inner: SubFamily) -> SubFamily:
             comp = Q.mul(M.mats[a])
             rows.extend(comp.data)
         if rows:
-            spaces[u] = Subspace(F, M.dims[u], kernel_basis(Mat(F, rows)))
+            spaces[u] = Subspace(F, M.dims[u], kernel_basis(Mat.canonical(F, rows)))
         else:
             spaces[u] = Subspace.full(F, M.dims[u])
     return SubFamily(M, spaces)
@@ -717,7 +717,7 @@ def ext1_dim_by_cocycles(M: Representation, N: Representation) -> int:
                     rows.append(row)
     if nvars == 0:
         return 0
-    cocycles = len(kernel_basis(Mat(F, rows))) if rows else nvars
+    cocycles = len(kernel_basis(Mat.canonical(F, rows))) if rows else nvars
 
     # coboundary space: h = (h_v), C_a = X^N_a h_u - h_w X^M_a; the sign
     # convention is irrelevant for the span.
@@ -737,7 +737,7 @@ def ext1_dim_by_cocycles(M: Representation, N: Representation) -> int:
             if r == 0 or c == 0:
                 hmats[v] = Mat.zero(F, r, c)
             else:
-                hmats[v] = Mat(F, [[flat[p2 + i * c + j] for j in range(c)] for i in range(r)])
+                hmats[v] = Mat.canonical(F, [flat[p2 + i * c : p2 + (i + 1) * c] for i in range(r)])
             p2 += r * c
         vec = [F.zero] * nvars
         for a, (u, w) in algebra.quiver.arrows.items():
@@ -758,13 +758,13 @@ def subspace_vectors(sub: Subspace, include_zero: bool = False) -> Iterable[list
     if F.p == 0:
         raise ModuleError("cannot enumerate vectors over the rationals")
     for coeffs in itertools.product(F.elements(), repeat=sub.dim):
-        if not include_zero and all(c == 0 for c in coeffs):
+        if not include_zero and not any(coeffs):
             continue
-        vec = [F.zero] * sub.ambient
+        vec = [0] * sub.ambient
         for c, b in zip(coeffs, sub.basis):
             if c:
-                vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-        yield vec
+                vec = [x + c * y for x, y in zip(vec, b)]
+        yield [x % F.p for x in vec]
 
 
 def all_submodules(M: Representation, max_total_dim: int = 10) -> List[SubFamily]:
@@ -809,36 +809,39 @@ def hom_combinations(basis: List[Morphism]) -> Iterable[Morphism]:
 def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Representation:
     """Parse the line-oriented .rep format (algebra/dim/map, then matrix rows).
 
-    Comments and blank lines may appear anywhere, inside `map` blocks too;
-    every malformed line raises a ModuleError that names it.
+    Comments and blank lines may appear anywhere, inside `map` blocks too.
+    The `dim` lines are read first, so a `map` block may come before them.
+    Every malformed line raises a ModuleError that names it.
     """
     quiver = algebra.quiver
     dims: Dict[str, int] = {}
     mats: Dict[str, Mat] = {}
     # (1-based line number, tokens) of each line that is not blank or a comment
     lines = [(n, parts) for n, raw in enumerate(text.splitlines(), start=1) if (parts := raw.split("#", 1)[0].split())]
+    for line_no, parts in lines:
+        if parts[0] != "dim":
+            continue
+        if len(parts) != 3:
+            raise ModuleError(f"line {line_no}: expected 'dim <vertex> <count>'")
+        if parts[1] not in quiver.vertices:
+            raise ModuleError(f"line {line_no}: unknown vertex {parts[1]!r}")
+        if not parts[2].isdecimal():
+            raise ModuleError(f"line {line_no}: dimension {parts[2]!r} is not a non-negative integer")
+        dims[parts[1]] = int(parts[2])
     i = 0
     while i < len(lines):
         line_no, parts = lines[i]
         i += 1
-        if parts[0] == "algebra":
-            continue  # resolved by the caller
-        if parts[0] == "dim":
-            if len(parts) != 3:
-                raise ModuleError(f"line {line_no}: expected 'dim <vertex> <count>'")
-            if parts[1] not in quiver.vertices:
-                raise ModuleError(f"line {line_no}: unknown vertex {parts[1]!r}")
-            if not parts[2].isdecimal():
-                raise ModuleError(f"line {line_no}: dimension {parts[2]!r} is not a non-negative integer")
-            dims[parts[1]] = int(parts[2])
-        elif parts[0] == "map":
+        if parts[0] in ("algebra", "dim"):
+            continue  # the caller resolves the algebra; the dims are read above
+        if parts[0] == "map":
             if len(parts) != 2:
                 raise ModuleError(f"line {line_no}: expected 'map <arrow>'")
             a = parts[1]
             if a not in quiver.arrows:
                 raise ModuleError(f"line {line_no}: unknown arrow {a!r} in representation file")
             u, w = quiver.arrows[a]
-            rows = []
+            rows, first = [], i
             for k in range(dims.get(w, 0)):
                 if i == len(lines) or lines[i][1][0] in ("algebra", "dim", "map"):
                     cut = "the file ends" if i == len(lines) else f"line {lines[i][0]} starts the next block"
@@ -853,7 +856,12 @@ def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Represe
                     rows.append([algebra.field.of(x) for x in row])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ModuleError(f"line {row_no}: map {a!r}: {exc}") from exc
-            mats[a] = Mat(algebra.field, rows) if rows else Mat.zero(algebra.field, 0, dims.get(u, 0))
+            if rows and len(rows[0]) != dims.get(u, 0):
+                raise ModuleError(
+                    f"line {lines[first][0]}: map {a!r}: row has {len(rows[0])} entries, "
+                    f"expected dim {u} = {dims.get(u, 0)}"
+                )
+            mats[a] = Mat.canonical(algebra.field, rows, dims.get(u, 0))
         else:
             raise ModuleError(f"line {line_no}: unknown keyword {parts[0]!r} in representation file")
     return Representation(algebra, dims, mats, name=name)

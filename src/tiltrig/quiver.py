@@ -324,7 +324,7 @@ def build_algebra(
         degree: Dict[Tuple[str, str], List[Path]] = {}
         for key in sorted(cols):
             words = cols[key]
-            R, pivots = rref(Mat(field, rows[key])) if key in rows else (None, [])
+            R, pivots = rref(Mat.canonical(field, rows[key])) if key in rows else (None, [])
             piv_set = set(pivots)
             keep = [w for j, w in enumerate(words) if j not in piv_set]
             table.update((w, {w: field.one}) for w in keep)

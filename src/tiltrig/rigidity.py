@@ -86,20 +86,11 @@ def _constrain(
         Q, _ = quotient_map(F, fam.spaces[vertex])
         if Q.rows == 0:
             continue
-        imgs = [g.mats[vertex].apply(vec) for g in hom_basis]
-        for r in range(Q.rows):
-            row = []
-            for k in range(n):
-                s = F.zero
-                for a, x in zip(Q.data[r], imgs[k]):
-                    if a != F.zero and x != F.zero:
-                        s = F.add(s, F.mul(a, x))
-                row.append(s)
-            if any(x != F.zero for x in row):
-                rows.append(row)
+        imgs = Mat.from_cols(F, [g.mats[vertex].apply(vec) for g in hom_basis])
+        rows.extend(row for row in Q.mul(imgs).data if any(row))
     if not rows:
         return Subspace.full(F, n)
-    return Subspace(F, n, kernel_basis(Mat(F, rows)))
+    return Subspace(F, n, kernel_basis(Mat.canonical(F, rows)))
 
 
 def filtered_hom(M: Representation, N: Representation, shift: int) -> FilteredHomSpace:

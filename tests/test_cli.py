@@ -83,6 +83,7 @@ def test_truncated_rep_exit_2(tmp_path, capsys):
         ("dim 7 1\n", "line 2: unknown vertex '7'"),
         ("dim 1 2\ndim 2 1\nmap\n", "line 4: expected 'map <arrow>'"),
         ("dim 1 2\ndim 2 1\nmap a\n1 0\nmap b\n0 1\n1\n", "line 8: map 'b': row has 1 entries"),
+        ("dim 1 2\ndim 2 1\nmap a\n1 0 1\n", "line 5: map 'a': row has 3 entries, expected dim 1 = 2"),
     ],
 )
 def test_malformed_rep_exit_2(tmp_path, capsys, body, message):

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from tiltrig.linalg import Field, Mat, Subspace, kernel_basis, quotient_map, rank, rref, solve
+from tiltrig.modules import hom_space
+from tiltrig.rigidity import positioned_lifting, rigidity_pipeline
 
 
 def test_field_validation():
@@ -101,3 +104,183 @@ def test_randomized_invariants_seeded():
         assert len(piv) + len(kernel_basis(m)) == cols
         R2, piv2 = rref(R)
         assert R2 == R and piv2 == piv
+
+
+# -- reference: element-wise Gauss-Jordan ---------------------------------------
+#
+# One field operation per entry, pivot rows normalised as they are found: the
+# elimination the row kernels replaced.  The reduced row-echelon form is
+# unique, so the kernels must agree with it entry for entry.
+
+
+def _ops(F):
+    """(sub, mul, inv) on canonical elements of F."""
+    p = F.p
+    if p:
+        return (lambda a, b: (a - b) % p), (lambda a, b: a * b % p), (lambda a: pow(a, -1, p))
+    return (lambda a, b: a - b), (lambda a, b: a * b), (lambda a: 1 / a)
+
+
+def ref_rref(F, data, ncols):
+    sub, mul, inv = _ops(F)
+    out = [list(row) for row in data]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(out)) if out[i][c] != F.zero), None)
+        if pr is None:
+            continue
+        out[r], out[pr] = out[pr], out[r]
+        iv = inv(out[r][c])
+        out[r] = [mul(iv, x) for x in out[r]]
+        for i in range(len(out)):
+            if i != r and out[i][c] != F.zero:
+                f = out[i][c]
+                out[i] = [sub(x, mul(f, y)) for x, y in zip(out[i], out[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(out):
+            break
+    return out, pivots
+
+
+def ref_null_vectors(F, rows, pivots, n):
+    """e_fc - sum_i rows[i][fc] e_pivots[i], one per non-pivot column fc."""
+    sub = _ops(F)[0]
+    out = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [F.zero] * n
+        v[fc] = F.one
+        for row, pc in zip(rows, pivots):
+            v[pc] = sub(v[pc], row[fc])
+        out.append(v)
+    return out
+
+
+def ref_solve(F, data, ncols, b):
+    R, piv = ref_rref(F, [row + [x] for row, x in zip(data, b)], ncols + 1)
+    if ncols in piv:
+        return None
+    x = [F.zero] * ncols
+    for i, pc in enumerate(piv):
+        x[pc] = R[i][ncols]
+    return x
+
+
+def ref_span(F, vectors, n):
+    R, piv = ref_rref(F, vectors, n)
+    return R[: len(piv)], piv
+
+
+def ref_intersect(F, n, U, V):
+    rows = [u + u for u in U] + [v + [F.zero] * n for v in V]
+    R, piv = ref_rref(F, rows, 2 * n)
+    meet = [R[i][n:] for i in range(len(piv)) if all(x == F.zero for x in R[i][:n])]
+    return ref_span(F, meet, n)[0]
+
+
+def _random_rows(rng, F, rows, cols, rank=None):
+    """Sparse random rows over F; with `rank`, integer combinations of `rank` of them."""
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        num = rng.randint(-9, 9)
+        return Fraction(num, rng.randint(1, 7**3)) if F.p == 0 else num
+
+    if rank is None:
+        return Mat(F, [[entry() for _ in range(cols)] for _ in range(rows)]).data
+    gens = [[entry() for _ in range(cols)] for _ in range(rank)]
+    combos = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+    return Mat(F, [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(cols)] for cs in combos]).data
+
+
+def _shapes(rng, F):
+    """(name, rows) for a tall, a wide, a rank-deficient and a zero-padded matrix."""
+    tall = _random_rows(rng, F, rng.randint(5, 9), rng.randint(1, 4))
+    wide = _random_rows(rng, F, rng.randint(1, 4), rng.randint(5, 9))
+    low = _random_rows(rng, F, rng.randint(3, 7), rng.randint(3, 7), rank=rng.randint(1, 2))
+    padded = _random_rows(rng, F, rng.randint(2, 5), rng.randint(2, 5))
+    cols = len(padded[0])
+    padded = [row[:1] + [F.zero] + row[1:] for row in padded]  # a zero column
+    padded.insert(rng.randint(0, len(padded)), [F.zero] * (cols + 1))  # a zero row
+    return [("tall", tall), ("wide", wide), ("rank-deficient", low), ("zero row and column", padded)]
+
+
+def _assert_canonical(F, vectors):
+    for vec in vectors:
+        for x in vec:
+            if F.p:
+                assert type(x) is int and 0 <= x < F.p, (F, x)
+            else:
+                assert type(x) is Fraction, (F, x)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+def test_row_kernels_match_elementwise_reference(p):
+    F = Field(p)
+    rng = random.Random(1000 + p)
+    for _ in range(10):
+        for name, data in _shapes(rng, F):
+            n = len(data[0])
+            m = Mat(F, data)
+            before = [row[:] for row in m.data]
+            R, piv = rref(m)
+            assert m.data == before, name
+            assert (R.data, piv) == ref_rref(F, data, n), name
+            assert (R.rows, R.cols) == (m.rows, m.cols)
+            _assert_canonical(F, R.data)
+            ker = kernel_basis(m)
+            assert ker == ref_null_vectors(F, *ref_rref(F, data, n), n), name
+            _assert_canonical(F, ker)
+            x = _random_rows(rng, F, 1, n)[0]
+            for b in (m.apply(x), _random_rows(rng, F, 1, m.rows)[0]):
+                assert solve(m, b) == ref_solve(F, data, n, b), name
+            other = _random_rows(rng, F, rng.randint(1, 4), n)
+            U, V = Subspace(F, n, data), Subspace(F, n, other)
+            assert U.basis == ref_span(F, data, n)[0]
+            meet = U.intersect(V)
+            assert meet.basis == ref_intersect(F, n, U.basis, V.basis), name
+            _assert_canonical(F, meet.basis)
+            Qm, free = quotient_map(F, U)
+            assert Qm.data == ref_null_vectors(F, U.basis, U.pivots, n), name
+            assert free == [c for c in range(n) if c not in U.pivots]
+            _assert_canonical(F, Qm.data)
+
+
+def test_public_constructor_coerces():
+    assert Mat(Field(3), [[5, -1]]).data == [[2, 2]]
+    (x,), = Mat(Field(0), [[1]]).data
+    assert type(x) is Fraction and x == 1
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_canonical_entries_on_auslander(monkeypatch, auslander, p):
+    """Every trusted Mat holds canonical entries, and so does what the layers return."""
+    wrap = Mat.canonical.__func__
+    built = []
+
+    def checked(cls, field, data, cols=0):
+        _assert_canonical(field, data)
+        built.append(1)
+        return wrap(cls, field, data, cols)
+
+    monkeypatch.setattr(Mat, "canonical", classmethod(checked))
+    sys = auslander(3, p)
+    F = sys.algebra.field
+    nonzero = 0
+    for lam in sys.labels:
+        assert rigidity_pipeline(sys, lam, "both")["consistent"]
+        T = sys.tilting(lam)
+        homs = hom_space(T, T)
+        _assert_canonical(F, [g.flatten() for g in homs])
+        flat = Mat(F, [g.flatten() for g in homs])
+        _assert_canonical(F, rref(flat)[0].data + kernel_basis(flat))
+        for mu in sys.labels:
+            lift = positioned_lifting(sys, mu, T)
+            _assert_canonical(F, [g.flatten() for g in lift.hom_syz + lift.hom_P])
+            for fam in lift.rad_T:
+                _assert_canonical(F, [row for space in fam.spaces.values() for row in space.basis])
+            for shift in range(-2, 4) if lift.hom_syz else ():
+                _assert_canonical(F, lift.deep(shift).basis + lift.boundary(shift).basis)
+                nonzero += lift.deep(shift).dim
+    assert built and nonzero

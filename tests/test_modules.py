@@ -210,6 +210,16 @@ def test_rep_roundtrip(sl2):
     assert radical_profile(again) == radical_profile(P1)
 
 
+def test_rep_map_blocks_may_precede_dims(sl2):
+    dims = "dim 1 2\ndim 2 1\n"
+    maps = "map a\n1 0\nmap b\n0\n1\n"
+    dims_first = parse_rep_text(dims + maps, sl2.algebra)
+    maps_first = parse_rep_text(maps + dims, sl2.algebra)
+    assert maps_first.dims == dims_first.dims == {"1": 2, "2": 1}
+    assert {a: m.data for a, m in maps_first.mats.items()} == {a: m.data for a, m in dims_first.mats.items()}
+    assert radical_profile(maps_first) == radical_profile(P(sl2, "1"))
+
+
 def test_relation_violation_rejected(sl2):
     from tiltrig.linalg import Mat
     from tiltrig.modules import Representation

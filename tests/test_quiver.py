@@ -83,8 +83,10 @@ def test_duality_antimap():
 
 
 def test_duality_must_reverse_and_cover():
-    with pytest.raises((QuiverError, AlgParseError)):
-        parse_alg_text("field 0\nvertex 1 2\narrow a 1 2\narrow b 2 1\nduality a=a\n")
+    # b.a and a.b make the algebra finite (dim 4), so the duality check is reached
+    text = "field 0\nvertex 1 2\narrow a 1 2\narrow b 2 1\nrelation b.a\nrelation a.b\nduality a=a\n"
+    with pytest.raises((QuiverError, AlgParseError), match="does not reverse direction"):
+        parse_alg_text(text)
 
 
 def test_non_admissible_relation_rejected():
