@@ -18,6 +18,7 @@ from typing import List, Optional
 from . import characters as ch
 from .coeffquiver import extract, render
 from .highest_weight import StandardSystem, check_bgg, check_quasihereditary
+from .linalg import Field
 from .modules import ModuleError, format_profile, load_rep, radical_profile, socle_profile
 from .quiver import AlgParseError, QuiverError, load_alg
 from .rigidity import rigidity_pipeline
@@ -206,10 +207,18 @@ def cmd_selftest(args) -> int:
     return 0 if run_all() else 1
 
 
+def _characteristic(text: str) -> int:
+    """The `--field` value: 0 or a prime."""
+    try:
+        return Field(int(text)).characteristic
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tiltrig", description="Rigidity toolkit for tilting modules over quasi-hereditary path algebras")
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--field", type=int, default=None, help="override the ground field characteristic")
+    parser.add_argument("--field", type=_characteristic, default=None, help="override the ground field characteristic")
     parser.add_argument("--seed", type=int, default=0, help="recorded in reports; results do not depend on it")
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)

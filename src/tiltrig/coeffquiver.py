@@ -36,10 +36,9 @@ class CQEdge:
 
 
 class CoefficientQuiver:
-    def __init__(self, nodes: List[CQNode], edges: List[CQEdge], basis_note: str = ""):
+    def __init__(self, nodes: List[CQNode], edges: List[CQEdge]):
         self.nodes = nodes
         self.edges = edges
-        self.basis_note = basis_note
 
     def layer_profile(self) -> List[Dict[str, int]]:
         depth = max((n.layer for n in self.nodes), default=-1) + 1
@@ -100,8 +99,7 @@ def extract(M: Representation) -> CoefficientQuiver:
         if (e.src, e.dst) not in seen:
             seen.add((e.src, e.dst))
             unique_edges.append(e)
-    note = "radical-adapted basis, deepest layer first, pivot-greedy complements"
-    return CoefficientQuiver(nodes, unique_edges, basis_note=note)
+    return CoefficientQuiver(nodes, unique_edges)
 
 
 def render(cq: CoefficientQuiver, fmt: str = "dot", label_order: Optional[Sequence[str]] = None) -> str:

@@ -14,6 +14,7 @@ from .modules import (
     LoewyProfile,
     ModuleError,
     Morphism,
+    ProjectiveCover,
     Representation,
     SubFamily,
     direct_sum,
@@ -75,6 +76,14 @@ class WeightPoset:
         """A maximal element; ties broken lexicographically for determinism."""
         return sorted(self.maximal(labels))[0]
 
+    def maximal_first(self) -> List[str]:
+        """A linear extension of the order, maximal elements first (`max_label` at each step)."""
+        rest, out = list(self.labels), []
+        while rest:
+            out.append(self.max_label(rest))
+            rest.remove(out[-1])
+        return out
+
 
 def dualize(M: Representation) -> Representation:
     """Duality image over the same algebra via the arrow anti-involution."""
@@ -97,6 +106,14 @@ def trace_of(P: Representation, M: Representation) -> SubFamily:
     for g in hom_space(P, M):
         fam = fam.sum(g.image())
     return fam
+
+
+class MinimalPresentation(ProjectiveCover):
+    """The projective cover P(lam) -> Delta(lam), its syzygy and positioned
+    generators: one per weight, kept by `StandardSystem.presentation`."""
+
+    def __init__(self, sys: "StandardSystem", lam: str):
+        super().__init__(sys.standard(lam))
 
 
 class DeltaStep:
@@ -171,17 +188,16 @@ class StandardSystem:
 
         return self.memo(("Ukernel", lam), build)
 
-    def standard_with_projection(self, lam: str) -> Tuple[Representation, Morphism]:
-        def build():
-            P = self.projective(lam)
-            delta, proj = quotient_rep(P, self.standard_kernel(lam))
-            delta.name = f"Delta({lam})"
-            return delta, proj
-
-        return self.memo(("Delta+proj", lam), build)
-
     def standard(self, lam: str) -> Representation:
-        return self.standard_with_projection(lam)[0]
+        def build():
+            delta = quotient_rep(self.projective(lam), self.standard_kernel(lam))[0]
+            delta.name = f"Delta({lam})"
+            return delta
+
+        return self.memo(("Delta", lam), build)
+
+    def presentation(self, lam: str) -> "MinimalPresentation":
+        return self.memo(("presentation", lam), lambda: MinimalPresentation(self, lam))
 
     def op_system(self) -> "StandardSystem":
         if self._op_system is None:
@@ -445,30 +461,21 @@ def universal_extension(X: Representation, delta: Representation, ext) -> Repres
 
 
 def ringel_tilting(sys: StandardSystem, lam: str) -> Representation:
-    """Iterated universal extensions from Delta(lam), certified to be T(lam).
+    """Universal extensions from Delta(lam), one pass, certified to be T(lam).
 
-    Weights are processed maximal-first, so each universal extension kills the
-    extensions against its weight for good and the loop terminates.
+    Weights are taken in a maximal-first linear extension of the order, and
+    each is extended at once.  Ext^1(Delta(mu), Delta(nu)) != 0 only when
+    mu < nu, so extending by Delta(nu) brings back no Ext^1 against a weight
+    already passed; one exact check that every Ext^1 vanishes closes it.
     """
     X = sys.standard(lam)
-    max_mult = 1
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > len(sys.labels) * max_mult * 10:
-            raise ModuleError("tilting construction failed to stabilize")
-        pending = []
-        for mu in sys.labels:
-            e = ext1(sys.standard(mu), X)
-            if e.dim > 0:
-                pending.append((mu, e))
-        if not pending:
-            break
-        # extend at a maximal pending weight (lexicographic tie-break)
-        mu = sorted(sys.poset.maximal([m for m, _ in pending]))[0]
-        e = dict(pending)[mu]
-        max_mult = max(max_mult, e.dim)
-        X = universal_extension(X, sys.standard(mu), e)
+    for mu in sys.poset.maximal_first():
+        e = ext1(sys.standard(mu), X, sys.presentation(mu))
+        if e.dim:
+            X = universal_extension(X, sys.standard(mu), e)
+    for mu in sys.labels:
+        if ext1(sys.standard(mu), X, sys.presentation(mu)).dim:
+            raise ModuleError(f"tilting construction left Ext^1(Delta({mu}), T({lam})) nonzero")
     X.name = f"T({lam})"
     certify_indecomposable(X, lam)
     return X

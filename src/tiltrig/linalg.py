@@ -212,9 +212,6 @@ class Mat:
             data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
         return Mat.canonical(self.field, data, self.cols)
 
-    def sub(self, other: "Mat") -> "Mat":
-        return self.add(other.scale(-1))
-
     def scale(self, c) -> "Mat":
         F = self.field
         c = F.of(c)

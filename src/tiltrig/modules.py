@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, kernel_basis, quotient_map, solve
+from .linalg import Mat, Subspace, kernel_basis, quotient_map
 from .quiver import FinDimAlgebra, Path
 
 
@@ -29,6 +29,9 @@ class Representation:
     multiplying its arrow matrices in traversal order (first arrow applied
     first).  Construction checks shapes and that every relation acts by zero.
     """
+
+    # vertex -> ordered basis paths, set by `projective_rep` on P(v) only
+    basis_paths: Optional[Dict[str, List[Path]]] = None
 
     def __init__(self, algebra: FinDimAlgebra, dims: Dict[str, int], mats: Dict[str, Mat], name: str = ""):
         self.algebra = algebra
@@ -183,15 +186,6 @@ def projective_rep(algebra: FinDimAlgebra, vertex: str) -> Representation:
     return rep
 
 
-def projective_generator_vector(proj: Representation, vertex: str) -> Tuple[str, list]:
-    """The idempotent basis vector generating P(vertex)."""
-    paths = proj.basis_paths[vertex]
-    i = paths.index((vertex,))
-    vec = [proj.field.zero] * proj.dims[vertex]
-    vec[i] = proj.field.one
-    return vertex, vec
-
-
 class Morphism:
     """Module homomorphism: one matrix per vertex, commuting with all arrows."""
 
@@ -281,10 +275,13 @@ def hom_space(M: Representation, N: Representation) -> List[Morphism]:
     The unknowns are the entries of f_v (dim N_v x dim M_v), row by row,
     vertex after vertex.  Arrow a: u -> w gives one equation per entry (r, c)
     of f_w XM_a - XN_a f_u = 0: column c of XM_a on row r of f_w, and minus
-    row r of XN_a on column c of f_u.
+    row r of XN_a on column c of f_u.  Out of a `projective_rep` the same
+    basis is read off instead (`_hom_from_projective`).
     """
     if M.algebra is not N.algebra and M.algebra.basis != N.algebra.basis:
         raise ModuleError("hom_space requires modules over the same algebra")
+    if M.basis_paths is not None:
+        return _hom_from_projective(M, N)
     F = M.field
     p = F.p
     offsets = {}
@@ -317,6 +314,27 @@ def hom_space(M: Representation, N: Representation) -> List[Morphism]:
     return [morphism_from_flat(M, N, s) for s in sols]
 
 
+def _hom_from_projective(P: Representation, N: Representation) -> List[Morphism]:
+    """Hom(P(v), N) read off N_v, with no linear system.
+
+    x in N_v gives the map sending each basis path p of P(v) to p.x.  The
+    maps of the unit vectors span the space; it is returned in the basis the
+    block solve gives.  That basis (one vector per free column of an rref,
+    see `kernel_basis`) is the reduced echelon basis for the reversed
+    coordinate order, listed by last nonzero coordinate.
+    """
+    v = next(w for w in P.vertices if (w,) in P.basis_paths[w])
+    paths = {w: [N.path_matrix(p).data for p in P.basis_paths[w]] for w in P.vertices}
+    flats = []
+    for c in range(N.dims[v]):
+        flat = [m[r][c] for w in P.vertices for r in range(N.dims[w]) for m in paths[w]]
+        flats.append(flat[::-1])
+    if not flats:
+        return []
+    echelon = Subspace(N.field, len(flats[0]), flats).basis
+    return [morphism_from_flat(P, N, row[::-1]) for row in reversed(echelon)]
+
+
 def linear_combination(basis: List[Morphism], coords: Sequence) -> Morphism:
     """sum_k coords[k] * basis[k] over a nonempty hom basis."""
     F = basis[0].source.field
@@ -327,14 +345,6 @@ def linear_combination(basis: List[Morphism], coords: Sequence) -> Morphism:
         term = g.scale(c)
         out = term if out is None else out.add(term)
     return out if out is not None else basis[0].scale(F.zero)
-
-
-def morphism_coords(basis: List[Morphism], f: Morphism) -> Optional[list]:
-    """Coordinates of f in a hom-space basis (None if outside the span)."""
-    if not basis:
-        return [] if f.is_zero() else None
-    F = f.source.field
-    return solve(Mat.from_cols(F, [g.flatten() for g in basis]), f.flatten())
 
 
 # -- sums, subs, quotients ------------------------------------------------------
@@ -592,162 +602,106 @@ def subquotient(
 # -- projective covers and Ext^1 --------------------------------------------------
 
 
+class PositionedGenerator:
+    def __init__(self, label: str, depth: int, vector: list, coords: list):
+        self.label = label  # vertex carrying the generator
+        self.depth = depth  # radical layer of P0 it sits in, modulo rad Omega
+        self.vector = vector  # in P0 coordinates at `label`
+        self.coords = coords  # in syzygy coordinates at `label`
+
+    def __repr__(self) -> str:
+        return f"PositionedGenerator(L({self.label}) at layer {self.depth})"
+
+
 class ProjectiveCover:
-    """P0 = (+) P(lambda)^(head multiplicity) with an explicit surjection."""
+    """Projective presentation of M: P0 = (+) P(v_i) -> M, its kernel Omega
+    and generators of Omega positioned by radical depth in P0.
+
+    Summand i is P(v_i) for a head basis vector of M at v_i = heads[i]; its
+    idempotent goes to a lift of that vector.  Column c of P0 at vertex w is
+    the basis path p of summand i, where columns[w][c] = (i, p).  At each
+    vertex the generators are taken deepest first: those of depth d extend
+    (Omega cap rad^(d+1) P0) + rad Omega to (Omega cap rad^d P0) + rad Omega.
+    They generate Omega, so a map out of Omega is known by their images.
+    """
 
     def __init__(self, M: Representation):
-        algebra = M.algebra
-        F = M.field
+        algebra, F = M.algebra, M.field
         rad = radical_of(M, SubFamily.full(M))
-        summands: List[Representation] = []
-        lifts: List[Tuple[str, list]] = []
-        for v in M.vertices:
-            comp = rad.spaces[v].complement_in(Subspace.full(F, M.dims[v]))
-            for vec in comp:
-                summands.append(projective_rep(algebra, v))
-                lifts.append((v, vec))
-        self.summand_labels = [v for v, _ in lifts]
-        if summands:
-            self.P0, self.injections, self.projections = direct_sum(summands)
-        else:
-            self.P0 = Representation(algebra, {}, {}, name="0")
-            self.injections, self.projections = [], []
-        mats = {v: Mat.zero(F, M.dims[v], self.P0.dims[v]) for v in M.vertices}
-        col_off = {v: 0 for v in M.vertices}
-        for proj, (lam, lift) in zip(summands, lifts):
-            for w in M.vertices:
-                for p in proj.basis_paths[w]:
-                    col = col_off[w] + proj.basis_paths[w].index(p)
-                    img = M.path_matrix(p).apply(lift) if p != (lam,) else list(lift)
-                    for i, c in enumerate(img):
-                        mats[w].data[i][col] = c
-            for w in M.vertices:
-                col_off[w] += proj.dims[w]
-        self.cover = Morphism(self.P0, M, mats)
-        if not self.cover.is_surjective():
+        lifts = [(v, vec) for v in M.vertices for vec in rad.spaces[v].complement_in(Subspace.full(F, M.dims[v]))]
+        summands = [projective_rep(algebra, v) for v, _ in lifts]
+        self.heads = [v for v, _ in lifts]
+        self.columns = {w: [(i, p) for i, S in enumerate(summands) for p in S.basis_paths[w]] for w in M.vertices}
+        self.P0 = direct_sum(summands)[0] if summands else Representation(algebra, {}, {}, name="0")
+        mats = {}
+        for w in M.vertices:
+            cols = [M.path_matrix(p).apply(lifts[i][1]) for i, p in self.columns[w]]
+            mats[w] = Mat.from_cols(F, cols) if cols else Mat.zero(F, M.dims[w], 0)
+        cover = Morphism(self.P0, M, mats)
+        if not cover.is_surjective():
             raise ModuleError("projective cover failed to surject")
-        self.module = M
-        fam = self.cover.kernel()
-        self.syzygy_family = fam
+        fam = cover.kernel()
         self.syzygy, self.syzygy_inclusion = sub_rep(self.P0, fam)
+        rad_P0 = radical_series(self.P0)
+        rad_syz = radical_of(self.P0, fam)
+        self.generators: List[PositionedGenerator] = []
+        for v in M.vertices:
+            current = rad_syz.spaces[v]
+            for depth in range(len(rad_P0) - 1, -1, -1):
+                slab = fam.spaces[v].intersect(rad_P0[depth].spaces[v]).sum(rad_syz.spaces[v])
+                for vec in current.complement_in(slab):
+                    self.generators.append(PositionedGenerator(v, depth, vec, fam.spaces[v].coords(vec)))
+                current = slab
+
+    def evaluate(self, homs: Sequence[Morphism]) -> List[list]:
+        """Each map out of Omega as its generator images, concatenated."""
+        return [[x for g in self.generators for x in f.mats[g.label].apply(g.coords)] for f in homs]
+
+    def read_off(self, N: Representation) -> Mat:
+        """Hom(P0, N) restricted to Omega, read off with no linear system.
+
+        x = (x_i) in (+) N_{v_i} gives the map P0 -> N sending path p of
+        summand i to p.x_i.  Column k of the result holds the generator
+        images (as in `evaluate`) of the map of the k-th unit vector.
+        """
+        F = N.field
+        rows = []
+        for g in self.generators:
+            blocks = [Mat.zero(F, N.dims[g.label], N.dims[v]) for v in self.heads]
+            for (i, p), c in zip(self.columns[g.label], g.vector):
+                if c:
+                    blocks[i] = blocks[i].add(N.path_matrix(p).scale(c))
+            rows.extend([x for b in blocks for x in b.data[r]] for r in range(N.dims[g.label]))
+        return Mat.canonical(F, rows, sum(N.dims[v] for v in self.heads))
 
 
 class Ext1Result:
-    def __init__(self, dim: int, classes: List[Morphism], cover: ProjectiveCover, hom_syz: List[Morphism], boundary_coords: List[list]):
-        self.dim = dim
+    def __init__(self, classes: List[Morphism], cover: ProjectiveCover):
+        self.dim = len(classes)
         self.classes = classes  # morphisms syzygy -> N representing a basis of Ext^1
         self.cover = cover
-        self.hom_syzygy_basis = hom_syz
-        self.boundary_coords = boundary_coords
 
 
-def ext1(M: Representation, N: Representation) -> Ext1Result:
-    """Ext^1(M, N) = Hom(Omega M, N) / restrictions of Hom(P0, N)."""
-    cover = ProjectiveCover(M)
-    omega, inc = cover.syzygy, cover.syzygy_inclusion
-    hom_syz = hom_space(omega, N)
-    hom_p0 = hom_space(cover.P0, N)
-    coords = []
-    for g in hom_p0:
-        c = morphism_coords(hom_syz, g.compose(inc))
-        if c is None:
-            raise ModuleError("restriction escaped Hom(Omega, N); solver bug")
-        coords.append(c)
-    F = M.field
-    if hom_syz:
-        boundary = Subspace(F, len(hom_syz), coords)
-        classes = []
-        for k, f in enumerate(hom_syz):
-            unit = [F.zero] * len(hom_syz)
-            unit[k] = F.one
-            if not boundary.contains(unit):
-                classes.append(f)
-                boundary = boundary.sum(Subspace(F, len(hom_syz), [unit]))
-        dim = len(hom_syz) - Subspace(F, len(hom_syz), coords).dim
-    else:
-        classes, dim = [], 0
-    return Ext1Result(dim, classes, cover, hom_syz, coords)
+def ext1(M: Representation, N: Representation, cover: Optional[ProjectiveCover] = None) -> Ext1Result:
+    """Ext^1(M, N) = Hom(Omega, N) / restrictions of Hom(P0, N).
 
-
-def ext1_dim_by_cocycles(M: Representation, N: Representation) -> int:
-    """Independent Ext^1 computation: block upper-triangular middle terms.
-
-    A candidate extension is N (+) M with connecting blocks C_a; relations
-    impose linear conditions on the C_a and coboundaries are the blocks of
-    the form X^N h - h X^M.  Used as an oracle against ext1().
+    Both sides are compared through the generator images of Omega: the
+    restrictions are read off (`ProjectiveCover.read_off`), and the classes
+    are the basis maps of Hom(Omega, N) that leave their span, taken in
+    order.  `cover` is a presentation of M to reuse; by default one is built.
     """
-    F = M.field
-    algebra = M.algebra
-    offs = {}
-    pos = 0
-    for a, (u, w) in algebra.quiver.arrows.items():
-        offs[a] = pos
-        pos += N.dims[w] * M.dims[u]
-    nvars = pos
-
-    def block_var(a, i, j):
-        return offs[a] + i * M.dims[algebra.quiver.source(a)] + j
-
-    rows = []
-    for rel in algebra.relations:
-        src, dst = rel.src, rel.dst
-        for i in range(N.dims[dst]):
-            for j in range(M.dims[src]):
-                row = [F.zero] * nvars
-                for coeff, p in rel.terms:
-                    coeff = F.of(coeff)
-                    # off-diagonal block of X^E_p: sum over the position k of
-                    # the arrow where the path drops from the M side to N
-                    for k, a in enumerate(p):
-                        suffix = p[k + 1 :]
-                        prefix = p[:k]
-                        left = N.path_matrix(suffix) if suffix else Mat.identity(F, N.dims[algebra.quiver.target(a)])
-                        right = M.path_matrix(prefix) if prefix else Mat.identity(F, M.dims[algebra.quiver.source(a)])
-                        for r in range(left.cols):
-                            lv = left.data[i][r]
-                            if lv == F.zero:
-                                continue
-                            for c in range(right.rows):
-                                rv = right.data[c][j]
-                                if rv == F.zero:
-                                    continue
-                                idx = block_var(a, r, c)
-                                row[idx] = F.add(row[idx], F.mul(coeff, F.mul(lv, rv)))
-                if any(x != F.zero for x in row):
-                    rows.append(row)
-    if nvars == 0:
-        return 0
-    cocycles = len(kernel_basis(Mat.canonical(F, rows))) if rows else nvars
-
-    # coboundary space: h = (h_v), C_a = X^N_a h_u - h_w X^M_a; the sign
-    # convention is irrelevant for the span.
-    hvars = 0
-    hoffs = {}
-    for v in M.vertices:
-        hoffs[v] = hvars
-        hvars += N.dims[v] * M.dims[v]
-    cob_rows = []
-    for hv in range(hvars):
-        flat = [F.zero] * hvars
-        flat[hv] = F.one
-        hmats = {}
-        p2 = 0
-        for v in M.vertices:
-            r, c = N.dims[v], M.dims[v]
-            if r == 0 or c == 0:
-                hmats[v] = Mat.zero(F, r, c)
-            else:
-                hmats[v] = Mat.canonical(F, [flat[p2 + i * c : p2 + (i + 1) * c] for i in range(r)])
-            p2 += r * c
-        vec = [F.zero] * nvars
-        for a, (u, w) in algebra.quiver.arrows.items():
-            blk = N.mats[a].mul(hmats[u]).sub(hmats[w].mul(M.mats[a]))
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    vec[block_var(a, i, j)] = blk.data[i][j]
-        cob_rows.append(vec)
-    boundaries = Subspace(F, nvars, cob_rows).dim if cob_rows else 0
-    return cocycles - boundaries
+    if cover is None:
+        cover = ProjectiveCover(M)
+    hom_syz = hom_space(cover.syzygy, N)
+    classes: List[Morphism] = []
+    if hom_syz:
+        images = cover.evaluate(hom_syz)
+        span = Subspace(N.field, len(images[0]), cover.read_off(N).transpose().data)
+        for f, image in zip(hom_syz, images):
+            if not span.contains(image):
+                classes.append(f)
+                span = span.sum(Subspace(N.field, span.ambient, [image]))
+    return Ext1Result(classes, cover)
 
 
 # -- finite-field enumeration helpers (oracles) -------------------------------------

@@ -395,7 +395,7 @@ def parse_alg_text(
     text: str, field_override: Optional[int] = None, dim_cap: int = 10000, name: str = ""
 ) -> FinDimAlgebra:
     """Parse the line-oriented .alg format (field/vertex/order/arrow/relation/duality)."""
-    characteristic: Optional[int] = None
+    field: Optional[Field] = None
     vertices: List[str] = []
     covers: List[Tuple[str, str]] = []
     arrows: List[Tuple[str, str, str]] = []
@@ -410,7 +410,7 @@ def parse_alg_text(
         kw = parts[0]
         try:
             if kw == "field":
-                characteristic = int(parts[1])
+                field = Field(int(parts[1]))
             elif kw == "vertex":
                 vertices.extend(parts[1:])
             elif kw == "order":
@@ -437,15 +437,17 @@ def parse_alg_text(
         except (ValueError, IndexError) as exc:
             raise AlgParseError(line_no, str(exc)) from exc
 
-    if characteristic is None:
+    if field is None:
         raise AlgParseError(0, "missing 'field' line")
     if field_override is not None:
-        characteristic = field_override
+        try:
+            field = Field(field_override)
+        except ValueError as exc:
+            raise ValueError(f"field override: {exc}") from exc
     if not vertices:
         raise AlgParseError(0, "no vertices declared")
 
     try:
-        field = Field(characteristic)
         quiver = Quiver(vertices, arrows)
         relations = []
         for line_no, terms in raw_relations:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, kernel_basis, quotient_map
+from .linalg import Mat, Subspace, kernel_basis, quotient_map, rref
 from .modules import (
     ModuleError,
     Morphism,
@@ -29,17 +29,13 @@ from .modules import (
     is_rigid,
     linear_combination,
     loewy_length,
-    morphism_coords,
-    radical_of,
     radical_profile,
     radical_series,
     socle_of,
-    spin_submodule,
-    sub_rep,
     subquotient,
     subspace_vectors,
 )
-from .highest_weight import StandardSystem, check_radical_respecting
+from .highest_weight import MinimalPresentation, StandardSystem, check_radical_respecting
 
 
 # -- filtered hom spaces ---------------------------------------------------------
@@ -113,125 +109,83 @@ def filtered_hom(M: Representation, N: Representation, shift: int) -> FilteredHo
     return FilteredHomSpace(M, N, shift, _coords_subspace_to_morphisms(homs, space))
 
 
-# -- minimal filtered presentation of a standard module ------------------------------
-
-
-class PositionedGenerator:
-    def __init__(self, label: str, depth: int, vector: list):
-        self.label = label  # vertex carrying the syzygy head factor
-        self.depth = depth  # radical layer of that factor inside P(lam)
-        self.vector = vector  # generator in P(lam) coordinates at `label`
-
-    def __repr__(self) -> str:
-        return f"PositionedGenerator(L({self.label}) at layer {self.depth})"
-
-
-class MinimalPresentation:
-    """Syzygy of Delta(lam) inside P(lam), with layer-positioned generators.
-
-    Records, for each syzygy head factor L(mu) sitting in radical layer m of
-    P(lam), the subspaces J^t * (A * v) used to express depth conditions on
-    homomorphisms out of the syzygy.
-    """
-
-    def __init__(self, sys: StandardSystem, lam: str):
-        self.sys = sys
-        self.lam = lam
-        self.P = sys.projective(lam)
-        self.delta, self.projection = sys.standard_with_projection(lam)
-        self.syzygy_family = self.projection.kernel()
-        self.syzygy, self.inclusion = sub_rep(self.P, self.syzygy_family)
-        P, fam = self.P, self.syzygy_family
-        rad_P = radical_series(P)
-        rad_syz = radical_of(P, fam)
-        self.generators: List[PositionedGenerator] = []
-        for v in P.vertices:
-            current = rad_syz.spaces[v]
-            for depth in range(len(rad_P) - 1, -1, -1):
-                slab = fam.spaces[v].intersect(rad_P[depth].spaces[v]).sum(rad_syz.spaces[v])
-                for vec in current.complement_in(slab):
-                    self.generators.append(PositionedGenerator(v, depth, vec))
-                current = slab
-        # sanity: the generators must span the syzygy head
-        total = rad_syz
-        for g in self.generators:
-            total = total.sum(SubFamily.from_vectors(P, [(g.label, g.vector)]))
-        if total != fam:
-            raise ModuleError("positioned generators fail to generate the syzygy")
-        # W[j][t] = J^t (A v_j), stored in syzygy coordinates per vertex
-        self.layer_spaces: List[List[List[Tuple[str, list]]]] = []
-        for g in self.generators:
-            spaces_j = []
-            cyc = spin_submodule(P, [(g.label, g.vector)])
-            t = 0
-            while not cyc.is_zero():
-                vecs = []
-                for v in P.vertices:
-                    for w in cyc.spaces[v].basis:
-                        coords = fam.spaces[v].coords(w)
-                        if coords is None:
-                            raise ModuleError("cyclic layer escapes the syzygy")
-                        vecs.append((v, coords))
-                spaces_j.append(vecs)
-                cyc = radical_of(P, cyc)
-                t += 1
-            self.layer_spaces.append(spaces_j)
+# -- positioned lifting of the presentation of a standard module ---------------------
 
 
 class PositionedLifting:
     """Positioned cocycles and boundaries of Delta(lam) against one module T.
 
-    Holds the system's presentation of Delta(lam), Hom(syzygy, T),
-    Hom(P(lam), T) and rad T.  The deep-cocycle and image-constrained
-    boundary spaces of a shift are built the first time that shift is asked
-    for; every boundary space of a shift s <= 0 is the one of s = 0.
+    Reads the system's presentation P(lam) -> Delta(lam) (a
+    `MinimalPresentation`) and works on its generators v_j, of depth m_j:
+    a map f out of the syzygy is known by the images f(v_j), and rad^k T =
+    J^k T because `radical_series` builds it as J rad^(k-1) T.  Holds
+    Hom(syzygy, T), rad T and, for each basis map, its generator images and
+    the coordinates of the restrictions of maps P(lam) -> T.  The spaces of
+    a shift are built the first time that shift is asked for.
     """
 
     def __init__(self, sys: StandardSystem, lam: str, T: Representation):
-        self.pres = sys.memo(("presentation", lam), lambda: MinimalPresentation(sys, lam))
+        self.pres: MinimalPresentation = sys.presentation(lam)
+        self.lam = lam
         self.hom_syz = hom_space(self.pres.syzygy, T)
-        self.hom_P = hom_space(self.pres.P, T) if self.hom_syz else []
         self.rad_T = radical_series(T)
+        self.field = T.field
         self._deep: Dict[int, Subspace] = {}
         self._boundary: Dict[int, Subspace] = {}
+        self._quotients: Dict[Tuple[str, int], Mat] = {}
+        self._images: List[Tuple[str, int, Mat]] = []
+        if not self.hom_syz:
+            return
+        F, n = self.field, len(self.hom_syz)
+        images = Mat.from_cols(F, self.pres.evaluate(self.hom_syz))
+        start = 0
+        for g in self.pres.generators:
+            stop = start + T.dims[g.label]
+            self._images.append((g.label, g.depth, Mat.canonical(F, images.data[start:stop], n)))
+            start = stop
+        # one elimination of [images | restrictions]: the restrictions lie in the
+        # column span of the images, whose columns are independent
+        read = self.pres.read_off(T)
+        R, pivots = rref(Mat.canonical(F, [a + b for a, b in zip(images.data, read.data)], n + read.cols))
+        if pivots != list(range(n)):
+            raise ModuleError("generator images do not separate Hom(syzygy, T), or a restriction escaped it")
+        self._restrict = Mat.canonical(F, [row[n:] for row in R.data[:n]], read.cols)
 
     def deep(self, shift: int) -> Subspace:
-        """Coordinate space of f: syzygy -> T with f(J^t A v_j) <= rad^(m_j+t+shift) T."""
+        """Coordinate space of f: syzygy -> T with f(J^t A v_j) <= rad^(m_j+t+shift) T.
+
+        One condition per generator: f(v_j) in rad^(m_j+shift) T puts
+        f(J^t A v_j) = J^t A f(v_j) in rad^(m_j+shift+t) T for every t.  When
+        m_j + shift <= 0 there is none, since f(J^t A v_j) <= J^t T = rad^t T.
+        """
         if shift not in self._deep:
-            conditions = []
-            for gen, spaces_j in zip(self.pres.generators, self.pres.layer_spaces):
-                for t, vecs in enumerate(spaces_j):
-                    depth = gen.depth + t + shift
-                    if depth > 0:
-                        target = _clamped(self.rad_T, depth)
-                        conditions.extend((v, coords, target) for v, coords in vecs)
-            self._deep[shift] = _constrain(self.hom_syz, conditions)
+            F, rows = self.field, []
+            for label, depth, block in self._images:
+                if depth + shift > 0:
+                    rows.extend(row for row in self._quotient(label, depth + shift).mul(block).data if any(row))
+            n = len(self.hom_syz)
+            self._deep[shift] = Subspace(F, n, kernel_basis(Mat.canonical(F, rows))) if rows else Subspace.full(F, n)
         return self._deep[shift]
 
+    def _quotient(self, vertex: str, depth: int) -> Mat:
+        """The quotient map of T at `vertex` by rad^depth T."""
+        key = (vertex, min(depth, len(self.rad_T) - 1))
+        if key not in self._quotients:
+            self._quotients[key] = quotient_map(self.field, self.rad_T[key[1]].spaces[vertex])[0]
+        return self._quotients[key]
+
     def boundary(self, shift: int) -> Subspace:
-        """Restrictions to the syzygy of maps P(lam) -> T with image in rad^shift T."""
+        """Restrictions to the syzygy of maps P(lam) -> T with image in rad^shift T.
+
+        The map sending the idempotent of P(lam) to x in T_lam has image A x,
+        which lies in rad^s T exactly when x does.  So the space is spanned by
+        the restrictions for x in a basis of rad^s T at lam, and every s <= 0
+        gives the space of s = 0.
+        """
         shift = max(shift, 0)
         if shift not in self._boundary:
-            P, F = self.pres.P, self.pres.P.field
-            if shift == 0 or not self.hom_P:
-                space = Subspace.full(F, len(self.hom_P))
-            else:
-                target = _clamped(self.rad_T, shift)
-                conditions = []
-                for v in P.vertices:
-                    for k in range(P.dims[v]):
-                        unit = [F.zero] * P.dims[v]
-                        unit[k] = F.one
-                        conditions.append((v, unit, target))
-                space = _constrain(self.hom_P, conditions)
-            restricted = []
-            for coords in space.basis:
-                g = linear_combination(self.hom_P, coords)
-                c = morphism_coords(self.hom_syz, g.compose(self.pres.inclusion))
-                if c is None:
-                    raise ModuleError("restriction escaped Hom(syzygy, T)")
-                restricted.append(c)
-            self._boundary[shift] = Subspace(F, len(self.hom_syz), restricted)
+            basis = _clamped(self.rad_T, shift).spaces[self.lam].basis if self.hom_syz else []
+            self._boundary[shift] = Subspace(self.field, len(self.hom_syz), [self._restrict.apply(x) for x in basis])
         return self._boundary[shift]
 
 
@@ -259,8 +213,6 @@ def filtered_ext1_delta(sys: StandardSystem, lam: str, shift: int, T: Representa
     """Filtered Ext^1(Delta(lam)<shift>, T): positioned cocycles mod positioned
     restrictions of maps out of the projective cover."""
     lift = positioned_lifting(sys, lam, T)
-    if not lift.hom_syz:
-        return FilteredExtResult(lam, shift, 0, 0, 0)
     deep, boundaries = lift.deep(shift), lift.boundary(shift)
     if not deep.contains_space(boundaries):
         raise ModuleError("filtered boundaries escaped the cocycle space; solver bug")

@@ -44,12 +44,13 @@ def test_wall_cross_recorded_vanishings(block):
 def test_wall_cross_unknown_wall_error(block):
     with pytest.raises(ch.InsufficientAlcoveData) as exc:
         ch.wall_cross("s0", ch.simple_character("3"), block)
-    assert exc.value.label == "3" and exc.value.generator == "s0"
+    assert exc.value.label == "3" and exc.value.generator == "s0" and exc.value.kind == "unknown"
 
 
 def test_wall_cross_exterior_delta_error(block):
-    with pytest.raises(ch.InsufficientAlcoveData):
+    with pytest.raises(ch.InsufficientAlcoveData) as exc:
         ch.wall_cross("s2", ch.standard_character("2"), block)
+    assert exc.value.kind.startswith("exterior")
 
 
 def test_wall_cross_delta_partner_equality(block):

@@ -197,3 +197,17 @@ def test_render_dot(capsys):
 def test_field_override(capsys):
     code, out, _ = run(capsys, "--format", "json", "--field", "2", "algebra", "check", SL2)
     assert code == 0 and json.loads(out)["field"] == 2
+
+
+def test_bad_field_is_located(tmp_path, capsys):
+    # in a file, the error names the `field` line
+    bad = tmp_path / "f4.alg"
+    bad.write_text("# four elements\nfield 4\nvertex 1\n")
+    code, _, err = run(capsys, "algebra", "check", str(bad))
+    assert code == 2 and "line 2: characteristic must be 0 or prime, got 4" in err
+    # on the command line, it names the option
+    with pytest.raises(SystemExit) as exc:
+        main(["--field", "4", "algebra", "check", SL2])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "argument --field: characteristic must be 0 or prime, got 4" in err
+    assert "line 0" not in err

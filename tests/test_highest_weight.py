@@ -11,6 +11,7 @@ from tiltrig.highest_weight import (
     check_quasihereditary,
     check_radical_respecting,
     delta_filtration_from_chain,
+    universal_extension,
     dualize,
     find_delta_filtration,
     nabla_multiplicities,
@@ -100,6 +101,8 @@ def test_find_delta_filtration_examples(sl2):
     # P(1): standard modules at shifts 1 and 0
     filt = find_delta_filtration(sl2, sl2.projective("1"))
     assert sorted(filt.placement()) == [("1", 0), ("2", 1)]
+    # the chain climbs from 0 through Delta(2) = [2 | 1] to P(1)
+    assert [c.total_dim for c in filt.chain] == [0, 2, 3]
     # semisimple of minimal weight: two steps at shift 0
     M, _, _ = direct_sum([sl2.simple("1"), sl2.simple("1")])
     filt = find_delta_filtration(sl2, M)
@@ -110,6 +113,8 @@ def test_filtration_failure_witness(sl2):
     # Nabla(2) = [1 over 2] has no standard filtration
     out = find_delta_filtration(sl2, sl2.costandard("2"))
     assert isinstance(out, FiltrationFailure)
+    # the trace of P(2) is the socle L(2), not a copy of Delta(2)
+    assert out.label == "2" and out.trace_dims == {"1": 0, "2": 1}
 
 
 def test_radical_respecting_examples(sl2):
@@ -156,6 +161,29 @@ def test_ringel_examples(sl2):
     T2 = sl2.tilting("2")
     assert radical_profile(T2) == [Counter({"1": 1}), Counter({"2": 1}), Counter({"1": 1})]
     assert sl2.tilting("1").total_dim == 1
+
+
+def _ringel_multipass(sys, lam):
+    """Ringel's construction as a loop: after every extension recompute
+    Ext^1(Delta(mu), X) for every mu, each through a fresh projective cover,
+    and extend at a maximal weight where it is nonzero, until none is."""
+    X = sys.standard(lam)
+    while True:
+        pending = {mu: e for mu in sys.labels if (e := ext1(sys.standard(mu), X)).dim}
+        if not pending:
+            return X
+        mu = sys.poset.max_label(list(pending))
+        X = universal_extension(X, sys.standard(mu), pending[mu])
+
+
+@pytest.mark.parametrize("fixture", ["sl2", "ce3", (3, 2), (3, 3), (3, 0), (4, 2), (4, 3), (4, 0), (5, 2), (5, 3), (5, 0)], ids=str)
+def test_one_pass_ringel_matches_multipass(fixture, request, auslander):
+    sys = request.getfixturevalue(fixture) if isinstance(fixture, str) else auslander(*fixture)
+    for lam in sys.labels:
+        T, R = sys.tilting(lam), _ringel_multipass(sys, lam)
+        assert T.dims == R.dims and radical_profile(T) == radical_profile(R), lam
+        # every order here is total, so both take the same extensions in the same basis
+        assert {a: m.data for a, m in T.mats.items()} == {a: m.data for a, m in R.mats.items()}, lam
 
 
 def test_certificate_rejects_decomposable_modules(sl2):

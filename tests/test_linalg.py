@@ -277,10 +277,10 @@ def test_canonical_entries_on_auslander(monkeypatch, auslander, p):
         _assert_canonical(F, rref(flat)[0].data + kernel_basis(flat))
         for mu in sys.labels:
             lift = positioned_lifting(sys, mu, T)
-            _assert_canonical(F, [g.flatten() for g in lift.hom_syz + lift.hom_P])
+            _assert_canonical(F, [g.flatten() for g in lift.hom_syz + hom_space(sys.projective(mu), T)])
             for fam in lift.rad_T:
                 _assert_canonical(F, [row for space in fam.spaces.values() for row in space.basis])
-            for shift in range(-2, 4) if lift.hom_syz else ():
+            for shift in range(-2, 4):
                 _assert_canonical(F, lift.deep(shift).basis + lift.boundary(shift).basis)
                 nonzero += lift.deep(shift).dim
     assert built and nonzero

@@ -1,10 +1,14 @@
 """Every function, method and class in the library has a use somewhere,
-and every import in a library module is read by that module.
+every attribute the library stores on `self` is read somewhere, and every
+import in a library module is read by that module.
 
 A definition counts as used when its name appears in `src/` or `tests/`,
 outside its own definition, as a name, an attribute or an imported name.
 Dunders are exempt, and a re-export in the package `__init__.py` is not a
 use.  The match is by name only, so it errs on the side of keeping code.
+An attribute stored as `self.<name> = ...` in `src/` counts as read when
+`<name>` is loaded as an attribute of any object in `src/` or `tests/`;
+again the match is by name only.
 An import counts as read when the name it binds appears in its module as a
 name; `__init__.py` re-exports and `from __future__` imports are exempt.
 """
@@ -28,9 +32,14 @@ def _uses(path: Path, tree: ast.AST):
                 yield alias.name.rsplit(".", 1)[-1], node.lineno
 
 
-def unused_definitions() -> list:
+def _trees() -> dict:
+    """Parsed `src/` and `tests/` files, by path."""
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in files}
+    return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in files}
+
+
+def unused_definitions() -> list:
+    trees = _trees()
     uses = {}
     for path, tree in trees.items():
         for name, line in _uses(path, tree):
@@ -54,6 +63,32 @@ def unused_definitions() -> list:
 
 def test_no_unused_definitions():
     assert unused_definitions() == []
+
+
+def unused_attributes() -> list:
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr not in read
+            ):
+                unused.append(f"{path.name}:{node.lineno} {node.attr}")
+    return unused
+
+
+def test_no_unused_attributes():
+    assert unused_attributes() == []
 
 
 def unused_imports() -> list:

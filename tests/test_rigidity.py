@@ -5,10 +5,23 @@ import pytest
 from tiltrig import highest_weight
 from tiltrig.characters import layers_from_placement, projective_layers
 from tiltrig.highest_weight import FiltrationFailure, check_radical_respecting, find_delta_filtration
-from tiltrig.modules import direct_sum, ext1, is_rigid, loewy_length, radical_profile
+from tiltrig.linalg import Mat, Subspace, solve
+from tiltrig.modules import (
+    direct_sum,
+    ext1,
+    hom_space,
+    is_rigid,
+    linear_combination,
+    loewy_length,
+    radical_of,
+    radical_profile,
+    spin_submodule,
+)
 from tiltrig.rigidity import (
     MinimalPresentation,
     PositionedLifting,
+    _clamped,
+    _constrain,
     detect_stretched,
     filtered_ext1_delta,
     filtered_hom,
@@ -16,7 +29,13 @@ from tiltrig.rigidity import (
     rigidity_pipeline,
     stretched_subquotients_bruteforce,
 )
-from tiltrig.modules import hom_space, morphism_coords
+
+
+def morphism_coords(basis, f):
+    """Coordinates of f in a hom-space basis (None if outside the span)."""
+    if not basis:
+        return [] if f.is_zero() else None
+    return solve(Mat.from_cols(f.source.field, [g.flatten() for g in basis]), f.flatten())
 
 
 def test_filtered_hom_examples(sl2):
@@ -70,8 +89,10 @@ def test_filtered_ext_vanishes_on_sl2_tilting(sl2):
 
 def test_filtered_ext_nonzero_on_ce3(ce3):
     T3 = ce3.tilting("3")
-    assert filtered_ext1_delta(ce3, "1", 1, T3).dim == 1
-    assert filtered_ext1_delta(ce3, "1", 0, T3).dim == 0
+    res = filtered_ext1_delta(ce3, "1", 1, T3)
+    assert (res.dim, res.cocycle_dim, res.boundary_dim) == (1, 1, 0)
+    res = filtered_ext1_delta(ce3, "1", 0, T3)
+    assert (res.dim, res.cocycle_dim, res.boundary_dim) == (0, 2, 2)
 
 
 def test_detect_semisimple_passes(sl2):
@@ -147,6 +168,8 @@ def test_enumerator_agrees_on_spot_fixtures(sl2_f2, ce3):
     wits = stretched_subquotients_bruteforce(ce3, ce3.tilting("3"), "delta-L")
     assert len(wits) == 1
     assert wits[0].label == "1" and wits[0].mu == "3"
+    # T(3) = (1: 2, 2: 1, 3: 1); the witness is the submodule (1: 1, 3: 1) itself
+    assert wits[0].outer_dims == (1, 0, 1) and wits[0].inner_dims == (0, 0, 0)
 
 
 def test_enumerator_rejects_rationals(sl2):
@@ -212,3 +235,86 @@ def test_filtered_ext_bridge(sl2, ce3):
             for mu in sys.labels:
                 for r in range(-ell, ell + 1):
                     assert filtered_ext1_delta(sys, mu, r, T).dim == 0
+
+
+# -- the generator-level lifting against the per-basis-vector reference ----------------
+
+
+class _ReferenceLifting:
+    """deep and boundary as they were computed before the generator-level
+    rewrite: one condition per basis vector of every J^t (A v_j) for deep;
+    Hom(P(lam), T) by the block solve, one condition per basis vector of
+    P(lam) and one coordinate solve per restriction for boundary."""
+
+    def __init__(self, lift, T):
+        self.lift = lift
+        pres = lift.pres
+        P, syzygy = pres.P0, pres.syzygy_inclusion.image()
+        self.layers = []  # (m_j + t, basis of J^t (A v_j) in syzygy coordinates)
+        for g in pres.generators:
+            layer, t = spin_submodule(P, [(g.label, g.vector)]), 0
+            while not layer.is_zero():
+                vecs = [(v, syzygy.spaces[v].coords(w)) for v in P.vertices for w in layer.spaces[v].basis]
+                self.layers.append((g.depth + t, vecs))
+                layer, t = radical_of(P, layer), t + 1
+        self.hom_P = hom_space(P, T)  # P0 is a direct sum, so this is the block solve
+
+    def deep(self, shift):
+        lift = self.lift
+        if not lift.hom_syz:
+            return Subspace(lift.field, 0)
+        conditions = []
+        for depth, vecs in self.layers:
+            if depth + shift > 0:
+                target = _clamped(lift.rad_T, depth + shift)
+                conditions.extend((v, coords, target) for v, coords in vecs)
+        return _constrain(lift.hom_syz, conditions)
+
+    def boundary(self, shift):
+        lift, P, F = self.lift, self.lift.pres.P0, self.lift.field
+        if not lift.hom_syz:
+            return Subspace(F, 0)
+        space = Subspace.full(F, len(self.hom_P))
+        if shift > 0 and self.hom_P:
+            target = _clamped(lift.rad_T, shift)
+            units = [(v, row, target) for v in P.vertices for row in Subspace.full(F, P.dims[v]).basis]
+            space = _constrain(self.hom_P, units)
+        restricted = []
+        for coords in space.basis:
+            restriction = linear_combination(self.hom_P, coords).compose(lift.pres.syzygy_inclusion)
+            restricted.append(morphism_coords(lift.hom_syz, restriction))
+        return Subspace(F, len(lift.hom_syz), restricted)
+
+
+@pytest.mark.parametrize("fixture", ["sl2", "ce3", (3, 2), (3, 3), (3, 0), (4, 2), (4, 3), (4, 0), (5, 2), (5, 3), (5, 0)], ids=str)
+def test_lifting_matches_reference(fixture, request, auslander):
+    sys = request.getfixturevalue(fixture) if isinstance(fixture, str) else auslander(*fixture)
+    # the tilting modules and, up to four weights, simples and standards, whose radicals cut deeper
+    kinds = (sys.tilting, sys.simple, sys.standard) if len(sys.labels) <= 4 else (sys.tilting,)
+    compared = 0
+    for T in [f(lam) for lam in sys.labels for f in kinds]:
+        dual, dual_sys = sys.dual_module(T)
+        for side_sys, M in ((sys, T), (dual_sys, dual)):
+            ell = loewy_length(M)
+            for mu in side_sys.labels:
+                lift = PositionedLifting(side_sys, mu, M)
+                reference = _ReferenceLifting(lift, M)
+                for s in range(-ell - 2, ell + 3):
+                    assert lift.deep(s) == reference.deep(s), (M.name, mu, s)
+                    assert lift.boundary(s) == reference.boundary(s), (M.name, mu, s)
+                    compared += lift.deep(s).dim + lift.boundary(s).dim
+    assert compared
+
+
+@pytest.mark.parametrize("p", [3, 0])
+def test_lifting_with_no_syzygy_maps(auslander, p):
+    # weight 1 is maximal, so Delta(1) = P(1), its syzygy is 0 and so is Hom(syzygy, T(1))
+    sys = auslander(3, p)
+    T = sys.tilting("1")
+    lift = PositionedLifting(sys, "1", T)
+    assert lift.hom_syz == []
+    zero = Subspace(sys.algebra.field, 0)
+    for s in range(-2, 3):
+        assert lift.deep(s) == zero and lift.boundary(s) == zero
+        res = filtered_ext1_delta(sys, "1", s, T)
+        assert (res.dim, res.cocycle_dim, res.boundary_dim) == (0, 0, 0)
