@@ -32,10 +32,8 @@ from .highest_weight import (
     ringel_tilting,
 )
 from .rigidity import (
-    FilteredHomSpace,
     detect_stretched,
     filtered_ext1_delta,
-    filtered_hom,
     rigidity_pipeline,
     stretched_subquotients_bruteforce,
 )
@@ -48,8 +46,6 @@ from .characters import (
     load_block,
     projective_layers,
     solve_placement,
-    to_L_basis,
-    to_delta_basis,
     wall_cross,
 )
 from .coeffquiver import CoefficientQuiver, extract, lemma_prune, render

@@ -112,37 +112,6 @@ def simple_character(label: str) -> Character:
     return Character("L", {label: 1})
 
 
-def standard_character(label: str) -> Character:
-    return Character("delta", {label: 1})
-
-
-def to_L_basis(c: Character, b: BlockData) -> Character:
-    if c.basis == "L":
-        return c
-    out: Counter = Counter()
-    for lam, k in c.coeffs.items():
-        for mu, d in b.decomposition[lam].items():
-            out[mu] += k * d
-    return Character("L", out)
-
-
-def to_delta_basis(c: Character, b: BlockData) -> Character:
-    """Invert the unitriangular decomposition table over the integers."""
-    if c.basis == "delta":
-        return c
-    remaining = Counter(c.coeffs)
-    out: Counter = Counter()
-    for lam in reversed(b.labels):  # descending: top coefficients first
-        k = remaining[lam]
-        if k:
-            out[lam] += k
-            for mu, d in b.decomposition[lam].items():
-                remaining[mu] -= k * d
-    if any(v for v in remaining.values()):
-        raise BlockError("character is not an integer combination of standard characters")
-    return Character("delta", out)
-
-
 def wall_cross(generator: str, c: Character, b: BlockData) -> Character:
     """Character of the wall-crossing image, in the basis of the input.
 
@@ -415,25 +384,3 @@ SL4_TILTING_PLACEMENTS: Dict[str, List[Tuple[str, int]]] = {
     "4": [("2", 0), ("3", 1), ("3'", 1), ("4", 2)],
     "5": [("3", 0), ("3'", 0), ("fl", 1), ("fl'", 1), ("4", 1), ("5", 2)],
 }
-
-
-def prime_swap(label: str) -> str:
-    table = {"3": "3'", "3'": "3", "fl": "fl'", "fl'": "fl", "s1": "s3", "s3": "s1"}
-    return table.get(label, label)
-
-
-def prime_swap_block(b: BlockData) -> BlockData:
-    """The block with 3<->3', fl<->fl', s1<->s3 swapped (same label order)."""
-    layered = {
-        prime_swap(l): [Counter({prime_swap(m): c for m, c in layer.items()}) for layer in layers]
-        for l, layers in b.layered.items()
-    }
-    covers = []
-    for a in b.labels:
-        for c in b.labels:
-            if a != c and b.poset.leq(a, c):
-                covers.append((prime_swap(a), prime_swap(c)))
-    walls = {}
-    for (l, s), (kind, partner) in b.walls.items():
-        walls[(prime_swap(l), prime_swap(s))] = (kind, prime_swap(partner) if partner else None)
-    return BlockData(b.labels, covers, layered, None, walls, b.generators)

@@ -196,7 +196,7 @@ def cmd_sl4(args) -> int:
 def cmd_render(args) -> int:
     rep = load_rep(args.path, field_override=args.field)
     cq = extract(rep)
-    fmt = "dot" if args.dot or args.render_format == "dot" else "ascii"
+    fmt = "dot" if args.dot else "ascii"
     print(render(cq, fmt, label_order=rep.algebra.quiver.vertices), end="" if fmt == "dot" else "\n")
     return 0
 
@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="coefficient quiver of a .rep module")
     p.add_argument("path")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--render-format", choices=["dot", "ascii"], default="ascii")
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")

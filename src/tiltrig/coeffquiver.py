@@ -5,7 +5,6 @@ graph-level pruning rule for stretched-subquotient candidates.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Mat, Subspace, solve
@@ -46,11 +45,6 @@ class CoefficientQuiver:
         for n in self.nodes:
             out[n.layer][n.label] = out[n.layer].get(n.label, 0) + 1
         return out
-
-    def long_edges(self) -> List[CQEdge]:
-        """Edges jumping two or more radical layers (stretched arrows)."""
-        by_id = {n.id: n for n in self.nodes}
-        return [e for e in self.edges if by_id[e.dst].layer - by_id[e.src].layer >= 2]
 
 
 def extract(M: Representation) -> CoefficientQuiver:
@@ -137,28 +131,6 @@ def render_ascii(cq: CoefficientQuiver, label_order: Optional[Sequence[str]] = N
         labs.sort(key=lambda l: (order.get(l, len(order)), l))
         rows.append(",".join(labs) if labs else "-")
     return " | ".join(rows)
-
-
-_DOT_EDGE = re.compile(r"^\s*n\d+ -> n\d+ \[style=(solid|dotted)\];$")
-_DOT_NODE = re.compile(r'^\s*n\d+ \[label=".*"\];$')
-
-
-def dot_is_wellformed(text: str) -> bool:
-    """Cheap syntactic check used by the tests: braces balance and every
-    statement is a known form."""
-    if not text.startswith("digraph"):
-        return False
-    depth = 0
-    for raw in text.splitlines():
-        line = raw.strip()
-        depth += line.count("{") - line.count("}")
-        if depth < 0:
-            return False
-        if "->" in line and not _DOT_EDGE.match(raw):
-            return False
-        if "[label=" in line and not _DOT_NODE.match(raw):
-            return False
-    return depth == 0
 
 
 # -- graph-level pruning for stretched-subquotient candidates ---------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, kernel_basis, quotient_map, solve
+from .linalg import Mat, Subspace, kernel_basis, quotient_map
 from .modules import (
     LoewyProfile,
     ModuleError,
@@ -28,6 +28,7 @@ from .modules import (
     radical_profile,
     radical_series,
     simple_rep,
+    spin_submodule,
     subquotient,
 )
 from .quiver import FinDimAlgebra
@@ -100,14 +101,6 @@ def transpose_to_opposite(M: Representation, op_algebra: FinDimAlgebra) -> Repre
     return Representation(op_algebra, dict(M.dims), mats, name=f"D({M.name})")
 
 
-def trace_of(P: Representation, M: Representation) -> SubFamily:
-    """Sum of the images of all homomorphisms P -> M."""
-    fam = SubFamily(M)
-    for g in hom_space(P, M):
-        fam = fam.sum(g.image())
-    return fam
-
-
 class MinimalPresentation(ProjectiveCover):
     """The projective cover P(lam) -> Delta(lam), its syzygy and positioned
     generators: one per weight, kept by `StandardSystem.presentation`."""
@@ -117,11 +110,9 @@ class MinimalPresentation(ProjectiveCover):
 
 
 class DeltaStep:
-    def __init__(self, label: str, shift: int, head_vertex: str, head_vector: list):
+    def __init__(self, label: str, shift: int):
         self.label = label
         self.shift = shift
-        self.head_vertex = head_vertex
-        self.head_vector = head_vector
 
     def __repr__(self) -> str:
         return f"DeltaStep({self.label}, shift {self.shift})"
@@ -176,15 +167,13 @@ class StandardSystem:
         return self.memo(("P", lam), lambda: projective_rep(self.algebra, lam))
 
     def standard_kernel(self, lam: str) -> SubFamily:
-        """Sum of traces of higher projectives inside P(lam)."""
+        """Submodule of P(lam) generated by the P(lam)_mu, mu not <= lam: the sum
+        of the traces of those P(mu), as the trace of P(mu) in M is A M_mu."""
 
         def build():
             P = self.projective(lam)
-            fam = SubFamily(P)
-            for mu in self.labels:
-                if not self.poset.leq(mu, lam):
-                    fam = fam.sum(trace_of(self.projective(mu), P))
-            return fam
+            higher = [mu for mu in self.labels if not self.poset.leq(mu, lam)]
+            return spin_submodule(P, [(mu, row) for mu in higher for row in Mat.identity(P.field, P.dims[mu]).data])
 
         return self.memo(("Ukernel", lam), build)
 
@@ -265,15 +254,20 @@ class StandardSystem:
 # -- Delta-filtrations ------------------------------------------------------------
 
 
-def _class_depth(M: Representation, rad_chain: List[SubFamily], vertex: str, vec: list, below: SubFamily) -> int:
-    """Largest s with vec in rad^s M + below (depth of the head class)."""
+def _step(M: Representation, rad: List[SubFamily], lam: str, below: SubFamily, above: SubFamily) -> DeltaStep:
+    """The standard step above/below at lam, shifted by the depth of its head class.
+
+    The head class is a complement x of below + J above at lam, and its depth
+    the largest s with x in rad^s M + below.  Another representative differs
+    by some y in below + J above, one layer deeper, so the depth is the same.
+    """
+    comp = below.sum(radical_of(M, above)).spaces[lam].complement_in(above.spaces[lam])
+    if not comp:
+        raise ModuleError("could not locate the step head")
     s = 0
-    while s + 1 < len(rad_chain):
-        if rad_chain[s + 1].sum(below).spaces[vertex].contains(vec):
-            s += 1
-        else:
-            break
-    return s
+    while s + 1 < len(rad) and rad[s + 1].spaces[lam].sum(below.spaces[lam]).contains(comp[0]):
+        s += 1
+    return DeltaStep(lam, s)
 
 
 def _preimage_family(M: Representation, proj: Morphism, fam: SubFamily) -> SubFamily:
@@ -289,64 +283,39 @@ def _preimage_family(M: Representation, proj: Morphism, fam: SubFamily) -> SubFa
 def find_delta_filtration(sys: StandardSystem, M: Representation):
     """Greedy standard filtration: trace of the maximal weight, then recurse.
 
+    The weight is maximal among the vertices where the quotient is nonzero.
     Returns a DeltaFiltration, or a FiltrationFailure whose trace witness
     shows the obstruction (greedy failure at a maximal weight is conclusive).
     """
-    steps: List[DeltaStep] = []
+    rad = radical_series(M)
     chain: List[SubFamily] = [SubFamily(M)]
-    bottom = SubFamily(M)
-    rad_chain = radical_series(M)
-
-    while bottom.total_dim < M.total_dim:
-        quot, proj = quotient_rep(M, bottom)
-        factors = Counter()
-        for layer in radical_profile(quot):
-            factors += layer
-        lam = sys.poset.max_label([l for l, c in factors.items() if c > 0])
-        P = sys.projective(lam)
-        delta = sys.standard(lam)
+    steps: List[DeltaStep] = []
+    while chain[-1].total_dim < M.total_dim:
+        quot, proj = quotient_rep(M, chain[-1])
+        lam = sys.poset.max_label([v for v in M.vertices if quot.dims[v]])
         kernel_fam = sys.standard_kernel(lam)
-        homs = hom_space(P, quot)
-        trace = SubFamily(quot)
+        homs = hom_space(sys.projective(lam), quot)
+        partials, trace = [], SubFamily(quot)
         for g in homs:
             trace = trace.sum(g.image())
+            partials.append(trace)
         factoring = all(
             all(g.mats[v].apply(vec) == [M.field.zero] * quot.dims[v] for vec in kernel_fam.spaces[v].basis)
             for g in homs
             for v in M.vertices
         )
-        if not factoring or trace.total_dim != len(homs) * delta.total_dim:
+        if not factoring or trace.total_dim != len(homs) * sys.standard(lam).total_dim:
             return FiltrationFailure(
                 lam,
                 {v: trace.dim_at(v) for v in M.vertices},
                 "trace of the maximal weight is not a standard power"
                 + ("" if factoring else " (a map does not factor through the standard quotient)"),
             )
-        partial = SubFamily(quot)
-        for g in homs:
-            partial = partial.sum(g.image())
-            head_vec_bar = g.mats[lam].apply(_generator_vector(P, lam))
-            head_vec = _lift_through(proj, lam, head_vec_bar)
-            steps.append(DeltaStep(lam, -1, lam, head_vec))
-            chain.append(_preimage_family(M, proj, partial))
-        bottom = chain[-1]
-
-    for i, step in enumerate(steps):
-        step.shift = _class_depth(M, rad_chain, step.head_vertex, step.head_vector, chain[i])
+        for partial in partials:
+            above = _preimage_family(M, proj, partial)
+            steps.append(_step(M, rad, lam, chain[-1], above))
+            chain.append(above)
     return DeltaFiltration(M, steps, chain)
-
-
-def _generator_vector(P: Representation, lam: str) -> list:
-    vec = [P.field.zero] * P.dims[lam]
-    vec[P.basis_paths[lam].index((lam,))] = P.field.one
-    return vec
-
-
-def _lift_through(proj: Morphism, vertex: str, vec: list) -> list:
-    lifted = solve(proj.mats[vertex], vec)
-    if lifted is None:
-        raise ModuleError("projection lift failed")
-    return lifted
 
 
 def delta_filtration_from_chain(
@@ -359,7 +328,7 @@ def delta_filtration_from_chain(
     """
     if chain[0].total_dim != 0 or chain[-1].total_dim != M.total_dim:
         raise ModuleError("chain must run from 0 to the whole module")
-    rad_chain = radical_series(M)
+    rad = radical_series(M)
     steps: List[DeltaStep] = []
     for below, above in zip(chain, chain[1:]):
         if not above.contains(below):
@@ -374,13 +343,7 @@ def delta_filtration_from_chain(
             g.image().total_dim == Q.total_dim for g in hom_space(delta, Q)
         ):
             raise ModuleError(f"chain step is not a standard module at weight {lam}")
-        # head class representative: complement of below + J*above inside above
-        shallow = below.sum(radical_of(M, above))
-        comp = shallow.spaces[lam].complement_in(above.spaces[lam])
-        if not comp:
-            raise ModuleError("could not locate the step head")
-        vec = comp[0]
-        steps.append(DeltaStep(lam, _class_depth(M, rad_chain, lam, vec, below), lam, vec))
+        steps.append(_step(M, rad, lam, below, above))
     return DeltaFiltration(M, steps, list(chain))
 
 

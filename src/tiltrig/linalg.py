@@ -444,10 +444,13 @@ class Subspace:
         return all(self.contains(v) for v in other.basis)
 
     def coords(self, v: Vec) -> Optional[Vec]:
-        """Coordinates of v in this basis, or None if v is outside."""
-        if not self.basis:
-            return [] if not any(v) else None
-        return solve(Mat.from_cols(self.field, self.basis), v)
+        """Coordinates of v in this basis, or None if v is outside.
+
+        The basis is reduced, so they are the entries of v at the pivots.
+        """
+        if not self.contains(v):
+            return None
+        return [v[pc] for pc in self.pivots]
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:

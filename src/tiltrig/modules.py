@@ -436,19 +436,13 @@ def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Mor
 
 
 def spin_submodule(M: Representation, vectors: Iterable[Tuple[str, Sequence]]) -> SubFamily:
-    """Smallest arrow-stable family containing the given vectors."""
+    """Smallest arrow-stable family containing the vectors: S + J S + J^2 S + ..."""
     fam = SubFamily.from_vectors(M, vectors)
-    changed = True
-    while changed:
-        changed = False
-        for a, (u, w) in M.algebra.quiver.arrows.items():
-            X = M.mats[a]
-            for vec in fam.spaces[u].basis:
-                img = X.apply(vec)
-                if not fam.spaces[w].contains(img):
-                    fam = fam.sum(SubFamily.from_vectors(M, [(w, img)]))
-                    changed = True
-    return fam
+    while True:
+        grown = fam.sum(radical_of(M, fam))
+        if grown.total_dim == fam.total_dim:
+            return fam
+        fam = grown
 
 
 def radical_of(M: Representation, fam: SubFamily) -> SubFamily:
@@ -524,13 +518,6 @@ def socle_profile(M: Representation) -> LoewyProfile:
 
 def loewy_length(M: Representation) -> int:
     return len(radical_series(M)) - 1
-
-
-def composition_counter(M: Representation) -> Counter:
-    total = Counter()
-    for layer in radical_profile(M):
-        total += layer
-    return total
 
 
 def format_profile(profile: LoewyProfile, label_order: Sequence[str]) -> str:
@@ -707,12 +694,13 @@ def ext1(M: Representation, N: Representation, cover: Optional[ProjectiveCover] 
 # -- finite-field enumeration helpers (oracles) -------------------------------------
 
 
-def subspace_vectors(sub: Subspace, include_zero: bool = False) -> Iterable[list]:
+def subspace_vectors(sub: Subspace) -> Iterable[list]:
+    """The nonzero vectors of a subspace over a finite field."""
     F = sub.field
     if F.p == 0:
         raise ModuleError("cannot enumerate vectors over the rationals")
     for coeffs in itertools.product(F.elements(), repeat=sub.dim):
-        if not include_zero and not any(coeffs):
+        if not any(coeffs):
             continue
         vec = [0] * sub.ambient
         for c, b in zip(coeffs, sub.basis):

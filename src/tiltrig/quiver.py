@@ -110,7 +110,6 @@ class FinDimAlgebra:
         self.relations = list(relations)
         self.field = field
         self.basis = basis
-        self.index = {p: i for i, p in enumerate(basis)}
         self._reductions = reductions
         self.max_length = max_length  # all paths longer than this reduce to 0
         self.order_covers = [tuple(c) for c in (order_covers or [])]
@@ -172,19 +171,6 @@ class FinDimAlgebra:
         if lq == 0:
             return {p: F.one}
         return self.reduce(p + q)
-
-    def mult_elements(self, x: Dict[Path, object], y: Dict[Path, object]) -> Dict[Path, object]:
-        F = self.field
-        out: Dict[Path, object] = {}
-        for p, a in x.items():
-            for q, b in y.items():
-                for r, c in self.mult(p, q).items():
-                    v = F.add(out.get(r, F.zero), F.mul(F.mul(a, b), c))
-                    if v == F.zero:
-                        out.pop(r, None)
-                    else:
-                        out[r] = v
-        return out
 
     def radical_power_basis(self, i: int) -> List[Path]:
         """Basis paths spanning J^i (arrow ideal to the i-th power)."""
@@ -278,10 +264,17 @@ def build_algebra(
     get rewrite rules, which together form the table of (normal word).(arrow)
     products.  Stops at the first degree with no normal word; aborts once the
     basis passes dim_cap, so a degree never has more than dim_cap * (number
-    of arrows) columns.
+    of arrows) columns.  An oriented cycle of arrows that no relation
+    involves is refused before any degree is built.
     """
     if dim_cap <= 0:
         raise QuiverError("dim_cap must be positive")
+    cycle = _free_cycle_arrows(quiver, relations)
+    if cycle:
+        raise QuiverError(
+            f"arrows {', '.join(cycle)} contain an oriented cycle that no relation involves; "
+            "the algebra is infinite-dimensional"
+        )
 
     vertices = quiver.vertices
     basis: List[Path] = [(v,) for v in vertices]
@@ -357,6 +350,25 @@ def build_algebra(
         duality_pairs=duality_pairs,
         name=name,
     )
+
+
+def _free_cycle_arrows(quiver: Quiver, relations: Sequence[Relation]) -> List[str]:
+    """The arrows in no relation that run between vertices on their oriented cycles.
+
+    Every element of the ideal is a combination of paths that contain a
+    relation term, so a path of such arrows is not in it, and their cycles
+    make the algebra infinite-dimensional.  Vertices with no free arrow to
+    a remaining vertex are dropped until none is; the rest lie on or
+    between cycles.
+    """
+    bound = {a for rel in relations for _, p in rel.terms for a in p}
+    free = [(a, u, w) for a, (u, w) in quiver.arrows.items() if a not in bound]
+    live = set(quiver.vertices)
+    while True:
+        keep = {u for _, u, w in free if u in live and w in live}
+        if keep == live:
+            return [a for a, u, w in free if u in live and w in live]
+        live = keep
 
 
 def _append(w: Path, a: str, vertices: Sequence[str]) -> Path:

@@ -1,7 +1,7 @@
-"""Executable rigidity checks for tilting modules: filtered Hom spaces,
-filtered Ext^1 against standard modules, detection of stretched subquotients
-by hom lifting, a definitional brute-force enumerator over small finite
-fields, and the pipeline tying them to the direct radical-vs-socle oracle.
+"""Executable rigidity checks for tilting modules: filtered Ext^1 against
+standard modules, detection of stretched subquotients by hom lifting, a
+definitional brute-force enumerator over small finite fields, and the
+pipeline tying them to the direct radical-vs-socle oracle.
 
 Filtered Ext^1 and the stretched-subquotient detector read the same
 positioned cocycle and boundary spaces of the minimal presentation of
@@ -15,7 +15,7 @@ of the target; head shifts in filtrations are non-negative radical depths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import Mat, Subspace, kernel_basis, quotient_map, rref
 from .modules import (
@@ -38,75 +38,12 @@ from .modules import (
 from .highest_weight import MinimalPresentation, StandardSystem, check_radical_respecting
 
 
-# -- filtered hom spaces ---------------------------------------------------------
-
-
-class FilteredHomSpace:
-    """Morphisms g with g(rad^i source) <= rad^(i+shift) target, all i."""
-
-    def __init__(self, source: Representation, target: Representation, shift: int, basis: List[Morphism]):
-        self.source = source
-        self.target = target
-        self.shift = shift
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def _clamped(chain: List[SubFamily], i: int) -> SubFamily:
     if i < 0:
         return chain[0]
     if i >= len(chain):
         return chain[-1]
     return chain[i]
-
-
-def _coords_subspace_to_morphisms(basis: List[Morphism], space: Subspace) -> List[Morphism]:
-    return [linear_combination(basis, coords) for coords in space.basis]
-
-
-def _constrain(
-    hom_basis: List[Morphism],
-    conditions: Sequence[Tuple[str, list, SubFamily]],
-) -> Subspace:
-    """Coordinate subspace of combinations f with f(vec) in the given family.
-
-    Each condition is (vertex, vector in source coords, target family).
-    """
-    F = hom_basis[0].source.field
-    n = len(hom_basis)
-    rows = []
-    for vertex, vec, fam in conditions:
-        Q, _ = quotient_map(F, fam.spaces[vertex])
-        if Q.rows == 0:
-            continue
-        imgs = Mat.from_cols(F, [g.mats[vertex].apply(vec) for g in hom_basis])
-        rows.extend(row for row in Q.mul(imgs).data if any(row))
-    if not rows:
-        return Subspace.full(F, n)
-    return Subspace(F, n, kernel_basis(Mat.canonical(F, rows)))
-
-
-def filtered_hom(M: Representation, N: Representation, shift: int) -> FilteredHomSpace:
-    """Solve the commuting and per-layer containment conditions exactly."""
-    homs = hom_space(M, N)
-    if not homs:
-        return FilteredHomSpace(M, N, shift, [])
-    rad_M = radical_series(M)
-    rad_N = radical_series(N)
-    conditions = []
-    for i in range(len(rad_M)):
-        j = i + shift
-        if j <= 0:
-            continue
-        target = _clamped(rad_N, j)
-        for v in M.vertices:
-            for vec in rad_M[i].spaces[v].basis:
-                conditions.append((v, vec, target))
-    space = _constrain(homs, conditions)
-    return FilteredHomSpace(M, N, shift, _coords_subspace_to_morphisms(homs, space))
 
 
 # -- positioned lifting of the presentation of a standard module ---------------------
@@ -307,32 +244,15 @@ class BruteForceWitness:
         )
 
 
-def _normalize_chain(chain: List[SubFamily]) -> List[SubFamily]:
-    out = list(chain)
-    while len(out) > 1 and out[-1].is_zero() and out[-2].is_zero():
-        out.pop()
-    return out
-
-
 def _filtered_iso_to_shifted_quotient(
     sys: StandardSystem, lam: str, Q: Representation, induced: List[SubFamily]
 ) -> bool:
     """Is Q (with its induced chain) a shifted filtered quotient of P(lam)?"""
     P = sys.projective(lam)
-    rad_P = radical_series(P)
-    induced = _normalize_chain(induced)
     for U in all_submodules(P, max_total_dim=max(10, P.total_dim)):
         if P.total_dim - U.total_dim != Q.total_dim:
             continue
-        Pq, _, proj = subquotient(P, SubFamily.full(P), U)
-        target_chain = []
-        for rad_i in rad_P:
-            vecs = []
-            for v in P.vertices:
-                for vec in rad_i.spaces[v].basis:
-                    vecs.append((v, proj.mats[v].apply(vec)))
-            target_chain.append(SubFamily.from_vectors(Pq, vecs))
-        target_chain = _normalize_chain(target_chain)
+        Pq, target_chain, _ = subquotient(P, SubFamily.full(P), U)
         homs = hom_space(Q, Pq)
         if not homs:
             continue
@@ -451,12 +371,11 @@ def _extension_splits(Q: Representation, line: SubFamily) -> bool:
 
 
 def _induced_positions(induced: List[SubFamily]) -> List[Tuple[int, ...]]:
-    chain = _normalize_chain(induced)
     out = []
-    for big, small in zip(chain, chain[1:]):
+    for big, small in zip(induced, induced[1:]):
         out.append(tuple(big.dim_at(v) - small.dim_at(v) for v in big.rep.vertices))
-    if chain:
-        out.append(tuple(chain[-1].dim_at(v) for v in chain[-1].rep.vertices))
+    if induced:
+        out.append(tuple(induced[-1].dim_at(v) for v in induced[-1].rep.vertices))
     return out
 
 

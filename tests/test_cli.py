@@ -113,7 +113,7 @@ def test_free_two_loop_algebra_exit_2(tmp_path, capsys):
     free = tmp_path / "free.alg"
     free.write_text("field 3\nvertex 1\narrow x 1 1\narrow y 1 1\n")
     code, _, err = run(capsys, "algebra", "check", str(free))
-    assert code == 2 and "dim_cap" in err
+    assert code == 2 and "arrows x, y contain an oriented cycle that no relation involves" in err
 
 
 def test_entry_with_no_image_in_field_exit_2(tmp_path, capsys):
@@ -187,9 +187,7 @@ def test_sl4_homdim(capsys):
     assert code == 0 and out.strip() == "1"
 
 
-def test_render_dot(capsys):
-    from tiltrig.coeffquiver import dot_is_wellformed
-
+def test_render_dot(capsys, dot_is_wellformed):
     code, out, _ = run(capsys, "render", REP, "--dot")
     assert code == 0 and dot_is_wellformed(out)
 

@@ -6,12 +6,17 @@ from tiltrig.coeffquiver import (
     CQEdge,
     CQNode,
     CoefficientQuiver,
-    dot_is_wellformed,
     extract,
     lemma_prune,
     render,
 )
-from tiltrig.modules import composition_counter, direct_sum, radical_profile
+from tiltrig.modules import direct_sum, radical_profile
+
+
+def long_edges(cq):
+    """Edges jumping two or more radical layers (stretched arrows)."""
+    by_id = {n.id: n for n in cq.nodes}
+    return [e for e in cq.edges if by_id[e.dst].layer - by_id[e.src].layer >= 2]
 
 
 def test_extract_simple(sl2):
@@ -40,7 +45,7 @@ def test_layer_profile_matches_radical_series(sl2, ce3):
                 cq = extract(M)
                 got = [Counter(layer) for layer in cq.layer_profile()]
                 assert got == radical_profile(M)
-                assert len(cq.nodes) == sum(composition_counter(M).values())
+                assert len(cq.nodes) == sum(sum(radical_profile(M), Counter()).values())
 
 
 def test_edges_strictly_deepen(ce3):
@@ -48,20 +53,20 @@ def test_edges_strictly_deepen(ce3):
     by_id = {n.id: n for n in cq.nodes}
     assert all(by_id[e.dst].layer > by_id[e.src].layer for e in cq.edges)
     # the head-to-socle shortcut jumps two layers and is flagged
-    longs = cq.long_edges()
+    longs = long_edges(cq)
     assert len(longs) == 1
     e = longs[0]
     assert by_id[e.src].label == "1" and by_id[e.dst].label == "3"
 
 
-def test_render_dot_wellformed(sl2, ce3):
+def test_render_dot_wellformed(sl2, ce3, dot_is_wellformed):
     for M in (sl2.projective("1"), ce3.tilting("3"), sl2.simple("2")):
         text = render(extract(M), "dot")
         assert dot_is_wellformed(text)
         assert text.count("[label=") == len(extract(M).nodes)
 
 
-def test_render_empty_module(sl2):
+def test_render_empty_module(sl2, dot_is_wellformed):
     from tiltrig.modules import Representation
 
     zero = Representation(sl2.algebra, {}, {})
@@ -75,7 +80,7 @@ def test_render_ascii(sl2):
     assert text == "1 | 2 | 1"
 
 
-def test_dotted_edges_render():
+def test_dotted_edges_render(dot_is_wellformed):
     cq = CoefficientQuiver([CQNode(0, "a", 0), CQNode(1, "b", 1)], [CQEdge(0, 1, "dotted")])
     text = render(cq, "dot")
     assert "style=dotted" in text and dot_is_wellformed(text)

