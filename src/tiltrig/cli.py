@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 = success / verdict true, 1 = verdict false or property
-failure, 2 = input or parse error (including a non-quasi-hereditary order
-for `tilting build` and `rigidity check`).  Identical inputs produce
-byte-identical reports.  `--seed` is accepted and recorded in reports;
-results do not depend on it.
+failure, 2 = input or parse error (including a path that cannot be read
+and a non-quasi-hereditary order for `tilting build` and `rigidity
+check`).  Identical inputs produce byte-identical reports.  `--seed` is
+accepted and recorded in reports; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (AlgParseError, QuiverError, ModuleError, ch.BlockError, FileNotFoundError, ValueError) as exc:
+    except (AlgParseError, QuiverError, ModuleError, ch.BlockError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

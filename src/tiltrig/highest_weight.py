@@ -397,23 +397,26 @@ def universal_extension(X: Representation, delta: Representation, ext) -> Repres
     """0 -> X -> X' -> delta^d -> 0 along a basis of Ext^1(delta, X).
 
     Realized as (X (+) P0^d) / graph, where P0 covers delta and the graph
-    identifies each syzygy copy with its cocycle image in X.  Returns X'.
+    identifies each syzygy copy with its cocycle image in X.  A class phi
+    is known by its generator images phi(v_j), so the graph of the i-th
+    copy is spanned by p.(phi_i(v_j), -v_j) over the generator columns
+    (j, p).  Returns X'.
     """
-    d = ext.dim
-    cover = ext.cover
-    omega, iota = cover.syzygy, cover.syzygy_inclusion
+    d, cover, F = ext.dim, ext.cover, X.field
     big, injs, _ = direct_sum([X] + [cover.P0] * d)
+    blocks, pos = [], 0  # where phi(v_j) sits in a class
+    for g in cover.generators:
+        blocks.append(slice(pos, pos + X.dims[g.label]))
+        pos = blocks[-1].stop
     vectors = []
-    for v in X.vertices:
-        for k in range(omega.dims[v]):
-            unit = [X.field.zero] * omega.dims[v]
-            unit[k] = X.field.one
+    for w in X.vertices:
+        zero = [F.zero] * cover.P0.dims[w]
+        for (j, p), image in zip(cover.paths[w], cover.path_images[w].transpose().data):
+            act, neg = X.path_matrix(p), [F.neg(c) for c in image]
             for i, phi in enumerate(ext.classes):
-                x_part = phi.mats[v].apply(unit)
-                p_part = iota.mats[v].apply(unit)
-                vec = injs[0].mats[v].apply(x_part)
-                neg = injs[1 + i].mats[v].apply([X.field.neg(c) for c in p_part])
-                vectors.append((v, [X.field.add(a, b) for a, b in zip(vec, neg)]))
+                # direct_sum stacks the summands' coordinates at each vertex
+                copies = [x for k in range(d) for x in (neg if k == i else zero)]
+                vectors.append((w, act.apply(phi[blocks[j]]) + copies))
     graph = SubFamily.from_vectors(big, vectors)
     quot, proj = quotient_rep(big, graph)
     if not proj.compose(injs[0]).is_injective():

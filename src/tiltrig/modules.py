@@ -590,26 +590,60 @@ def subquotient(
 
 
 class PositionedGenerator:
-    def __init__(self, label: str, depth: int, vector: list, coords: list):
+    def __init__(self, label: str, depth: int, vector: list):
         self.label = label  # vertex carrying the generator
         self.depth = depth  # radical layer of P0 it sits in, modulo rad Omega
         self.vector = vector  # in P0 coordinates at `label`
-        self.coords = coords  # in syzygy coordinates at `label`
 
     def __repr__(self) -> str:
         return f"PositionedGenerator(L({self.label}) at layer {self.depth})"
 
 
+def _path_map(N: Representation, gens: Sequence[Tuple[str, list]]):
+    """The map (+) P(v_j) -> N sending the idempotent of summand j to x_j, for gens = [(v_j, x_j)].
+
+    Returns, at each vertex w, its columns (j, p), one per basis path p of
+    P(v_j) ending at w (summand by summand, in the order `projective_rep`
+    gives), and its matrix, whose columns are the images p.x_j in N_w.
+    """
+    A, F = N.algebra, N.field
+    columns: Dict[str, List[Tuple[int, Path]]] = {w: [] for w in N.vertices}
+    for j, (v, _) in enumerate(gens):
+        for p in A.basis:
+            if A.path_source(p) == v:
+                columns[A.path_target(p)].append((j, p))
+    images = {w: [N.path_matrix(p).apply(gens[j][1]) for j, p in cols] for w, cols in columns.items()}
+    return columns, {w: Mat.from_cols(F, images[w]) if images[w] else Mat.zero(F, N.dims[w], 0) for w in N.vertices}
+
+
+def _path_rows(N: Representation, labels: Sequence[str], columns, vectors) -> Mat:
+    """The maps x = (x_j) in (+) N_{labels[j]} |-> sum_k c_k p_k.x_(j_k) in N_w, stacked.
+
+    One block of rows for each (w, c) in `vectors`, where c holds the
+    coefficients of the columns[w][k] = (j_k, p_k) of (+) P(labels[j]).
+    """
+    F, rows = N.field, []
+    for w, coeffs in vectors:
+        blocks = [Mat.zero(F, N.dims[w], N.dims[v]) for v in labels]
+        for (j, p), c in zip(columns[w], coeffs):
+            if c:
+                blocks[j] = blocks[j].add(N.path_matrix(p).scale(c))
+        rows.extend([x for b in blocks for x in b.data[r]] for r in range(N.dims[w]))
+    return Mat.canonical(F, rows, sum(N.dims[v] for v in labels))
+
+
 class ProjectiveCover:
     """Projective presentation of M: P0 = (+) P(v_i) -> M, its kernel Omega
-    and generators of Omega positioned by radical depth in P0.
+    and generators v_j of Omega positioned by radical depth in P0.
 
     Summand i is P(v_i) for a head basis vector of M at v_i = heads[i]; its
     idempotent goes to a lift of that vector.  Column c of P0 at vertex w is
     the basis path p of summand i, where columns[w][c] = (i, p).  At each
     vertex the generators are taken deepest first: those of depth d extend
     (Omega cap rad^(d+1) P0) + rad Omega to (Omega cap rad^d P0) + rad Omega.
-    They generate Omega, so a map out of Omega is known by their images.
+    They generate Omega, so a map out of Omega is known by their images, and
+    Omega is (+) P(v_j) modulo the relations: the kernel of e_j |-> v_j,
+    whose columns at w are paths[w] = [(j, p)], with the matrix path_images[w].
     """
 
     def __init__(self, M: Representation):
@@ -618,77 +652,63 @@ class ProjectiveCover:
         lifts = [(v, vec) for v in M.vertices for vec in rad.spaces[v].complement_in(Subspace.full(F, M.dims[v]))]
         summands = [projective_rep(algebra, v) for v, _ in lifts]
         self.heads = [v for v, _ in lifts]
-        self.columns = {w: [(i, p) for i, S in enumerate(summands) for p in S.basis_paths[w]] for w in M.vertices}
         self.P0 = direct_sum(summands)[0] if summands else Representation(algebra, {}, {}, name="0")
-        mats = {}
-        for w in M.vertices:
-            cols = [M.path_matrix(p).apply(lifts[i][1]) for i, p in self.columns[w]]
-            mats[w] = Mat.from_cols(F, cols) if cols else Mat.zero(F, M.dims[w], 0)
-        cover = Morphism(self.P0, M, mats)
+        self.columns, images = _path_map(M, lifts)
+        cover = Morphism(self.P0, M, images)
         if not cover.is_surjective():
             raise ModuleError("projective cover failed to surject")
-        fam = cover.kernel()
-        self.syzygy, self.syzygy_inclusion = sub_rep(self.P0, fam)
+        self.syzygy = cover.kernel()
         rad_P0 = radical_series(self.P0)
-        rad_syz = radical_of(self.P0, fam)
+        rad_syz = radical_of(self.P0, self.syzygy)
         self.generators: List[PositionedGenerator] = []
         for v in M.vertices:
             current = rad_syz.spaces[v]
             for depth in range(len(rad_P0) - 1, -1, -1):
-                slab = fam.spaces[v].intersect(rad_P0[depth].spaces[v]).sum(rad_syz.spaces[v])
+                slab = self.syzygy.spaces[v].intersect(rad_P0[depth].spaces[v]).sum(rad_syz.spaces[v])
                 for vec in current.complement_in(slab):
-                    self.generators.append(PositionedGenerator(v, depth, vec, fam.spaces[v].coords(vec)))
+                    self.generators.append(PositionedGenerator(v, depth, vec))
                 current = slab
+        self.paths, self.path_images = _path_map(self.P0, [(g.label, g.vector) for g in self.generators])
+        self.relations = {w: kernel_basis(self.path_images[w]) for w in M.vertices}
+        for w in M.vertices:  # the rank of e_j |-> v_j at w must be dim Omega_w
+            if len(self.paths[w]) - len(self.relations[w]) != self.syzygy.dim_at(w):
+                raise ModuleError(f"the positioned generators do not span the syzygy at vertex {w}")
 
-    def evaluate(self, homs: Sequence[Morphism]) -> List[list]:
-        """Each map out of Omega as its generator images, concatenated."""
-        return [[x for g in self.generators for x in f.mats[g.label].apply(g.coords)] for f in homs]
+    def hom(self, N: Representation) -> Subspace:
+        """Hom(Omega, N) as the generator images in (+) N_{v_j} that the relations kill."""
+        labels = [g.label for g in self.generators]
+        relations = _path_rows(N, labels, self.paths, [(w, r) for w in N.vertices for r in self.relations[w]])
+        return Subspace(N.field, relations.cols, kernel_basis(relations))
 
     def read_off(self, N: Representation) -> Mat:
         """Hom(P0, N) restricted to Omega, read off with no linear system.
 
         x = (x_i) in (+) N_{v_i} gives the map P0 -> N sending path p of
         summand i to p.x_i.  Column k of the result holds the generator
-        images (as in `evaluate`) of the map of the k-th unit vector.
+        images, as in `hom`, of the map of the k-th unit vector.
         """
-        F = N.field
-        rows = []
-        for g in self.generators:
-            blocks = [Mat.zero(F, N.dims[g.label], N.dims[v]) for v in self.heads]
-            for (i, p), c in zip(self.columns[g.label], g.vector):
-                if c:
-                    blocks[i] = blocks[i].add(N.path_matrix(p).scale(c))
-            rows.extend([x for b in blocks for x in b.data[r]] for r in range(N.dims[g.label]))
-        return Mat.canonical(F, rows, sum(N.dims[v] for v in self.heads))
+        return _path_rows(N, self.heads, self.columns, [(g.label, g.vector) for g in self.generators])
 
 
 class Ext1Result:
-    def __init__(self, classes: List[Morphism], cover: ProjectiveCover):
+    def __init__(self, classes: List[list], cover: ProjectiveCover):
         self.dim = len(classes)
-        self.classes = classes  # morphisms syzygy -> N representing a basis of Ext^1
+        self.classes = classes  # generator images of maps syzygy -> N, a basis of Ext^1
         self.cover = cover
 
 
 def ext1(M: Representation, N: Representation, cover: Optional[ProjectiveCover] = None) -> Ext1Result:
     """Ext^1(M, N) = Hom(Omega, N) / restrictions of Hom(P0, N).
 
-    Both sides are compared through the generator images of Omega: the
-    restrictions are read off (`ProjectiveCover.read_off`), and the classes
-    are the basis maps of Hom(Omega, N) that leave their span, taken in
-    order.  `cover` is a presentation of M to reuse; by default one is built.
+    Both live in the generator images of Omega (`ProjectiveCover.hom` and
+    `.read_off`), and the classes complement the restrictions there.
+    `cover` is a presentation of M to reuse; by default one is built.
     """
     if cover is None:
         cover = ProjectiveCover(M)
-    hom_syz = hom_space(cover.syzygy, N)
-    classes: List[Morphism] = []
-    if hom_syz:
-        images = cover.evaluate(hom_syz)
-        span = Subspace(N.field, len(images[0]), cover.read_off(N).transpose().data)
-        for f, image in zip(hom_syz, images):
-            if not span.contains(image):
-                classes.append(f)
-                span = span.sum(Subspace(N.field, span.ambient, [image]))
-    return Ext1Result(classes, cover)
+    hom = cover.hom(N)
+    restricted = Subspace(N.field, hom.ambient, cover.read_off(N).transpose().data)
+    return Ext1Result(restricted.complement_in(hom), cover)
 
 
 # -- finite-field enumeration helpers (oracles) -------------------------------------

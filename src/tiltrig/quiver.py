@@ -20,7 +20,9 @@ Path = Tuple[str, ...]  # arrow names in traversal order (first traversed first)
 
 
 class QuiverError(ValueError):
-    pass
+    def __init__(self, message: str, arrows: Sequence[str] = ()):
+        super().__init__(message)
+        self.arrows = list(arrows)  # the arrows at fault, where there are any
 
 
 class Quiver:
@@ -32,9 +34,9 @@ class Quiver:
         for name, src, dst in arrows:
             name, src, dst = str(name), str(src), str(dst)
             if name in self.arrows or name in self.vertices:
-                raise QuiverError(f"duplicate arrow name {name!r}")
+                raise QuiverError(f"duplicate arrow name {name!r}", [name])
             if src not in self.vertices or dst not in self.vertices:
-                raise QuiverError(f"arrow {name!r} has undeclared endpoint")
+                raise QuiverError(f"arrow {name!r} has undeclared endpoint", [name])
             self.arrows[name] = (src, dst)
 
     def source(self, a: str) -> str:
@@ -273,7 +275,8 @@ def build_algebra(
     if cycle:
         raise QuiverError(
             f"arrows {', '.join(cycle)} contain an oriented cycle that no relation involves; "
-            "the algebra is infinite-dimensional"
+            "the algebra is infinite-dimensional",
+            cycle,
         )
 
     vertices = quiver.vertices
@@ -398,9 +401,10 @@ def _times_arrow(
 
 
 class AlgParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, lines, message: str):
+        self.lines = [lines] if isinstance(lines, int) else list(lines)  # none where no line is at fault
+        where = ", ".join(map(str, self.lines))
+        super().__init__(f"line{'s' if len(self.lines) > 1 else ''} {where}: {message}" if self.lines else message)
 
 
 def parse_alg_text(
@@ -411,6 +415,7 @@ def parse_alg_text(
     vertices: List[str] = []
     covers: List[Tuple[str, str]] = []
     arrows: List[Tuple[str, str, str]] = []
+    arrow_lines: Dict[str, int] = {}
     raw_relations: List[Tuple[int, List[Tuple[str, List[str]]]]] = []
     duality: Dict[str, str] = {}
 
@@ -433,6 +438,7 @@ def parse_alg_text(
                 if len(parts) != 4:
                     raise ValueError("expected 'arrow <name> <src> <dst>'")
                 arrows.append((parts[1], parts[2], parts[3]))
+                arrow_lines[parts[1]] = line_no
             elif kw == "relation":
                 raw_relations.append((line_no, _parse_relation_terms(" ".join(parts[1:]))))
             elif kw == "duality":
@@ -450,14 +456,14 @@ def parse_alg_text(
             raise AlgParseError(line_no, str(exc)) from exc
 
     if field is None:
-        raise AlgParseError(0, "missing 'field' line")
+        raise AlgParseError((), "missing 'field' line")
     if field_override is not None:
         try:
             field = Field(field_override)
         except ValueError as exc:
             raise ValueError(f"field override: {exc}") from exc
     if not vertices:
-        raise AlgParseError(0, "no vertices declared")
+        raise AlgParseError((), "no vertices declared")
 
     try:
         quiver = Quiver(vertices, arrows)
@@ -481,7 +487,7 @@ def parse_alg_text(
     except AlgParseError:
         raise
     except (QuiverError, ValueError) as exc:
-        raise AlgParseError(0, str(exc)) from exc
+        raise AlgParseError([arrow_lines[a] for a in getattr(exc, "arrows", ())], str(exc)) from exc
 
 
 def _parse_relation_terms(body: str) -> List[Tuple[str, List[str]]]:

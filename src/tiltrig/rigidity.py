@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import Mat, Subspace, kernel_basis, quotient_map, rref
+from .linalg import Subspace
 from .modules import (
     ModuleError,
-    Morphism,
     Representation,
     SubFamily,
     all_submodules,
     hom_combinations,
     hom_space,
     is_rigid,
-    linear_combination,
     loewy_length,
     radical_profile,
     radical_series,
@@ -39,11 +37,7 @@ from .highest_weight import MinimalPresentation, StandardSystem, check_radical_r
 
 
 def _clamped(chain: List[SubFamily], i: int) -> SubFamily:
-    if i < 0:
-        return chain[0]
-    if i >= len(chain):
-        return chain[-1]
-    return chain[i]
+    return chain[min(max(i, 0), len(chain) - 1)]
 
 
 # -- positioned lifting of the presentation of a standard module ---------------------
@@ -54,62 +48,39 @@ class PositionedLifting:
 
     Reads the system's presentation P(lam) -> Delta(lam) (a
     `MinimalPresentation`) and works on its generators v_j, of depth m_j:
-    a map f out of the syzygy is known by the images f(v_j), and rad^k T =
-    J^k T because `radical_series` builds it as J rad^(k-1) T.  Holds
-    Hom(syzygy, T), rad T and, for each basis map, its generator images and
-    the coordinates of the restrictions of maps P(lam) -> T.  The spaces of
-    a shift are built the first time that shift is asked for.
+    a map f out of the syzygy is known by the images f(v_j), so every space
+    here lives in (+) T_{v_j}.  Holds Hom(syzygy, T), the radical series of
+    T (rad^k T = J^k T, as `radical_series` builds it as J rad^(k-1) T) and
+    the restrictions of the maps P(lam) -> T.  The spaces of a shift are
+    built the first time that shift is asked for.
     """
 
     def __init__(self, sys: StandardSystem, lam: str, T: Representation):
         self.pres: MinimalPresentation = sys.presentation(lam)
         self.lam = lam
-        self.hom_syz = hom_space(self.pres.syzygy, T)
+        self.hom = self.pres.hom(T)
         self.rad_T = radical_series(T)
-        self.field = T.field
+        self._read = self.pres.read_off(T)
         self._deep: Dict[int, Subspace] = {}
         self._boundary: Dict[int, Subspace] = {}
-        self._quotients: Dict[Tuple[str, int], Mat] = {}
-        self._images: List[Tuple[str, int, Mat]] = []
-        if not self.hom_syz:
-            return
-        F, n = self.field, len(self.hom_syz)
-        images = Mat.from_cols(F, self.pres.evaluate(self.hom_syz))
-        start = 0
-        for g in self.pres.generators:
-            stop = start + T.dims[g.label]
-            self._images.append((g.label, g.depth, Mat.canonical(F, images.data[start:stop], n)))
-            start = stop
-        # one elimination of [images | restrictions]: the restrictions lie in the
-        # column span of the images, whose columns are independent
-        read = self.pres.read_off(T)
-        R, pivots = rref(Mat.canonical(F, [a + b for a, b in zip(images.data, read.data)], n + read.cols))
-        if pivots != list(range(n)):
-            raise ModuleError("generator images do not separate Hom(syzygy, T), or a restriction escaped it")
-        self._restrict = Mat.canonical(F, [row[n:] for row in R.data[:n]], read.cols)
+        if not self.hom.contains_space(self.boundary(0)):
+            raise ModuleError("a restriction of a map P(lam) -> T escaped Hom(syzygy, T)")
 
     def deep(self, shift: int) -> Subspace:
-        """Coordinate space of f: syzygy -> T with f(J^t A v_j) <= rad^(m_j+t+shift) T.
+        """Maps f: syzygy -> T with f(J^t A v_j) <= rad^(m_j+t+shift) T.
 
         One condition per generator: f(v_j) in rad^(m_j+shift) T puts
         f(J^t A v_j) = J^t A f(v_j) in rad^(m_j+shift+t) T for every t.  When
         m_j + shift <= 0 there is none, since f(J^t A v_j) <= J^t T = rad^t T.
         """
         if shift not in self._deep:
-            F, rows = self.field, []
-            for label, depth, block in self._images:
-                if depth + shift > 0:
-                    rows.extend(row for row in self._quotient(label, depth + shift).mul(block).data if any(row))
-            n = len(self.hom_syz)
-            self._deep[shift] = Subspace(F, n, kernel_basis(Mat.canonical(F, rows))) if rows else Subspace.full(F, n)
+            F, n, vectors, pos = self.hom.field, self.hom.ambient, [], 0
+            for g in self.pres.generators:  # (+)_j rad^(m_j+shift) T_{v_j}
+                depth = _clamped(self.rad_T, g.depth + shift).spaces[g.label]
+                vectors.extend([F.zero] * pos + row + [F.zero] * (n - pos - depth.ambient) for row in depth.basis)
+                pos += depth.ambient
+            self._deep[shift] = self.hom.intersect(Subspace(F, n, vectors))
         return self._deep[shift]
-
-    def _quotient(self, vertex: str, depth: int) -> Mat:
-        """The quotient map of T at `vertex` by rad^depth T."""
-        key = (vertex, min(depth, len(self.rad_T) - 1))
-        if key not in self._quotients:
-            self._quotients[key] = quotient_map(self.field, self.rad_T[key[1]].spaces[vertex])[0]
-        return self._quotients[key]
 
     def boundary(self, shift: int) -> Subspace:
         """Restrictions to the syzygy of maps P(lam) -> T with image in rad^shift T.
@@ -121,8 +92,8 @@ class PositionedLifting:
         """
         shift = max(shift, 0)
         if shift not in self._boundary:
-            basis = _clamped(self.rad_T, shift).spaces[self.lam].basis if self.hom_syz else []
-            self._boundary[shift] = Subspace(self.field, len(self.hom_syz), [self._restrict.apply(x) for x in basis])
+            basis = _clamped(self.rad_T, shift).spaces[self.lam].basis
+            self._boundary[shift] = Subspace(self.hom.field, self.hom.ambient, [self._read.apply(x) for x in basis])
         return self._boundary[shift]
 
 
@@ -160,7 +131,7 @@ def filtered_ext1_delta(sys: StandardSystem, lam: str, shift: int, T: Representa
 
 
 class StretchEntry:
-    def __init__(self, label: str, layer: int, ok: bool, witness: Optional[Morphism]):
+    def __init__(self, label: str, layer: int, ok: bool, witness: Optional[list]):
         self.label = label
         self.layer = layer
         self.ok = ok
@@ -210,9 +181,6 @@ def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-
     entries: List[StretchEntry] = []
     for lam in sys.labels:
         lift = positioned_lifting(sys, lam, T)
-        if not lift.hom_syz:
-            entries.append(StretchEntry(lam, 0, True, None))
-            continue
         restr_all = lift.boundary(0)
         ell = len(lift.rad_T) - 1
         G = [lift.deep(s).intersect(restr_all) for s in range(ell + 2)]
@@ -221,8 +189,8 @@ def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-
             if span.contains_space(G[s]):
                 entries.append(StretchEntry(lam, s, True, None))
             else:
-                coords = next(c for c in G[s].basis if not span.contains(c))
-                entries.append(StretchEntry(lam, s, False, linear_combination(lift.hom_syz, coords)))
+                witness = next(f for f in G[s].basis if not span.contains(f))
+                entries.append(StretchEntry(lam, s, False, witness))
     return StretchReport("delta-L", entries)
 
 

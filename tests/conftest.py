@@ -3,8 +3,10 @@ import re
 
 import pytest
 
+from tiltrig import modules
 from tiltrig.acceptance import CE3_BLOCK, SL2_BLOCK
 from tiltrig.highest_weight import StandardSystem
+from tiltrig.modules import PositionedGenerator, ProjectiveCover, hom_space, sub_rep
 from tiltrig.quiver import parse_alg_text
 
 
@@ -101,3 +103,49 @@ def _dot_is_wellformed(text: str) -> bool:
 def dot_is_wellformed():
     """dot_is_wellformed(text) checks the DOT the coefficient-quiver renderer writes."""
     return _dot_is_wellformed
+
+
+def _syzygy_block_solve(cover, N):
+    """Hom(Omega, N) by the block solve on Omega as a module in its own right.
+
+    Returns the basis maps, the generator images of each (the images of
+    the v_j, read through Omega's coordinates) and the inclusion of Omega
+    in P0.
+    """
+    omega, inclusion = sub_rep(cover.P0, cover.syzygy)
+    homs = hom_space(omega, N)
+    coords = [cover.syzygy.spaces[g.label].coords(g.vector) for g in cover.generators]
+    images = [[x for g, c in zip(cover.generators, coords) for x in f.mats[g.label].apply(c)] for f in homs]
+    return homs, images, inclusion
+
+
+@pytest.fixture(scope="session")
+def syzygy_block_solve():
+    """syzygy_block_solve(cover, N) is the reference for maps out of a cover's syzygy."""
+    return _syzygy_block_solve
+
+
+def _signed_cover(M):
+    """A ProjectiveCover of M built on its generators times 1, -1, 1, ...
+
+    They generate the syzygy as well, with entries other than 1, so a
+    dropped or misplaced coefficient shows.
+    """
+    F, built = M.field, []
+
+    def signed(label, depth, vector):
+        c = F.of((-1) ** len(built))
+        built.append(c)
+        return PositionedGenerator(label, depth, [F.mul(c, x) for x in vector])
+
+    modules.PositionedGenerator = signed
+    try:
+        return ProjectiveCover(M)
+    finally:
+        modules.PositionedGenerator = PositionedGenerator
+
+
+@pytest.fixture(scope="session")
+def signed_cover():
+    """signed_cover(M) is a ProjectiveCover of M on rescaled generators."""
+    return _signed_cover

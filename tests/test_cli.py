@@ -28,11 +28,25 @@ def test_algebra_check_missing_file(capsys):
     assert code == 2 and "error" in err
 
 
+def test_directory_input_exit_2(tmp_path, capsys):
+    for argv in (("algebra", "check"), ("module", "series"), ("qh", "verify")):
+        code, _, err = run(capsys, *argv, str(tmp_path))
+        assert code == 2 and err.startswith("error: ") and "Is a directory" in err, argv
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("field 0\nvertex 1\nbogus\n")
     code, _, err = run(capsys, "algebra", "check", str(bad))
     assert code == 2 and "line 3" in err
+    # errors that no line holds name none
+    bad.write_text("field 0\nvertex 1 2\narrow a 1 2\narrow a 2 1\n")
+    code, _, err = run(capsys, "algebra", "check", str(bad))
+    assert code == 2 and err == "error: line 4: duplicate arrow name 'a'\n"
+    for text, message in (("vertex 1\n", "missing 'field' line"), ("field 0\n", "no vertices declared")):
+        bad.write_text(text)
+        code, _, err = run(capsys, "algebra", "check", str(bad))
+        assert code == 2 and err == f"error: {message}\n", text
 
 
 def test_module_series(capsys):
@@ -113,7 +127,11 @@ def test_free_two_loop_algebra_exit_2(tmp_path, capsys):
     free = tmp_path / "free.alg"
     free.write_text("field 3\nvertex 1\narrow x 1 1\narrow y 1 1\n")
     code, _, err = run(capsys, "algebra", "check", str(free))
-    assert code == 2 and "arrows x, y contain an oriented cycle that no relation involves" in err
+    assert code == 2 and "error: lines 3, 4: arrows x, y contain an oriented cycle that no relation involves" in err
+    # the refusal names the lines of the cycle's arrows
+    free.write_text("field 3\nvertex 1 2\n# a 2-cycle\narrow a 1 2\narrow c 1 1\narrow b 2 1\nrelation c.c\n")
+    code, _, err = run(capsys, "algebra", "check", str(free))
+    assert code == 2 and "error: lines 4, 6: arrows a, b contain an oriented cycle" in err
 
 
 def test_entry_with_no_image_in_field_exit_2(tmp_path, capsys):

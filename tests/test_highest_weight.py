@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from tiltrig import highest_weight
 from tiltrig.highest_weight import (
     FiltrationFailure,
     StandardSystem,
@@ -17,14 +18,16 @@ from tiltrig.highest_weight import (
     find_delta_filtration,
     nabla_multiplicities,
 )
-from tiltrig.linalg import Mat, rref, solve
+from tiltrig.linalg import Mat, Subspace, rref, solve
 from tiltrig.modules import (
     ModuleError,
+    ProjectiveCover,
     Representation,
     SubFamily,
     direct_sum,
     ext1,
     hom_space,
+    linear_combination,
     quotient_rep,
     radical_profile,
     radical_series,
@@ -440,3 +443,65 @@ def test_dualize_fixes_simples(sl2):
     for lam in sl2.labels:
         img = dualize(sl2.simple(lam))
         assert img.dims == sl2.simple(lam).dims
+
+
+# -- maps out of the syzygy against the block solve on the syzygy as a module ---------
+
+
+@pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
+def test_hom_out_of_syzygy_matches_the_block_solve(fixture, request, syzygy_block_solve, signed_cover):
+    sys = _reference_system(fixture, request)
+    F = sys.algebra.field
+    targets = [f(lam) for f in (sys.simple, sys.standard, sys.costandard, sys.tilting) for lam in sys.labels]
+    compared = 0
+    for M in [f(lam) for f in (sys.standard, sys.costandard) for lam in sys.labels]:
+        for cover in (ProjectiveCover(M), signed_cover(M)):
+            for N in targets:
+                hom = cover.hom(N)
+                solved = syzygy_block_solve(cover, N)[1]
+                assert hom == Subspace(F, hom.ambient, solved), (M.name, N.name)
+                assert hom.dim == len(solved), (M.name, N.name)
+                compared += hom.dim
+    assert compared
+
+
+def _graph_by_syzygy_walk(X, ext, syzygy_block_solve):
+    """The graph of `universal_extension` as it was built before: each class
+    as a map out of Omega, and for every basis vector w of Omega one vector
+    (phi_i(w), -w in the i-th copy of P0) of X (+) P0^d."""
+    cover, F = ext.cover, X.field
+    homs, images, inclusion = syzygy_block_solve(cover, X)
+    classes = [linear_combination(homs, solve(Mat.from_cols(F, images), phi)) for phi in ext.classes]
+    big, injs, _ = direct_sum([X] + [cover.P0] * ext.dim)
+    vectors = []
+    for v in X.vertices:
+        for unit in Mat.identity(F, inclusion.source.dims[v]).data:
+            for i, phi in enumerate(classes):
+                x_part = injs[0].mats[v].apply(phi.mats[v].apply(unit))
+                p_part = injs[1 + i].mats[v].apply([F.neg(c) for c in inclusion.mats[v].apply(unit)])
+                vectors.append((v, [F.add(a, b) for a, b in zip(x_part, p_part)]))
+    return SubFamily.from_vectors(big, vectors)
+
+
+@pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
+def test_path_image_graph_matches_the_syzygy_walk(fixture, request, monkeypatch, syzygy_block_solve):
+    # every universal extension of Ringel's construction, for every weight
+    sys = _reference_system(fixture, request)
+    graphs, checked = [], []
+
+    def quotient_capturing_the_graph(M, fam):
+        graphs.append(fam)
+        return quotient_rep(M, fam)
+
+    def checked_extension(X, delta, ext):
+        graphs.clear()
+        out = universal_extension(X, delta, ext)
+        assert graphs[0] == _graph_by_syzygy_walk(X, ext, syzygy_block_solve), (X.name, delta.name)
+        checked.append(ext.dim)
+        return out
+
+    monkeypatch.setattr(highest_weight, "quotient_rep", quotient_capturing_the_graph)
+    monkeypatch.setattr(highest_weight, "universal_extension", checked_extension)
+    for lam in sys.labels:
+        highest_weight.ringel_tilting(sys, lam)
+    assert checked

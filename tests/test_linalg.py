@@ -284,7 +284,7 @@ def test_canonical_entries_on_auslander(monkeypatch, auslander, p):
         _assert_canonical(F, rref(flat)[0].data + kernel_basis(flat))
         for mu in sys.labels:
             lift = positioned_lifting(sys, mu, T)
-            _assert_canonical(F, [g.flatten() for g in lift.hom_syz + hom_space(sys.projective(mu), T)])
+            _assert_canonical(F, lift.hom.basis + [g.flatten() for g in hom_space(sys.projective(mu), T)])
             for fam in lift.rad_T:
                 _assert_canonical(F, [row for space in fam.spaces.values() for row in space.basis])
             for shift in range(-2, 4):

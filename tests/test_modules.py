@@ -5,7 +5,6 @@ import pytest
 from tiltrig.linalg import Mat, Subspace, kernel_basis
 from tiltrig.modules import (
     ModuleError,
-    PositionedGenerator,
     ProjectiveCover,
     Representation,
     SubFamily,
@@ -336,26 +335,21 @@ def test_hom_from_projective_is_the_block_solve(fixture, request, auslander):
 
 
 @pytest.mark.parametrize("fixture", ["sl2", "ce3", (3, 3), (3, 0), (4, 2)], ids=str)
-def test_read_off_restrictions_match_the_block_solve(fixture, request, auslander):
+def test_read_off_restrictions_match_the_block_solve(fixture, request, auslander, signed_cover):
     # Hom(P0, N) read off (+) N_{v_i} restricts to the span the block solve gives
     sys = request.getfixturevalue(fixture) if isinstance(fixture, str) else auslander(*fixture)
     F = sys.algebra.field
     modules = _family_modules(sys)
     for M in modules:
-        cover = ProjectiveCover(M)
-        # the generators times 1, -1, 1, ... generate as well, with entries other than 1
-        signs = [F.of((-1) ** j) for j in range(len(cover.generators))]
-        cover.generators = [
-            PositionedGenerator(g.label, g.depth, [F.mul(c, x) for x in g.vector], [F.mul(c, x) for x in g.coords])
-            for c, g in zip(signs, cover.generators)
-        ]
+        cover = signed_cover(M)
         for N in modules:
             read = cover.read_off(N)
             solved = hom_space(cover.P0, N)  # P0 is a direct sum, so this is the block solve
             assert read.cols == len(solved), (M.name, N.name)
             if not cover.generators:
                 continue
-            restricted = cover.evaluate([g.compose(cover.syzygy_inclusion) for g in solved])
+            # the generator images of the restriction of g: P0 -> N are the g(v_j)
+            restricted = [[x for v in cover.generators for x in g.mats[v.label].apply(v.vector)] for g in solved]
             ambient = read.rows
             assert Subspace(F, ambient, read.transpose().data) == Subspace(F, ambient, restricted), (M.name, N.name)
 

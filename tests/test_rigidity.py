@@ -7,6 +7,7 @@ from tiltrig.characters import layers_from_placement, projective_layers
 from tiltrig.highest_weight import FiltrationFailure, check_radical_respecting, find_delta_filtration
 from tiltrig.linalg import Mat, Subspace, kernel_basis, quotient_map, solve
 from tiltrig.modules import (
+    _path_map,
     direct_sum,
     ext1,
     hom_space,
@@ -148,14 +149,23 @@ def test_detect_ce3_fails_with_recheckable_witness(ce3):
     fails = report.failures()
     assert [(e.label, e.layer) for e in fails] == [("1", 1)]
     wit = fails[0].witness
-    # the witness is a nonzero syzygy hom that is 1-deep but not liftable,
-    # rechecked on spaces built afresh rather than on the detector's memo
+    # the witness is the generator images of a nonzero syzygy hom that is
+    # 1-deep but not liftable, rechecked on spaces built afresh rather than
+    # on the detector's memo
     lift = PositionedLifting(ce3, "1", T3)
     assert lift is not positioned_lifting(ce3, "1", T3)
-    coords = morphism_coords(lift.hom_syz, wit)
-    assert coords is not None and any(c for c in coords)
-    assert lift.deep(1).contains(coords)
-    assert not lift.boundary(1).contains(coords)
+    assert any(wit)
+    # the relations among the generators kill it, so it defines a map
+    pres, gens, pos = lift.pres, [], 0
+    for g in pres.generators:
+        gens.append((g.label, wit[pos : pos + T3.dims[g.label]]))
+        pos += T3.dims[g.label]
+    images = _path_map(T3, gens)[1]
+    for w, relations in pres.relations.items():
+        for r in relations:
+            assert not any(images[w].apply(r)), w
+    assert lift.deep(1).contains(wit)
+    assert not lift.boundary(1).contains(wit)
 
 
 def test_theorem_path_builds_each_object_once(monkeypatch, auslander):
@@ -276,14 +286,17 @@ def test_filtered_ext_bridge(sl2, ce3):
 
 class _ReferenceLifting:
     """deep and boundary as they were computed before the generator-level
-    rewrite: one condition per basis vector of every J^t (A v_j) for deep;
-    Hom(P(lam), T) by the block solve, one condition per basis vector of
-    P(lam) and one coordinate solve per restriction for boundary."""
+    rewrite: Hom(syzygy, T) by the block solve; one condition per basis
+    vector of every J^t (A v_j) for deep; Hom(P(lam), T) by the block solve,
+    one condition per basis vector of P(lam) and one coordinate solve per
+    restriction for boundary.  Both are then mapped into generator images."""
 
-    def __init__(self, lift, T):
+    def __init__(self, lift, T, syzygy_block_solve):
         self.lift = lift
         pres = lift.pres
-        P, syzygy = pres.P0, pres.syzygy_inclusion.image()
+        P, syzygy = pres.P0, pres.syzygy
+        self.hom_syz, images, self.inclusion = syzygy_block_solve(pres, T)
+        self.images = Mat.from_cols(T.field, images)  # coordinates -> generator images
         self.layers = []  # (m_j + t, basis of J^t (A v_j) in syzygy coordinates)
         for g in pres.generators:
             layer, t = spin_submodule(P, [(g.label, g.vector)]), 0
@@ -293,21 +306,24 @@ class _ReferenceLifting:
                 layer, t = radical_of(P, layer), t + 1
         self.hom_P = hom_space(P, T)  # P0 is a direct sum, so this is the block solve
 
+    def _as_images(self, coords):
+        return Subspace(self.lift.hom.field, self.lift.hom.ambient, [self.images.apply(c) for c in coords.basis])
+
     def deep(self, shift):
         lift = self.lift
-        if not lift.hom_syz:
-            return Subspace(lift.field, 0)
+        if not self.hom_syz:
+            return Subspace(lift.hom.field, lift.hom.ambient)
         conditions = []
         for depth, vecs in self.layers:
             if depth + shift > 0:
                 target = _clamped(lift.rad_T, depth + shift)
                 conditions.extend((v, coords, target) for v, coords in vecs)
-        return _constrain(lift.hom_syz, conditions)
+        return self._as_images(_constrain(self.hom_syz, conditions))
 
     def boundary(self, shift):
-        lift, P, F = self.lift, self.lift.pres.P0, self.lift.field
-        if not lift.hom_syz:
-            return Subspace(F, 0)
+        lift, P, F = self.lift, self.lift.pres.P0, self.lift.hom.field
+        if not self.hom_syz:
+            return Subspace(F, lift.hom.ambient)
         space = Subspace.full(F, len(self.hom_P))
         if shift > 0 and self.hom_P:
             target = _clamped(lift.rad_T, shift)
@@ -315,13 +331,13 @@ class _ReferenceLifting:
             space = _constrain(self.hom_P, units)
         restricted = []
         for coords in space.basis:
-            restriction = linear_combination(self.hom_P, coords).compose(lift.pres.syzygy_inclusion)
-            restricted.append(morphism_coords(lift.hom_syz, restriction))
-        return Subspace(F, len(lift.hom_syz), restricted)
+            restriction = linear_combination(self.hom_P, coords).compose(self.inclusion)
+            restricted.append(morphism_coords(self.hom_syz, restriction))
+        return self._as_images(Subspace(F, len(self.hom_syz), restricted))
 
 
 @pytest.mark.parametrize("fixture", ["sl2", "ce3", (3, 2), (3, 3), (3, 0), (4, 2), (4, 3), (4, 0), (5, 2), (5, 3), (5, 0)], ids=str)
-def test_lifting_matches_reference(fixture, request, auslander):
+def test_lifting_matches_reference(fixture, request, auslander, syzygy_block_solve):
     sys = request.getfixturevalue(fixture) if isinstance(fixture, str) else auslander(*fixture)
     # the tilting modules and, up to four weights, simples and standards, whose radicals cut deeper
     kinds = (sys.tilting, sys.simple, sys.standard) if len(sys.labels) <= 4 else (sys.tilting,)
@@ -332,7 +348,7 @@ def test_lifting_matches_reference(fixture, request, auslander):
             ell = loewy_length(M)
             for mu in side_sys.labels:
                 lift = PositionedLifting(side_sys, mu, M)
-                reference = _ReferenceLifting(lift, M)
+                reference = _ReferenceLifting(lift, M, syzygy_block_solve)
                 for s in range(-ell - 2, ell + 3):
                     assert lift.deep(s) == reference.deep(s), (M.name, mu, s)
                     assert lift.boundary(s) == reference.boundary(s), (M.name, mu, s)
@@ -346,8 +362,8 @@ def test_lifting_with_no_syzygy_maps(auslander, p):
     sys = auslander(3, p)
     T = sys.tilting("1")
     lift = PositionedLifting(sys, "1", T)
-    assert lift.hom_syz == []
     zero = Subspace(sys.algebra.field, 0)
+    assert lift.hom == zero
     for s in range(-2, 3):
         assert lift.deep(s) == zero and lift.boundary(s) == zero
         res = filtered_ext1_delta(sys, "1", s, T)
