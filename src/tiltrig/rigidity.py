@@ -23,10 +23,9 @@ from .modules import (
     Representation,
     SubFamily,
     all_submodules,
-    hom_combinations,
-    hom_space,
     is_rigid,
     loewy_length,
+    quotient_rep,
     radical_profile,
     radical_series,
     socle_of,
@@ -212,58 +211,18 @@ class BruteForceWitness:
         )
 
 
-def _filtered_iso_to_shifted_quotient(
-    sys: StandardSystem, lam: str, Q: Representation, induced: List[SubFamily]
-) -> bool:
-    """Is Q (with its induced chain) a shifted filtered quotient of P(lam)?"""
-    P = sys.projective(lam)
-    for U in all_submodules(P, max_total_dim=max(10, P.total_dim)):
-        if P.total_dim - U.total_dim != Q.total_dim:
-            continue
-        Pq, target_chain, _ = subquotient(P, SubFamily.full(P), U)
-        homs = hom_space(Q, Pq)
-        if not homs:
-            continue
-        ell_q, ell_p = len(induced), len(target_chain)
-        for r in range(-ell_p - 1, ell_q + 2):
-            dims_ok = True
-            for i in range(max(ell_q, ell_p + max(r, 0)) + 1):
-                a = _clamped(induced, i)
-                b = _clamped(target_chain, i - r)
-                if any(a.dim_at(v) != b.dim_at(v) for v in P.vertices):
-                    dims_ok = False
-                    break
-            if not dims_ok:
-                continue
-            for f in hom_combinations(homs):
-                if f.kernel().total_dim != 0:
-                    continue
-                compatible = True
-                for i in range(ell_q + 1):
-                    a = _clamped(induced, i)
-                    b = _clamped(target_chain, i - r)
-                    for v in P.vertices:
-                        for vec in a.spaces[v].basis:
-                            if not b.spaces[v].contains(f.mats[v].apply(vec)):
-                                compatible = False
-                                break
-                        if not compatible:
-                            break
-                    if not compatible:
-                        break
-                if compatible:
-                    return True
-    return False
-
-
 def stretched_subquotients_bruteforce(
     sys: StandardSystem, T: Representation, side: str = "delta-L", max_dim: int = 8
 ) -> List[BruteForceWitness]:
     """Enumerate subquotient pairs and test the defining conditions directly.
 
     Only usable over a small finite field; this is the definitional oracle the
-    layer criterion is compared against.
+    layer criterion is compared against.  The pairs (outer, inner) come from
+    the submodule lattice of T; the conditions on each subquotient Q and
+    socle line are read off tops and radical series.
     """
+    if side not in ("delta-L", "L-nabla"):
+        raise ValueError(f"unknown side {side!r}")
     if side == "L-nabla":
         dual, dual_sys = sys.dual_module(T)
         return stretched_subquotients_bruteforce(dual_sys, dual, side="delta-L", max_dim=max_dim)
@@ -276,11 +235,10 @@ def stretched_subquotients_bruteforce(
     subs = all_submodules(T, max_total_dim=max_dim)
     for outer in subs:
         for inner in subs:
-            if inner.total_dim >= outer.total_dim or not outer.contains(inner):
+            if outer.total_dim - inner.total_dim < 2 or not outer.contains(inner):
                 continue
             Q, induced, _ = subquotient(T, outer, inner)
-            if Q.total_dim < 2:
-                continue
+            rad_Q = radical_series(Q)
             soc = socle_of(Q, SubFamily(Q))
             for mu in Q.vertices:
                 seen_lines = set()
@@ -289,18 +247,18 @@ def stretched_subquotients_bruteforce(
                     if line in seen_lines or line.total_dim != 1:
                         continue
                     seen_lines.add(line)
-                    W, _, _ = subquotient(Q, SubFamily.full(Q), line)
-                    head = radical_profile(W)[0] if W.total_dim else None
-                    if head is None or sum(head.values()) != 1:
+                    W = quotient_rep(Q, line)[0]
+                    head = radical_profile(W)[0]
+                    if sum(head.values()) != 1:
                         continue
                     lam = next(iter(head))
                     if not sys.poset.less(lam, mu):
                         continue
                     if not _is_standard_quotient(sys, lam, W):
                         continue
-                    if _extension_splits(Q, line):
+                    if _extension_splits(rad_Q, line):
                         continue
-                    if _filtered_iso_to_shifted_quotient(sys, lam, Q, induced):
+                    if _filtered_iso_to_shifted_quotient(lam, induced, rad_Q):
                         continue
                     positions = _induced_positions(induced)
                     witnesses.append(
@@ -316,26 +274,35 @@ def stretched_subquotients_bruteforce(
 
 
 def _is_standard_quotient(sys: StandardSystem, lam: str, W: Representation) -> bool:
-    delta = sys.standard(lam)
-    if W.total_dim > delta.total_dim:
-        return False
-    homs = hom_space(delta, W)
-    if not homs:
-        return False
-    for f in hom_combinations(homs):
-        if f.image().total_dim == W.total_dim:
-            return True
-    return False
+    """Is W, whose top is L(lam), a quotient of Delta(lam)?
+
+    The kernel of P(lam) -> Delta(lam) is generated by the P(lam)_v with v
+    not <= lam, and P(lam) -> W is onto at every vertex, so it kills that
+    kernel exactly when W_v = 0 for every such v.
+    """
+    return all(W.dims[v] == 0 for v in W.vertices if not sys.poset.leq(v, lam))
 
 
-def _extension_splits(Q: Representation, line: SubFamily) -> bool:
-    for comp in all_submodules(Q, max_total_dim=max(10, Q.total_dim)):
-        if (
-            comp.total_dim == Q.total_dim - 1
-            and comp.intersect(line).total_dim == 0
-        ):
-            return True
-    return False
+def _extension_splits(rad_Q: List[SubFamily], line: SubFamily) -> bool:
+    """Does 0 -> line -> Q -> Q/line -> 0 split?  A simple submodule is a
+    direct summand exactly when it does not lie in the radical."""
+    return not rad_Q[1].contains(line)
+
+
+def _filtered_iso_to_shifted_quotient(lam: str, induced: List[SubFamily], rad_Q: List[SubFamily]) -> bool:
+    """Is Q, with its induced chain, a shifted filtered quotient of P(lam)?
+
+    Exactly when Q's top is L(lam) and the induced chain is Q's radical
+    series moved down r steps.  A surjection P(lam) -> Q carries rad^k P(lam)
+    onto rad^k Q, and an isomorphism keeps radical layers, so neither the
+    kernel of P(lam) -> Q nor the isomorphism matters.  Both chains end in
+    their only zero entry, so r can only be the difference of their lengths.
+    """
+    top, rad = rad_Q[0], rad_Q[1]
+    if any(top.dim_at(v) - rad.dim_at(v) != int(v == lam) for v in top.rep.vertices):
+        return False
+    r = len(induced) - len(rad_Q)
+    return all(induced[i] == _clamped(rad_Q, i - r) for i in range(len(induced)))
 
 
 def _induced_positions(induced: List[SubFamily]) -> List[Tuple[int, ...]]:

@@ -1,15 +1,20 @@
+import itertools
 from collections import Counter
 
 import pytest
 
-from tiltrig import highest_weight
+from tiltrig import highest_weight, rigidity
+from tiltrig.acceptance import _f2_fixture_sets
 from tiltrig.characters import layers_from_placement, projective_layers
 from tiltrig.highest_weight import FiltrationFailure, check_radical_respecting, find_delta_filtration
 from tiltrig.linalg import Mat, Subspace, kernel_basis, quotient_map, solve
 from tiltrig.modules import (
+    SubFamily,
     _path_map,
+    all_submodules,
     direct_sum,
     ext1,
+    hom_combinations,
     hom_space,
     is_rigid,
     linear_combination,
@@ -17,12 +22,19 @@ from tiltrig.modules import (
     radical_of,
     radical_profile,
     radical_series,
+    socle_of,
     spin_submodule,
+    subquotient,
+    subspace_vectors,
 )
 from tiltrig.rigidity import (
     MinimalPresentation,
     PositionedLifting,
     _clamped,
+    _extension_splits,
+    _filtered_iso_to_shifted_quotient,
+    _induced_positions,
+    _is_standard_quotient,
     detect_stretched,
     filtered_ext1_delta,
     positioned_lifting,
@@ -221,6 +233,13 @@ def test_enumerator_rejects_rationals(sl2):
         stretched_subquotients_bruteforce(sl2, sl2.tilting("2"), "delta-L")
 
 
+def test_enumerator_rejects_unknown_side(ce3):
+    T3 = ce3.tilting("3")
+    for run in (detect_stretched, stretched_subquotients_bruteforce):
+        with pytest.raises(ValueError, match="unknown side 'nabla-L'"):
+            run(ce3, T3, "nabla-L")
+
+
 def test_pipeline_sl2(sl2):
     rep = rigidity_pipeline(sl2, "2")
     assert rep["hypothesis"]["ok"]
@@ -368,3 +387,154 @@ def test_lifting_with_no_syzygy_maps(auslander, p):
         assert lift.deep(s) == zero and lift.boundary(s) == zero
         res = filtered_ext1_delta(sys, "1", s, T)
         assert (res.dim, res.cocycle_dim, res.boundary_dim) == (0, 0, 0)
+
+
+# -- the brute-force oracle's predicates against the enumerating references ------------
+
+
+def _reference_shifted_quotient(sys, lam, Q, induced):
+    """Q with its induced chain against every quotient P(lam)/U and every
+    injective map Q -> P(lam)/U that respects the chains up to a shift."""
+    P = sys.projective(lam)
+    for U in all_submodules(P, max_total_dim=max(10, P.total_dim)):
+        if P.total_dim - U.total_dim != Q.total_dim:
+            continue
+        Pq, target_chain, _ = subquotient(P, SubFamily.full(P), U)
+        homs = hom_space(Q, Pq)
+        if not homs:
+            continue
+        ell_q, ell_p = len(induced), len(target_chain)
+        for r in range(-ell_p - 1, ell_q + 2):
+            if any(
+                _clamped(induced, i).dim_at(v) != _clamped(target_chain, i - r).dim_at(v)
+                for i in range(max(ell_q, ell_p + max(r, 0)) + 1)
+                for v in P.vertices
+            ):
+                continue
+            for f in hom_combinations(homs):
+                if f.kernel().total_dim == 0 and all(
+                    _clamped(target_chain, i - r).spaces[v].contains(f.mats[v].apply(vec))
+                    for i in range(ell_q + 1)
+                    for v in P.vertices
+                    for vec in _clamped(induced, i).spaces[v].basis
+                ):
+                    return True
+    return False
+
+
+def _reference_standard_quotient(sys, lam, W):
+    """Some map Delta(lam) -> W is onto."""
+    delta = sys.standard(lam)
+    if W.total_dim > delta.total_dim:
+        return False
+    return any(f.image().total_dim == W.total_dim for f in hom_combinations(hom_space(delta, W)))
+
+
+def _reference_splits(Q, line):
+    """Some submodule of Q of codimension 1 meets the line in 0."""
+    return any(
+        comp.total_dim == Q.total_dim - 1 and comp.intersect(line).total_dim == 0
+        for comp in all_submodules(Q, max_total_dim=max(10, Q.total_dim))
+    )
+
+
+def _reference_witnesses(sys, T, outcomes):
+    """The oracle's enumeration with the enumerating predicates.  Each of the
+    three tests runs, with its reference, on every candidate that gets past
+    the head check; they must agree there.  `outcomes` counts the values."""
+    witnesses = []
+    subs = all_submodules(T, max_total_dim=8)
+    for outer, inner in itertools.product(subs, subs):
+        if inner.total_dim >= outer.total_dim or not outer.contains(inner):
+            continue
+        Q, induced, _ = subquotient(T, outer, inner)
+        if Q.total_dim < 2:
+            continue
+        rad_Q = radical_series(Q)
+        soc = socle_of(Q, SubFamily(Q))
+        for mu in Q.vertices:
+            seen_lines = set()
+            for w in subspace_vectors(soc.spaces[mu]):
+                line = SubFamily.from_vectors(Q, [(mu, w)])
+                if line in seen_lines or line.total_dim != 1:
+                    continue
+                seen_lines.add(line)
+                W, _, _ = subquotient(Q, SubFamily.full(Q), line)
+                head = radical_profile(W)[0]
+                if sum(head.values()) != 1:
+                    continue
+                lam = next(iter(head))
+                if not sys.poset.less(lam, mu):
+                    continue
+                standard = _reference_standard_quotient(sys, lam, W)
+                splits = _reference_splits(Q, line)
+                shifted = _reference_shifted_quotient(sys, lam, Q, induced)
+                case = (T.name, outer, inner, mu, w)
+                assert _is_standard_quotient(sys, lam, W) == standard, case
+                assert _extension_splits(rad_Q, line) == splits, case
+                assert _filtered_iso_to_shifted_quotient(lam, induced, rad_Q) == shifted, case
+                outcomes.update([("standard", standard), ("splits", splits), ("shifted", shifted)])
+                if standard and not splits and not shifted:
+                    outer_dims, inner_dims = (tuple(fam.dim_at(v) for v in T.vertices) for fam in (outer, inner))
+                    witnesses.append((outer_dims, inner_dims, lam, mu, _induced_positions(induced)))
+    return witnesses
+
+
+def _f2_cases(dual_extension, auslander):
+    """(system, module) pairs: the bundled F_2 fixtures, every T, P, Delta and
+    nabla of the Auslander algebras n = 2, 3 over F_2, and every T, P,
+    Delta, nabla and L of dimension <= 8 of dual extension seeds 0, 3, 7."""
+    for sys, fixtures in _f2_fixture_sets():
+        yield from ((sys, M) for M in fixtures.values())
+    for n in (2, 3):
+        sys = auslander(n, 2)
+        kinds = (sys.tilting, sys.projective, sys.standard, sys.costandard)
+        yield from ((sys, f(lam)) for lam in sys.labels for f in kinds)
+    for seed in (0, 3, 7):
+        sys = dual_extension(seed, 2)
+        kinds = (sys.tilting, sys.projective, sys.standard, sys.costandard, sys.simple)
+        yield from ((sys, M) for lam in sys.labels for M in (f(lam) for f in kinds) if M.total_dim <= 8)
+
+
+def test_bruteforce_predicates_match_references(monkeypatch, dual_extension, auslander):
+    lattices = []
+
+    def recorded_lattice(M, max_total_dim=10):
+        lattices.append(M)
+        return all_submodules(M, max_total_dim)
+
+    monkeypatch.setattr(rigidity, "all_submodules", recorded_lattice)
+    cases, witness_cases, outcomes = 0, 0, Counter()
+    for sys, M in _f2_cases(dual_extension, auslander):
+        dual, dual_sys = sys.dual_module(M)
+        for side, side_sys, N in (("delta-L", sys, M), ("L-nabla", dual_sys, dual)):
+            lattices.clear()
+            found = [
+                (w.outer_dims, w.inner_dims, w.label, w.mu, w.positions)
+                for w in stretched_subquotients_bruteforce(sys, M, side)
+            ]
+            # the oracle enumerates the submodule lattice of the module under test only
+            assert len(lattices) == 1 and lattices[0].dims == N.dims
+            assert found == _reference_witnesses(side_sys, N, outcomes), (M.name, side)
+            cases, witness_cases = cases + 1, witness_cases + bool(found)
+    # every test took both values somewhere, and two cases have witnesses
+    assert set(outcomes) == {(name, value) for name in ("standard", "splits", "shifted") for value in (True, False)}
+    assert (cases, witness_cases) == (182, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 7, 11, 13, 14])
+def test_detector_agrees_with_bruteforce_on_dual_extensions(seed, dual_extension):
+    # seed 10 is left out: building its tilting modules takes minutes
+    sys = dual_extension(seed, 2)
+    kinds = (sys.tilting, sys.projective, sys.standard, sys.costandard, sys.simple)
+    witness_cases = []
+    for M in (f(lam) for lam in sys.labels for f in kinds):
+        if M.total_dim > 8:
+            continue
+        for side in ("delta-L", "L-nabla"):
+            witnesses = stretched_subquotients_bruteforce(sys, M, side)
+            assert detect_stretched(sys, M, side).ok == (not witnesses), (M.name, side)
+            if witnesses:
+                witness_cases.append((M.name, side))
+    # seed 2 reaches the detector's failure branch
+    assert len(witness_cases) == (4 if seed == 2 else 0)

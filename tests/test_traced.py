@@ -13,10 +13,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_rigidity_check_records_spans(tmp_path):
+def _traced(tmp_path, argv):
+    """Run the CLI under the trace harness: the process and its span names."""
     spans_out = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = ["--format", "json", "rigidity", "check", "src/tiltrig/data/ce3.alg", "--weight", "3"]
     proc = subprocess.run(
         [sys.executable, "benchmarks/traced.py", "--spans-out", str(spans_out), "--", *argv],
         cwd=ROOT,
@@ -25,9 +25,21 @@ def test_traced_rigidity_check_records_spans(tmp_path):
         text=True,
         timeout=120,
     )
+    assert "Traceback" not in proc.stderr
+    return proc, {span[2] for span in json.loads(spans_out.read_text(encoding="utf-8"))["spans"]}
+
+
+def test_traced_rigidity_check_records_spans(tmp_path):
+    argv = ["--format", "json", "rigidity", "check", "src/tiltrig/data/ce3.alg", "--weight", "3"]
+    proc, names = _traced(tmp_path, argv)
     # ce3's T(3) is not rigid, so the verdict is false
     assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["rigid_oracle"] is False
-    names = {span[2] for span in json.loads(spans_out.read_text(encoding="utf-8"))["spans"]}
     assert {"rigidity.MinimalPresentation", "modules.ext1"} <= names
+
+
+def test_traced_selftest_records_bruteforce_spans(tmp_path):
+    # the benchmark's per-layer time of the brute-force oracle is read off these spans
+    proc, names = _traced(tmp_path, ["selftest"])
+    assert proc.returncode == 0, proc.stderr
+    assert "rigidity.stretched_subquotients_bruteforce" in names
