@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 from typing import Callable, List, Tuple
 
 from .linalg import Field, Mat, Subspace, kernel_basis, rref
@@ -62,10 +63,13 @@ arrow d 2 3
 SL2_REVERSED = SL2_BLOCK.replace("order 1 < 2", "order 2 < 1")
 
 
+# Each fixture system is built once per process; its memo then serves every criterion.
+@lru_cache(maxsize=None)
 def _sl2_system(characteristic: int = 0) -> StandardSystem:
     text = SL2_BLOCK if characteristic == 0 else SL2_BLOCK.replace("field 0", f"field {characteristic}")
     return StandardSystem(parse_alg_text(text, name="sl2block"))
 
+@lru_cache(maxsize=None)
 def _ce3_system() -> StandardSystem:
     return StandardSystem(parse_alg_text(CE3_BLOCK, name="ce3"))
 
@@ -233,15 +237,16 @@ def criterion_6_property_suites() -> Tuple[bool, str]:
         mods = {lam: sys.tilting(lam) for lam in sys.labels}
         mods.update({f"P{lam}": sys.projective(lam) for lam in sys.labels})
         mods.update({f"D{lam}": sys.standard(lam) for lam in sys.labels})
+        nabla = {name: nabla_multiplicities(sys, N) for name, N in mods.items()}
         for name_m, M in mods.items():
             filt = find_delta_filtration(sys, M)
             if isinstance(filt, FiltrationFailure):
                 continue
+            dmults = filt.multiplicities()
             for name_n, N in mods.items():
-                nmults = nabla_multiplicities(sys, N)
+                nmults = nabla[name_n]
                 if nmults is None:
                     continue
-                dmults = filt.multiplicities()
                 predicted = sum(dmults[l] * nmults[l] for l in sys.labels)
                 actual = len(hom_space(M, N))
                 if predicted != actual:

@@ -19,8 +19,8 @@ from . import characters as ch
 from .coeffquiver import extract, render
 from .highest_weight import StandardSystem, check_bgg, check_quasihereditary
 from .linalg import Field
-from .modules import ModuleError, format_profile, load_rep, radical_profile, socle_profile
-from .quiver import AlgParseError, QuiverError, load_alg
+from .modules import format_profile, load_rep, radical_profile, socle_profile
+from .quiver import load_alg
 from .rigidity import rigidity_pipeline
 
 
@@ -151,7 +151,10 @@ def _parse_mults(text: str) -> Counter:
         if not item:
             continue
         label, star, count = item.partition("*")
-        out[label.strip()] += int(count) if star else 1
+        try:
+            out[label.strip()] += int(count) if star else 1
+        except ValueError:
+            raise CliError(f"multiplicity {count.strip()!r} in {item!r} is not an integer", 2) from None
     return out
 
 
@@ -290,7 +293,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (AlgParseError, QuiverError, ModuleError, ch.BlockError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every library error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -333,7 +333,7 @@ def delta_filtration_from_chain(
     for below, above in zip(chain, chain[1:]):
         if not above.contains(below):
             raise ModuleError("chain is not nested")
-        Q, _, _ = subquotient(M, above, below)
+        Q, _, _ = subquotient(M, above, below, rad)
         head = radical_profile(Q)[0]
         if sum(head.values()) != 1:
             raise ModuleError("chain step does not have a simple head")

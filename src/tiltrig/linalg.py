@@ -400,7 +400,10 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Mat.identity(field, ambient).data)
+        """K^n, whose rref basis is the identity: no elimination needed."""
+        sub = cls(field, ambient)
+        sub.basis, sub.pivots = Mat.identity(field, ambient).data, list(range(ambient))
+        return sub
 
     @property
     def dim(self) -> int:

@@ -548,12 +548,13 @@ def is_rigid(M: Representation) -> Tuple[bool, Optional[dict]]:
 
 
 def subquotient(
-    M: Representation, outer: SubFamily, inner: SubFamily
+    M: Representation, outer: SubFamily, inner: SubFamily, rad_M: Optional[List[SubFamily]] = None
 ) -> Tuple[Representation, List[SubFamily], Morphism]:
     """outer/inner with the induced filtration (rad^i M cap outer + inner)/inner.
 
     Returns the subquotient representation, the induced chain expressed in the
     subquotient's own coordinates, and the projection outer_rep -> subquotient.
+    A caller that already has the radical series of M passes it as `rad_M`.
     """
     if not inner.is_stable() or not outer.is_stable():
         raise ModuleError("subquotient inputs must be arrow-stable")
@@ -573,7 +574,7 @@ def subquotient(
     )
     quot, proj = quotient_rep(outer_rep, inner_in_outer)
     induced: List[SubFamily] = []
-    for rad_i in radical_series(M):
+    for rad_i in radical_series(M) if rad_M is None else rad_M:
         meet = rad_i.intersect(outer)
         vecs = []
         for v in M.vertices:
@@ -745,6 +746,8 @@ def all_submodules(M: Representation, max_total_dim: int = 10) -> List[SubFamily
         new = set()
         for a in frontier:
             for b in cyclics:
+                if a.contains(b):  # a + b = a is already in the lattice
+                    continue
                 s = a.sum(b)
                 if s not in lattice:
                     lattice.add(s)

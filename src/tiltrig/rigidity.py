@@ -25,12 +25,11 @@ from .modules import (
     all_submodules,
     is_rigid,
     loewy_length,
-    quotient_rep,
+    radical_of,
     radical_profile,
     radical_series,
     socle_of,
     subquotient,
-    subspace_vectors,
 )
 from .highest_weight import MinimalPresentation, StandardSystem, check_radical_respecting
 
@@ -218,8 +217,9 @@ def stretched_subquotients_bruteforce(
 
     Only usable over a small finite field; this is the definitional oracle the
     layer criterion is compared against.  The pairs (outer, inner) come from
-    the submodule lattice of T; the conditions on each subquotient Q and
-    socle line are read off tops and radical series.
+    the submodule lattice of T.  The head and standard-quotient tests are read
+    off Q's top and dimension vector before Q is built; the shifted-quotient
+    test then runs once per pair and the splitting test on the socle line.
     """
     if side not in ("delta-L", "L-nabla"):
         raise ValueError(f"unknown side {side!r}")
@@ -232,55 +232,59 @@ def stretched_subquotients_bruteforce(
         raise ModuleError(f"module too large for brute force (dim {T.total_dim} > {max_dim})")
 
     witnesses: List[BruteForceWitness] = []
+    rad_T = radical_series(T)
     subs = all_submodules(T, max_total_dim=max_dim)
     for outer in subs:
+        rad_outer = radical_of(T, outer)  # rad Q = (J outer + inner)/inner
         for inner in subs:
             if outer.total_dim - inner.total_dim < 2 or not outer.contains(inner):
                 continue
-            Q, induced, _ = subquotient(T, outer, inner)
+            top = {v: outer.dim_at(v) - rad_outer.spaces[v].sum(inner.spaces[v]).dim for v in T.vertices}
+            dims = {v: outer.dim_at(v) - inner.dim_at(v) for v in T.vertices}
+            weights = _witness_weights(sys, top, dims)
+            if weights is None:
+                continue
+            lam, mu = weights
+            Q, induced, _ = subquotient(T, outer, inner, rad_T)
             rad_Q = radical_series(Q)
-            soc = socle_of(Q, SubFamily(Q))
-            for mu in Q.vertices:
-                seen_lines = set()
-                for w in subspace_vectors(soc.spaces[mu]):
-                    line = SubFamily.from_vectors(Q, [(mu, w)])
-                    if line in seen_lines or line.total_dim != 1:
-                        continue
-                    seen_lines.add(line)
-                    W = quotient_rep(Q, line)[0]
-                    head = radical_profile(W)[0]
-                    if sum(head.values()) != 1:
-                        continue
-                    lam = next(iter(head))
-                    if not sys.poset.less(lam, mu):
-                        continue
-                    if not _is_standard_quotient(sys, lam, W):
-                        continue
-                    if _extension_splits(rad_Q, line):
-                        continue
-                    if _filtered_iso_to_shifted_quotient(lam, induced, rad_Q):
-                        continue
-                    positions = _induced_positions(induced)
-                    witnesses.append(
-                        BruteForceWitness(
-                            tuple(outer.dim_at(v) for v in T.vertices),
-                            tuple(inner.dim_at(v) for v in T.vertices),
-                            lam,
-                            mu,
-                            positions,
-                        )
-                    )
+            if _filtered_iso_to_shifted_quotient(lam, induced, rad_Q):
+                continue
+            # Q_mu is a line, so the socle line at mu is the only candidate
+            line = SubFamily(Q, {mu: socle_of(Q, SubFamily(Q)).spaces[mu]})
+            if line.is_zero() or _extension_splits(rad_Q, line):
+                continue
+            outer_dims, inner_dims = (tuple(fam.dim_at(v) for v in T.vertices) for fam in (outer, inner))
+            witnesses.append(BruteForceWitness(outer_dims, inner_dims, lam, mu, _induced_positions(induced)))
     return witnesses
 
 
-def _is_standard_quotient(sys: StandardSystem, lam: str, W: Representation) -> bool:
-    """Is W, whose top is L(lam), a quotient of Delta(lam)?
+def _witness_weights(sys: StandardSystem, top: Dict[str, int], dims: Dict[str, int]) -> Optional[Tuple[str, str]]:
+    """The (lam, mu) of a possible witness in a subquotient Q with this top
+    and dimension vector, or None when Q can carry none.
+
+    A witness line at mu lies in rad Q (else the extension splits), so Q/line
+    has Q's top and dimension vector dims - e_mu: the head test asks for top
+    L(lam) with lam < mu, the standard-quotient test for dims - e_mu to
+    vanish off {v <= lam}.  Then dim Q_mu = 1, so at most one mu qualifies.
+    """
+    head = [v for v, d in top.items() if d]
+    if len(head) != 1 or top[head[0]] != 1:
+        return None
+    lam = head[0]
+    for mu, d in dims.items():
+        if d == 1 and sys.poset.less(lam, mu) and _is_standard_quotient(sys, lam, {**dims, mu: 0}):
+            return lam, mu
+    return None
+
+
+def _is_standard_quotient(sys: StandardSystem, lam: str, dims: Dict[str, int]) -> bool:
+    """Is a module W with top L(lam) and dimension vector `dims` a quotient of Delta(lam)?
 
     The kernel of P(lam) -> Delta(lam) is generated by the P(lam)_v with v
     not <= lam, and P(lam) -> W is onto at every vertex, so it kills that
     kernel exactly when W_v = 0 for every such v.
     """
-    return all(W.dims[v] == 0 for v in W.vertices if not sys.poset.leq(v, lam))
+    return all(d == 0 for v, d in dims.items() if not sys.poset.leq(v, lam))
 
 
 def _extension_splits(rad_Q: List[SubFamily], line: SubFamily) -> bool:

@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import json
+import pkgutil
 from importlib import resources
 
 import pytest
 
+import tiltrig
 from tiltrig.cli import main
 
 
@@ -203,6 +207,26 @@ def test_sl4_homdim(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, "sl4", "homdim", "3", "5,4,fl,fl',3,3'")
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("mults,count", [("4*x", "x"), ("4*", "")])
+def test_sl4_homdim_bad_multiplicity_is_located(capsys, mults, count):
+    code, _, err = run(capsys, "sl4", "homdim", mults, "3")
+    assert code == 2 and f"multiplicity {count!r} in {mults!r} is not an integer" in err
+
+
+def test_library_errors_are_value_errors():
+    # main reports OSError and ValueError as exit 2; any other library error
+    # class would end a command in a traceback
+    classes = set()
+    for info in pkgutil.iter_modules(tiltrig.__path__):
+        module = importlib.import_module(f"tiltrig.{info.name}")
+        classes.update(
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        )
+    assert {cls.__name__ for cls in classes} >= {"ModuleError", "QuiverError", "AlgParseError", "BlockError"}
+    assert [cls.__name__ for cls in classes if not issubclass(cls, ValueError)] == ["CliError"]
 
 
 def test_render_dot(capsys, dot_is_wellformed):

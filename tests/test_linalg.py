@@ -76,6 +76,15 @@ def test_subspace_canonical_equality():
     assert a == b
 
 
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_full_subspace_is_the_reduced_identity(p):
+    F = Field(p)
+    for n in range(5):
+        full = Subspace.full(F, n)
+        eliminated = Subspace(F, n, [[F.of(int(i == j)) for j in range(n)] for i in range(n)])
+        assert (full.basis, full.pivots) == (eliminated.basis, eliminated.pivots)
+
+
 def test_coords_and_complement():
     Q = Field(0)
     U = Subspace(Q, 3, [[1, 0, 1]])

@@ -470,7 +470,7 @@ def _reference_witnesses(sys, T, outcomes):
                 splits = _reference_splits(Q, line)
                 shifted = _reference_shifted_quotient(sys, lam, Q, induced)
                 case = (T.name, outer, inner, mu, w)
-                assert _is_standard_quotient(sys, lam, W) == standard, case
+                assert _is_standard_quotient(sys, lam, W.dims) == standard, case
                 assert _extension_splits(rad_Q, line) == splits, case
                 assert _filtered_iso_to_shifted_quotient(lam, induced, rad_Q) == shifted, case
                 outcomes.update([("standard", standard), ("splits", splits), ("shifted", shifted)])
@@ -520,6 +520,23 @@ def test_bruteforce_predicates_match_references(monkeypatch, dual_extension, aus
     # every test took both values somewhere, and two cases have witnesses
     assert set(outcomes) == {(name, value) for name in ("standard", "splits", "shifted") for value in (True, False)}
     assert (cases, witness_cases) == (182, 2)
+
+
+def test_bruteforce_builds_only_screened_subquotients(monkeypatch):
+    # Q is built only when its top and dimension vector admit a witness:
+    # 42 of the 126 pairs of codimension >= 2 of the bundled F_2 fixtures
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return subquotient(*args)
+
+    monkeypatch.setattr(rigidity, "subquotient", counted)
+    for sys, fixtures in _f2_fixture_sets():
+        for M in fixtures.values():
+            for side in ("delta-L", "L-nabla"):
+                stretched_subquotients_bruteforce(sys, M, side)
+    assert len(built) == 42
 
 
 @pytest.mark.parametrize("seed", [0, 2, 3, 7, 11, 13, 14])
