@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, solve
-from .modules import Representation, radical_series
+from .linalg import Mat, solve
+from .modules import Representation, SubFamily, flag_complements, radical_series
 
 
 class CQNode:
@@ -55,22 +55,12 @@ def extract(M: Representation) -> CoefficientQuiver:
     multiset per layer equals the Loewy profile.
     """
     F = M.field
-    chain = radical_series(M)
-    basis_vectors: Dict[str, List[Tuple[list, int]]] = {v: [] for v in M.vertices}
-    for v in M.vertices:
-        current = Subspace(F, M.dims[v])
-        picked: List[Tuple[list, int]] = []
-        for depth in range(len(chain) - 2, -1, -1):
-            target = chain[depth].spaces[v]
-            for vec in current.complement_in(target):
-                picked.append((vec, depth))
-            current = target
-        basis_vectors[v] = picked
+    basis_vectors = flag_complements(radical_series(M), SubFamily(M))
 
     nodes: List[CQNode] = []
     index: Dict[Tuple[str, int], int] = {}
     for v in M.vertices:
-        for k, (vec, depth) in enumerate(basis_vectors[v]):
+        for k, (depth, vec) in enumerate(basis_vectors[v]):
             index[(v, k)] = len(nodes)
             nodes.append(CQNode(len(nodes), v, depth, vector=vec))
 
@@ -78,8 +68,8 @@ def extract(M: Representation) -> CoefficientQuiver:
     for a, (u, w) in M.algebra.quiver.arrows.items():
         if M.dims[u] == 0 or M.dims[w] == 0:
             continue
-        B = Mat.from_cols(F, [vec for vec, _ in basis_vectors[w]])
-        for j, (vec, _) in enumerate(basis_vectors[u]):
+        B = Mat.from_cols(F, [vec for _, vec in basis_vectors[w]])
+        for j, (_, vec) in enumerate(basis_vectors[u]):
             img = M.mats[a].apply(vec)
             coords = solve(B, img)
             if coords is None:

@@ -238,11 +238,12 @@ class StandardSystem:
                 )
 
     def dual_module(self, M: Representation) -> Tuple[Representation, "StandardSystem"]:
-        """Duality image of M together with the system it lives over."""
+        """Duality image of M together with the system it lives over, built
+        once per module (keyed by identity) so its liftings are reused."""
         if self.algebra.duality_pairs is not None:
-            return dualize(M), self
+            return self.memo(("dual", M), lambda: (dualize(M), self))
         op = self.op_system()
-        return transpose_to_opposite(M, op.algebra), op
+        return self.memo(("dual", M), lambda: (transpose_to_opposite(M, op.algebra), op))
 
     def memo(self, key, build):
         """The object stored under key, built on first request."""
@@ -254,7 +255,7 @@ class StandardSystem:
 # -- Delta-filtrations ------------------------------------------------------------
 
 
-def _step(M: Representation, rad: List[SubFamily], lam: str, below: SubFamily, above: SubFamily) -> DeltaStep:
+def _step(M: Representation, lam: str, below: SubFamily, above: SubFamily) -> DeltaStep:
     """The standard step above/below at lam, shifted by the depth of its head class.
 
     The head class is a complement x of below + J above at lam, and its depth
@@ -264,7 +265,7 @@ def _step(M: Representation, rad: List[SubFamily], lam: str, below: SubFamily, a
     comp = below.sum(radical_of(M, above)).spaces[lam].complement_in(above.spaces[lam])
     if not comp:
         raise ModuleError("could not locate the step head")
-    s = 0
+    rad, s = radical_series(M), 0
     while s + 1 < len(rad) and rad[s + 1].spaces[lam].sum(below.spaces[lam]).contains(comp[0]):
         s += 1
     return DeltaStep(lam, s)
@@ -287,7 +288,6 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
     Returns a DeltaFiltration, or a FiltrationFailure whose trace witness
     shows the obstruction (greedy failure at a maximal weight is conclusive).
     """
-    rad = radical_series(M)
     chain: List[SubFamily] = [SubFamily(M)]
     steps: List[DeltaStep] = []
     while chain[-1].total_dim < M.total_dim:
@@ -313,7 +313,7 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
             )
         for partial in partials:
             above = _preimage_family(M, proj, partial)
-            steps.append(_step(M, rad, lam, chain[-1], above))
+            steps.append(_step(M, lam, chain[-1], above))
             chain.append(above)
     return DeltaFiltration(M, steps, chain)
 
@@ -328,12 +328,11 @@ def delta_filtration_from_chain(
     """
     if chain[0].total_dim != 0 or chain[-1].total_dim != M.total_dim:
         raise ModuleError("chain must run from 0 to the whole module")
-    rad = radical_series(M)
     steps: List[DeltaStep] = []
     for below, above in zip(chain, chain[1:]):
         if not above.contains(below):
             raise ModuleError("chain is not nested")
-        Q, _, _ = subquotient(M, above, below, rad)
+        Q, _, _ = subquotient(M, above, below)
         head = radical_profile(Q)[0]
         if sum(head.values()) != 1:
             raise ModuleError("chain step does not have a simple head")
@@ -343,7 +342,7 @@ def delta_filtration_from_chain(
             g.image().total_dim == Q.total_dim for g in hom_space(delta, Q)
         ):
             raise ModuleError(f"chain step is not a standard module at weight {lam}")
-        steps.append(_step(M, rad, lam, below, above))
+        steps.append(_step(M, lam, below, above))
     return DeltaFiltration(M, steps, list(chain))
 
 

@@ -28,6 +28,7 @@ class Representation:
     The matrix of arrow a: u -> w has shape (dim w) x (dim u); a path acts by
     multiplying its arrow matrices in traversal order (first arrow applied
     first).  Construction checks shapes and that every relation acts by zero.
+    A module never changes afterwards, so `radical_series` keeps its chain on it.
     """
 
     # vertex -> ordered basis paths, set by `projective_rep` on P(v) only
@@ -50,6 +51,7 @@ class Representation:
                 )
             self.mats[a] = m
         self._path_cache: Dict[Path, Mat] = {}
+        self._radical_series: Optional[Tuple["SubFamily", ...]] = None
         self._check_relations()
 
     # -- basics --------------------------------------------------------------
@@ -455,12 +457,28 @@ def radical_of(M: Representation, fam: SubFamily) -> SubFamily:
     return SubFamily.from_vectors(M, vectors)
 
 
-def radical_series(M: Representation) -> List[SubFamily]:
-    """Descending chain M = rad^0 > rad^1 > ... > 0 (last entry zero)."""
-    chain = [SubFamily.full(M)]
-    while not chain[-1].is_zero():
-        chain.append(radical_of(M, chain[-1]))
-    return chain
+def radical_series(M: Representation) -> Tuple[SubFamily, ...]:
+    """Descending chain M = rad^0 > rad^1 > ... > 0 (last entry zero), built
+    once and kept on M; callers must not change M or the families."""
+    if M._radical_series is None:
+        chain = [SubFamily.full(M)]
+        while not chain[-1].is_zero():
+            chain.append(radical_of(M, chain[-1]))
+        M._radical_series = tuple(chain)
+    return M._radical_series
+
+
+def flag_complements(flag: Sequence[SubFamily], bottom: SubFamily) -> Dict[str, List[Tuple[int, list]]]:
+    """Complements up a descending flag, deepest first, each with its depth:
+    at each vertex the vectors of depth d extend flag[d+1] (or `bottom`, inside
+    every flag[d], for the last d) to flag[d]; a basis of flag[0] mod bottom."""
+    out: Dict[str, List[Tuple[int, list]]] = {}
+    for v in bottom.rep.vertices:
+        current, out[v] = bottom.spaces[v], []
+        for depth in range(len(flag) - 1, -1, -1):
+            out[v].extend((depth, vec) for vec in current.complement_in(flag[depth].spaces[v]))
+            current = flag[depth].spaces[v]
+    return out
 
 
 def socle_of(M: Representation, inner: SubFamily) -> SubFamily:
@@ -547,14 +565,12 @@ def is_rigid(M: Representation) -> Tuple[bool, Optional[dict]]:
     return True, None
 
 
-def subquotient(
-    M: Representation, outer: SubFamily, inner: SubFamily, rad_M: Optional[List[SubFamily]] = None
-) -> Tuple[Representation, List[SubFamily], Morphism]:
+def subquotient(M: Representation, outer: SubFamily, inner: SubFamily) -> Tuple[Representation, List[SubFamily], Morphism]:
     """outer/inner with the induced filtration (rad^i M cap outer + inner)/inner.
 
     Returns the subquotient representation, the induced chain expressed in the
     subquotient's own coordinates, and the projection outer_rep -> subquotient.
-    A caller that already has the radical series of M passes it as `rad_M`.
+    The radical series of M is the one kept on M, built once.
     """
     if not inner.is_stable() or not outer.is_stable():
         raise ModuleError("subquotient inputs must be arrow-stable")
@@ -574,7 +590,7 @@ def subquotient(
     )
     quot, proj = quotient_rep(outer_rep, inner_in_outer)
     induced: List[SubFamily] = []
-    for rad_i in radical_series(M) if rad_M is None else rad_M:
+    for rad_i in radical_series(M):
         meet = rad_i.intersect(outer)
         vecs = []
         for v in M.vertices:
@@ -640,8 +656,8 @@ class ProjectiveCover:
     Summand i is P(v_i) for a head basis vector of M at v_i = heads[i]; its
     idempotent goes to a lift of that vector.  Column c of P0 at vertex w is
     the basis path p of summand i, where columns[w][c] = (i, p).  At each
-    vertex the generators are taken deepest first: those of depth d extend
-    (Omega cap rad^(d+1) P0) + rad Omega to (Omega cap rad^d P0) + rad Omega.
+    vertex the generators are taken deepest first (`flag_complements`): those of
+    depth d extend (Omega cap rad^(d+1) P0) + rad Omega to (Omega cap rad^d P0) + rad Omega.
     They generate Omega, so a map out of Omega is known by their images, and
     Omega is (+) P(v_j) modulo the relations: the kernel of e_j |-> v_j,
     whose columns at w are paths[w] = [(j, p)], with the matrix path_images[w].
@@ -659,16 +675,11 @@ class ProjectiveCover:
         if not cover.is_surjective():
             raise ModuleError("projective cover failed to surject")
         self.syzygy = cover.kernel()
-        rad_P0 = radical_series(self.P0)
         rad_syz = radical_of(self.P0, self.syzygy)
-        self.generators: List[PositionedGenerator] = []
-        for v in M.vertices:
-            current = rad_syz.spaces[v]
-            for depth in range(len(rad_P0) - 1, -1, -1):
-                slab = self.syzygy.spaces[v].intersect(rad_P0[depth].spaces[v]).sum(rad_syz.spaces[v])
-                for vec in current.complement_in(slab):
-                    self.generators.append(PositionedGenerator(v, depth, vec))
-                current = slab
+        flag = [self.syzygy.intersect(rad_d).sum(rad_syz) for rad_d in radical_series(self.P0)]
+        self.generators = [
+            PositionedGenerator(v, depth, vec) for v, picked in flag_complements(flag, rad_syz).items() for depth, vec in picked
+        ]
         self.paths, self.path_images = _path_map(self.P0, [(g.label, g.vector) for g in self.generators])
         self.relations = {w: kernel_basis(self.path_images[w]) for w in M.vertices}
         for w in M.vertices:  # the rank of e_j |-> v_j at w must be dim Omega_w

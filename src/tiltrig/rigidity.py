@@ -7,7 +7,9 @@ Filtered Ext^1 and the stretched-subquotient detector read the same
 positioned cocycle and boundary spaces of the minimal presentation of
 Delta(lam).  A `PositionedLifting` holds them for one (lam, T) and builds
 each shift's spaces on first use; it and the `MinimalPresentation` of each
-weight live in the `StandardSystem` memo, so each is built once per system.
+weight live in the `StandardSystem` memo, so each is built once per system,
+as is the duality image the L-nabla side runs on.  Every radical series
+read here is the one kept on its module, built once and never changed.
 
 Shift conventions: a map of shift r sends rad^i of the source into rad^(i+r)
 of the target; head shifts in filtrations are non-negative radical depths.
@@ -15,7 +17,7 @@ of the target; head shifts in filtrations are non-negative radical depths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Subspace
 from .modules import (
@@ -34,7 +36,7 @@ from .modules import (
 from .highest_weight import MinimalPresentation, StandardSystem, check_radical_respecting
 
 
-def _clamped(chain: List[SubFamily], i: int) -> SubFamily:
+def _clamped(chain: Sequence[SubFamily], i: int) -> SubFamily:
     return chain[min(max(i, 0), len(chain) - 1)]
 
 
@@ -47,17 +49,16 @@ class PositionedLifting:
     Reads the system's presentation P(lam) -> Delta(lam) (a
     `MinimalPresentation`) and works on its generators v_j, of depth m_j:
     a map f out of the syzygy is known by the images f(v_j), so every space
-    here lives in (+) T_{v_j}.  Holds Hom(syzygy, T), the radical series of
-    T (rad^k T = J^k T, as `radical_series` builds it as J rad^(k-1) T) and
-    the restrictions of the maps P(lam) -> T.  The spaces of a shift are
-    built the first time that shift is asked for.
+    here lives in (+) T_{v_j}.  Holds Hom(syzygy, T) and the restrictions
+    of the maps P(lam) -> T, and reads the radical series kept on T
+    (rad^k T = J^k T, as `radical_series` builds it as J rad^(k-1) T).  The
+    spaces of a shift are built the first time that shift is asked for.
     """
 
     def __init__(self, sys: StandardSystem, lam: str, T: Representation):
         self.pres: MinimalPresentation = sys.presentation(lam)
-        self.lam = lam
+        self.lam, self.T = lam, T
         self.hom = self.pres.hom(T)
-        self.rad_T = radical_series(T)
         self._read = self.pres.read_off(T)
         self._deep: Dict[int, Subspace] = {}
         self._boundary: Dict[int, Subspace] = {}
@@ -74,7 +75,7 @@ class PositionedLifting:
         if shift not in self._deep:
             F, n, vectors, pos = self.hom.field, self.hom.ambient, [], 0
             for g in self.pres.generators:  # (+)_j rad^(m_j+shift) T_{v_j}
-                depth = _clamped(self.rad_T, g.depth + shift).spaces[g.label]
+                depth = _clamped(radical_series(self.T), g.depth + shift).spaces[g.label]
                 vectors.extend([F.zero] * pos + row + [F.zero] * (n - pos - depth.ambient) for row in depth.basis)
                 pos += depth.ambient
             self._deep[shift] = self.hom.intersect(Subspace(F, n, vectors))
@@ -90,7 +91,7 @@ class PositionedLifting:
         """
         shift = max(shift, 0)
         if shift not in self._boundary:
-            basis = _clamped(self.rad_T, shift).spaces[self.lam].basis
+            basis = _clamped(radical_series(self.T), shift).spaces[self.lam].basis
             self._boundary[shift] = Subspace(self.hom.field, self.hom.ambient, [self._read.apply(x) for x in basis])
         return self._boundary[shift]
 
@@ -177,10 +178,10 @@ def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-
         return StretchReport("L-nabla", inner.entries)
 
     entries: List[StretchEntry] = []
+    ell = loewy_length(T)
     for lam in sys.labels:
         lift = positioned_lifting(sys, lam, T)
         restr_all = lift.boundary(0)
-        ell = len(lift.rad_T) - 1
         G = [lift.deep(s).intersect(restr_all) for s in range(ell + 2)]
         for s in range(ell + 1):
             span = lift.boundary(s).sum(G[s + 1])
@@ -232,7 +233,6 @@ def stretched_subquotients_bruteforce(
         raise ModuleError(f"module too large for brute force (dim {T.total_dim} > {max_dim})")
 
     witnesses: List[BruteForceWitness] = []
-    rad_T = radical_series(T)
     subs = all_submodules(T, max_total_dim=max_dim)
     for outer in subs:
         rad_outer = radical_of(T, outer)  # rad Q = (J outer + inner)/inner
@@ -245,7 +245,7 @@ def stretched_subquotients_bruteforce(
             if weights is None:
                 continue
             lam, mu = weights
-            Q, induced, _ = subquotient(T, outer, inner, rad_T)
+            Q, induced, _ = subquotient(T, outer, inner)
             rad_Q = radical_series(Q)
             if _filtered_iso_to_shifted_quotient(lam, induced, rad_Q):
                 continue
@@ -287,13 +287,13 @@ def _is_standard_quotient(sys: StandardSystem, lam: str, dims: Dict[str, int]) -
     return all(d == 0 for v, d in dims.items() if not sys.poset.leq(v, lam))
 
 
-def _extension_splits(rad_Q: List[SubFamily], line: SubFamily) -> bool:
+def _extension_splits(rad_Q: Sequence[SubFamily], line: SubFamily) -> bool:
     """Does 0 -> line -> Q -> Q/line -> 0 split?  A simple submodule is a
     direct summand exactly when it does not lie in the radical."""
     return not rad_Q[1].contains(line)
 
 
-def _filtered_iso_to_shifted_quotient(lam: str, induced: List[SubFamily], rad_Q: List[SubFamily]) -> bool:
+def _filtered_iso_to_shifted_quotient(lam: str, induced: List[SubFamily], rad_Q: Sequence[SubFamily]) -> bool:
     """Is Q, with its induced chain, a shifted filtered quotient of P(lam)?
 
     Exactly when Q's top is L(lam) and the induced chain is Q's radical

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tiltrig.linalg import Field, Mat, Subspace, kernel_basis, quotient_map, rank, rref, solve
-from tiltrig.modules import hom_space
+from tiltrig.modules import hom_space, radical_series
 from tiltrig.rigidity import positioned_lifting, rigidity_pipeline
 
 
@@ -294,7 +294,7 @@ def test_canonical_entries_on_auslander(monkeypatch, auslander, p):
         for mu in sys.labels:
             lift = positioned_lifting(sys, mu, T)
             _assert_canonical(F, lift.hom.basis + [g.flatten() for g in hom_space(sys.projective(mu), T)])
-            for fam in lift.rad_T:
+            for fam in radical_series(T):
                 _assert_canonical(F, [row for space in fam.spaces.values() for row in space.basis])
             for shift in range(-2, 4):
                 _assert_canonical(F, lift.deep(shift).basis + lift.boundary(shift).basis)

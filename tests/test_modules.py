@@ -173,6 +173,13 @@ def test_subquotient_examples(sl2):
     assert radical_profile(top) == [Counter({"1": 1}), Counter({"2": 1})]
 
 
+def test_radical_series_is_built_once(sl2):
+    P1 = P(sl2, "1")
+    chain = radical_series(P1)
+    assert isinstance(chain, tuple) and radical_series(P1) is chain
+    assert [f.total_dim for f in chain] == [3, 2, 1, 0]
+
+
 def test_subquotient_validation(sl2):
     P1 = P(sl2, "1")
     chain = radical_series(P1)

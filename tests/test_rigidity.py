@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 
 from tiltrig import highest_weight, rigidity
-from tiltrig.acceptance import _f2_fixture_sets
+from tiltrig.acceptance import SL2_BLOCK, _f2_fixture_sets
 from tiltrig.characters import layers_from_placement, projective_layers
-from tiltrig.highest_weight import FiltrationFailure, check_radical_respecting, find_delta_filtration
+from tiltrig.highest_weight import FiltrationFailure, StandardSystem, check_radical_respecting, find_delta_filtration
 from tiltrig.linalg import Mat, Subspace, kernel_basis, quotient_map, solve
 from tiltrig.modules import (
     SubFamily,
@@ -41,6 +41,7 @@ from tiltrig.rigidity import (
     rigidity_pipeline,
     stretched_subquotients_bruteforce,
 )
+from tiltrig.quiver import parse_alg_text
 
 
 def morphism_coords(basis, f):
@@ -180,6 +181,15 @@ def test_detect_ce3_fails_with_recheckable_witness(ce3):
     assert not lift.boundary(1).contains(wit)
 
 
+def test_l_nabla_side_reuses_one_dual_and_its_liftings():
+    sys = StandardSystem(parse_alg_text(SL2_BLOCK.replace("field 0", "field 2"), name="sl2block-f2"))
+    T = sys.tilting("2")
+    for _ in range(3):
+        assert detect_stretched(sys, T, "L-nabla").ok
+    assert sys.dual_module(T) is sys.dual_module(T)
+    assert sum(key[0] == "lifting" for key in sys._cache) == len(sys.labels) == 2
+
+
 def test_theorem_path_builds_each_object_once(monkeypatch, auslander):
     sys = auslander(4, 3)
     presentations, filtrations = Counter(), []
@@ -311,7 +321,7 @@ class _ReferenceLifting:
     restriction for boundary.  Both are then mapped into generator images."""
 
     def __init__(self, lift, T, syzygy_block_solve):
-        self.lift = lift
+        self.lift, self.T = lift, T
         pres = lift.pres
         P, syzygy = pres.P0, pres.syzygy
         self.hom_syz, images, self.inclusion = syzygy_block_solve(pres, T)
@@ -335,7 +345,7 @@ class _ReferenceLifting:
         conditions = []
         for depth, vecs in self.layers:
             if depth + shift > 0:
-                target = _clamped(lift.rad_T, depth + shift)
+                target = _clamped(radical_series(self.T), depth + shift)
                 conditions.extend((v, coords, target) for v, coords in vecs)
         return self._as_images(_constrain(self.hom_syz, conditions))
 
@@ -345,7 +355,7 @@ class _ReferenceLifting:
             return Subspace(F, lift.hom.ambient)
         space = Subspace.full(F, len(self.hom_P))
         if shift > 0 and self.hom_P:
-            target = _clamped(lift.rad_T, shift)
+            target = _clamped(radical_series(self.T), shift)
             units = [(v, row, target) for v in P.vertices for row in Subspace.full(F, P.dims[v]).basis]
             space = _constrain(self.hom_P, units)
         restricted = []
