@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .highest_weight import WeightPoset
+from .quiver import WeightPoset
 
 Profile = List[Counter]
 

@@ -5,6 +5,11 @@ failure, 2 = input or parse error (including a path that cannot be read
 and a non-quasi-hereditary order for `tilting build` and `rigidity
 check`).  Identical inputs produce byte-identical reports.  `--seed` is
 accepted and recorded in reports; results do not depend on it.
+
+At module level this file imports only the standard library.  Each
+subcommand imports the library modules it uses inside its body, so a
+process compiles and runs only those: `algebra check` loads `linalg` and
+`quiver`, and the `sl4` calculators add only `characters` to them.
 """
 
 from __future__ import annotations
@@ -14,14 +19,6 @@ import json
 import sys
 from collections import Counter
 from typing import List, Optional
-
-from . import characters as ch
-from .coeffquiver import extract, render
-from .highest_weight import StandardSystem, check_bgg, check_quasihereditary
-from .linalg import Field
-from .modules import format_profile, load_rep, radical_profile, socle_profile
-from .quiver import load_alg
-from .rigidity import rigidity_pipeline
 
 
 class CliError(Exception):
@@ -40,11 +37,17 @@ def _emit(payload, fmt: str, text_renderer=None) -> None:
             print(payload)
 
 
-def _load_system(path: str, field: Optional[int]) -> StandardSystem:
+def _load_system(path: str, field: Optional[int]):
+    """The `StandardSystem` of the algebra file at `path`."""
+    from .highest_weight import StandardSystem
+    from .quiver import load_alg
+
     return StandardSystem(load_alg(path, field_override=field))
 
 
 def cmd_algebra(args) -> int:
+    from .quiver import load_alg
+
     algebra = load_alg(args.path, field_override=args.field)
     chain = algebra.radical_powers()
     payload = {
@@ -63,6 +66,8 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_module_series(args) -> int:
+    from .modules import format_profile, load_rep, radical_profile, socle_profile
+
     rep = load_rep(args.path, field_override=args.field)
     profile = radical_profile(rep) if args.type == "radical" else socle_profile(rep)
     labels = rep.algebra.quiver.vertices
@@ -78,6 +83,8 @@ def cmd_module_series(args) -> int:
 
 
 def cmd_qh_verify(args) -> int:
+    from .highest_weight import check_bgg, check_quasihereditary
+
     sys_ = _load_system(args.path, args.field)
     report = check_quasihereditary(sys_)
     report["bgg"] = check_bgg(sys_)
@@ -99,6 +106,8 @@ def _print_qh_text(report) -> None:
 
 
 def cmd_tilting(args) -> int:
+    from .modules import format_profile, radical_profile
+
     sys_ = _load_system(args.path, args.field)
     T = sys_.tilting(args.weight)
     profile = radical_profile(T)
@@ -114,6 +123,8 @@ def cmd_tilting(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
+    from .rigidity import rigidity_pipeline
+
     sys_ = _load_system(args.path, args.field)
     report = rigidity_pipeline(sys_, args.weight, method=args.method)
     report["seed"] = args.seed
@@ -159,6 +170,8 @@ def _parse_mults(text: str) -> Counter:
 
 
 def cmd_sl4(args) -> int:
+    from . import characters as ch
+
     b = ch.load_block(args.block)
     if args.what == "projectives":
         lines = [f"proj {mu} : {ch.format_layers(ch.projective_layers(b, mu), b)}" for mu in b.labels]
@@ -197,6 +210,9 @@ def cmd_sl4(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .coeffquiver import extract, render
+    from .modules import load_rep
+
     rep = load_rep(args.path, field_override=args.field)
     cq = extract(rep)
     fmt = "dot" if args.dot else "ascii"
@@ -212,6 +228,8 @@ def cmd_selftest(args) -> int:
 
 def _characteristic(text: str) -> int:
     """The `--field` value: 0 or a prime."""
+    from .linalg import Field
+
     try:
         return Field(int(text)).characteristic
     except ValueError as exc:

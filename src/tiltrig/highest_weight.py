@@ -7,7 +7,7 @@ reciprocity check for algebras with a duality.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import Mat, Subspace, kernel_basis, quotient_map
 from .modules import (
@@ -31,59 +31,7 @@ from .modules import (
     spin_submodule,
     subquotient,
 )
-from .quiver import FinDimAlgebra
-
-
-class PosetError(ValueError):
-    pass
-
-
-class WeightPoset:
-    """Partial order on vertex labels, given by cover relations."""
-
-    def __init__(self, labels: Sequence[str], covers: Sequence[Tuple[str, str]]):
-        self.labels = list(labels)
-        idx = {l: i for i, l in enumerate(self.labels)}
-        n = len(self.labels)
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for a, b in covers:
-            if a not in idx or b not in idx:
-                raise PosetError(f"order relation names unknown label: {a} < {b}")
-            leq[idx[a]][idx[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if leq[i][k]:
-                    for j in range(n):
-                        if leq[k][j]:
-                            leq[i][j] = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and leq[i][j] and leq[j][i]:
-                    raise PosetError(f"order is not antisymmetric at {self.labels[i]}, {self.labels[j]}")
-        self._leq = leq
-        self._idx = idx
-
-    def leq(self, a: str, b: str) -> bool:
-        return self._leq[self._idx[a]][self._idx[b]]
-
-    def less(self, a: str, b: str) -> bool:
-        return a != b and self.leq(a, b)
-
-    def maximal(self, labels: Sequence[str]) -> List[str]:
-        labels = list(labels)
-        return [a for a in labels if not any(self.less(a, b) for b in labels)]
-
-    def max_label(self, labels: Sequence[str]) -> str:
-        """A maximal element; ties broken lexicographically for determinism."""
-        return sorted(self.maximal(labels))[0]
-
-    def maximal_first(self) -> List[str]:
-        """A linear extension of the order, maximal elements first (`max_label` at each step)."""
-        rest, out = list(self.labels), []
-        while rest:
-            out.append(self.max_label(rest))
-            rest.remove(out[-1])
-        return out
+from .quiver import FinDimAlgebra, PosetError, WeightPoset
 
 
 def dualize(M: Representation) -> Representation:
@@ -151,9 +99,9 @@ class StandardSystem:
 
     def __init__(self, algebra: FinDimAlgebra):
         self.algebra = algebra
-        if not algebra.order_covers and len(algebra.quiver.vertices) > 1:
+        if algebra.order_covers is None and len(algebra.quiver.vertices) > 1:
             raise PosetError("algebra file declares no weight order")
-        self.poset = WeightPoset(algebra.quiver.vertices, algebra.order_covers)
+        self.poset = WeightPoset(algebra.quiver.vertices, algebra.order_covers or ())
         self.labels = list(algebra.quiver.vertices)
         self._cache: Dict[tuple, object] = {}
         self._op_system: Optional["StandardSystem"] = None
@@ -221,7 +169,7 @@ class StandardSystem:
             ("block",),
             lambda: BlockData(
                 self.labels,
-                self.algebra.order_covers,
+                self.algebra.order_covers or (),
                 {lam: radical_profile(self.standard(lam)) for lam in self.labels},
             ),
         )

@@ -88,6 +88,58 @@ class Relation:
         return " + ".join(f"{c}*{'.'.join(p)}" for c, p in self.terms)
 
 
+class PosetError(ValueError):
+    pass
+
+
+class WeightPoset:
+    """Partial order on vertex labels, given by cover relations."""
+
+    def __init__(self, labels: Sequence[str], covers: Sequence[Tuple[str, str]]):
+        self.labels = list(labels)
+        idx = {l: i for i, l in enumerate(self.labels)}
+        n = len(self.labels)
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for a, b in covers:
+            if a not in idx or b not in idx:
+                raise PosetError(f"order relation names unknown label: {a} < {b}")
+            leq[idx[a]][idx[b]] = True
+        for k in range(n):
+            for i in range(n):
+                if leq[i][k]:
+                    for j in range(n):
+                        if leq[k][j]:
+                            leq[i][j] = True
+        for i in range(n):
+            for j in range(n):
+                if i != j and leq[i][j] and leq[j][i]:
+                    raise PosetError(f"order is not antisymmetric at {self.labels[i]}, {self.labels[j]}")
+        self._leq = leq
+        self._idx = idx
+
+    def leq(self, a: str, b: str) -> bool:
+        return self._leq[self._idx[a]][self._idx[b]]
+
+    def less(self, a: str, b: str) -> bool:
+        return a != b and self.leq(a, b)
+
+    def maximal(self, labels: Sequence[str]) -> List[str]:
+        labels = list(labels)
+        return [a for a in labels if not any(self.less(a, b) for b in labels)]
+
+    def max_label(self, labels: Sequence[str]) -> str:
+        """A maximal element; ties broken lexicographically for determinism."""
+        return sorted(self.maximal(labels))[0]
+
+    def maximal_first(self) -> List[str]:
+        """A linear extension of the order, maximal elements first (`max_label` at each step)."""
+        rest, out = list(self.labels), []
+        while rest:
+            out.append(self.max_label(rest))
+            rest.remove(out[-1])
+        return out
+
+
 class FinDimAlgebra:
     """Basic path algebra KQ/I with a path-class basis and radical grading.
 
@@ -114,7 +166,8 @@ class FinDimAlgebra:
         self.basis = basis
         self._reductions = reductions
         self.max_length = max_length  # all paths longer than this reduce to 0
-        self.order_covers = [tuple(c) for c in (order_covers or [])]
+        # None when no order is declared; [] for an order with no covers
+        self.order_covers = None if order_covers is None else [tuple(c) for c in order_covers]
         self.duality_pairs = dict(duality_pairs) if duality_pairs else None
         self.name = name
         if self.duality_pairs is not None:
@@ -413,7 +466,7 @@ def parse_alg_text(
     """Parse the line-oriented .alg format (field/vertex/order/arrow/relation/duality)."""
     field: Optional[Field] = None
     vertices: List[str] = []
-    covers: List[Tuple[str, str]] = []
+    covers: Optional[List[Tuple[str, str]]] = None
     arrows: List[Tuple[str, str, str]] = []
     arrow_lines: Dict[str, int] = {}
     raw_relations: List[Tuple[int, List[Tuple[str, List[str]]]]] = []
@@ -431,9 +484,11 @@ def parse_alg_text(
             elif kw == "vertex":
                 vertices.extend(parts[1:])
             elif kw == "order":
-                if len(parts) != 4 or parts[2] != "<":
-                    raise ValueError("expected 'order <a> < <b>'")
-                covers.append((parts[1], parts[3]))
+                covers = covers or []  # a bare `order` line declares an order with no covers
+                if len(parts) == 4 and parts[2] == "<":
+                    covers.append((parts[1], parts[3]))
+                elif len(parts) != 1:
+                    raise ValueError("expected 'order <a> < <b>' or a bare 'order'")
             elif kw == "arrow":
                 if len(parts) != 4:
                     raise ValueError("expected 'arrow <name> <src> <dst>'")

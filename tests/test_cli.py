@@ -1,8 +1,12 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,17 @@ def test_qh_verify_exit_codes(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "qh", "verify", str(reversed_alg))
     assert code == 1 and "FAIL" in out
+
+
+def test_bare_order_line_declares_an_order_with_no_covers(tmp_path, capsys):
+    alg = tmp_path / "two.alg"
+    alg.write_text("field 3\nvertex 1 2\norder\n")
+    code, out, _ = run(capsys, "qh", "verify", str(alg))
+    assert code == 0 and "PASS" in out
+    # without an `order` line, no order is declared
+    alg.write_text("field 3\nvertex 1 2\n")
+    code, _, err = run(capsys, "qh", "verify", str(alg))
+    assert code == 2 and err == "error: algebra file declares no weight order\n"
 
 
 def test_tilting_and_rigidity_refuse_non_quasihereditary_order(tmp_path, capsys):
@@ -251,3 +266,28 @@ def test_bad_field_is_located(tmp_path, capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 2 and "argument --field: characteristic must be 0 or prime, got 4" in err
     assert "line 0" not in err
+
+
+def _loaded_library_modules(*argv):
+    """The `tiltrig` modules a fresh interpreter holds after `import tiltrig.cli`,
+    and after `main(argv)` when arguments are given."""
+    code = "import sys, tiltrig.cli\n"
+    if argv:
+        code += f"tiltrig.cli.main({list(argv)!r})\n"
+    code += "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tiltrig'))\n"
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_each_subcommand_loads_only_the_modules_it_uses():
+    # the pytest process has every module loaded, so each case runs in its own interpreter
+    assert _loaded_library_modules() == {"tiltrig", "tiltrig.cli"}
+    assert _loaded_library_modules("algebra", "check", SL2) == {
+        "tiltrig", "tiltrig.cli", "tiltrig.linalg", "tiltrig.quiver"
+    }
+    sl4 = _loaded_library_modules("sl4", "tiltings")
+    assert "tiltrig.characters" in sl4
+    assert not {"tiltrig.modules", "tiltrig.highest_weight"} & sl4

@@ -43,6 +43,16 @@ def test_semisimple_no_arrows():
     assert [len(l) for l in A.radical_powers()] == [3, 0]
 
 
+def test_order_line_forms():
+    # no `order` line: no order is declared; a bare one declares an order with no covers
+    assert parse_alg_text("field 0\nvertex 1 2\n").order_covers is None
+    assert parse_alg_text("field 0\nvertex 1 2\norder\n").order_covers == []
+    assert parse_alg_text("field 0\nvertex 1 2\norder\norder 1 < 2\n").order_covers == [("1", "2")]
+    for line in ("order 1 <", "order 1 > 2", "order 1 < 2 < 3"):
+        with pytest.raises(AlgParseError, match="^line 3: expected 'order <a> < <b>'"):
+            parse_alg_text(f"field 0\nvertex 1 2\n{line}\n")
+
+
 def test_idempotents_and_unit():
     A = parse_alg_text(SL2)
     F = A.field

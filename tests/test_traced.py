@@ -44,3 +44,12 @@ def test_traced_selftest_records_bruteforce_spans(tmp_path):
     proc, names = _traced(tmp_path, ["selftest"])
     assert proc.returncode == 0, proc.stderr
     assert "rigidity.stretched_subquotients_bruteforce" in names
+
+
+def test_traced_tilting_build_records_profile_spans(tmp_path):
+    # cli imports radical_profile and format_profile when the command runs,
+    # so this checks that the harness still wraps the names it reads then
+    argv = ["--format", "json", "tilting", "build", "src/tiltrig/data/sl2block.alg", "--weight", "2"]
+    proc, names = _traced(tmp_path, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert {"modules.radical_profile", "modules.format_profile"} <= names
