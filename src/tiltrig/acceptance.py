@@ -216,7 +216,7 @@ def criterion_6_property_suites() -> Tuple[bool, str]:
     # filtration independence: two distinct chains of P(1) (+) Delta(2)
     sys = _sl2_system()
     P1, D2 = sys.projective("1"), sys.standard("2")
-    M, injs, _ = direct_sum([P1, D2])
+    M, injs = direct_sum([P1, D2])
     full = SubFamily.full(M)
     summand_delta = injs[1].image()
     rad_p1_part = spin_submodule(M, [("2", injs[0].mats["2"].apply([sys.algebra.field.one]))])

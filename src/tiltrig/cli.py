@@ -128,7 +128,7 @@ def cmd_rigidity(args) -> int:
     sys_ = _load_system(args.path, args.field)
     report = rigidity_pipeline(sys_, args.weight, method=args.method)
     report["seed"] = args.seed
-    _emit(report, "json" if args.format == "json" else args.format, _print_rigidity_text)
+    _emit(report, args.format, _print_rigidity_text)
     if args.format == "text" and args.verbose and "filteredExt" in report:
         for entry in report["filteredExt"]:
             print(f"    Ext_F^1(Delta({entry['weight']})<{entry['shift']}>, T) = {entry['dim']}")

@@ -21,7 +21,6 @@ from .modules import (
     ext1,
     hom_space,
     linear_combination,
-    morphism_from_flat,
     projective_rep,
     quotient_rep,
     radical_of,
@@ -280,7 +279,7 @@ def delta_filtration_from_chain(
     for below, above in zip(chain, chain[1:]):
         if not above.contains(below):
             raise ModuleError("chain is not nested")
-        Q, _, _ = subquotient(M, above, below)
+        Q, _ = subquotient(M, above, below)
         head = radical_profile(Q)[0]
         if sum(head.values()) != 1:
             raise ModuleError("chain step does not have a simple head")
@@ -350,7 +349,7 @@ def universal_extension(X: Representation, delta: Representation, ext) -> Repres
     (j, p).  Returns X'.
     """
     d, cover, F = ext.dim, ext.cover, X.field
-    big, injs, _ = direct_sum([X] + [cover.P0] * d)
+    big, injs = direct_sum([X] + [cover.P0] * d)
     blocks, pos = [], 0  # where phi(v_j) sits in a class
     for g in cover.generators:
         blocks.append(slice(pos, pos + X.dims[g.label]))
@@ -400,9 +399,10 @@ def certify_indecomposable(M: Representation, lam: str) -> None:
     Over a quasi-hereditary order [T(lam):L(lam)] = 1, so dim T(lam)_lam = 1.
     When dim M_lam = 1, each endomorphism acts on M_lam by a scalar c(f), and
     c: End(M) -> K is an algebra map onto K.  M is indecomposable exactly when
-    I = ker c is nilpotent.  Its powers are compared as spans of flattened
-    morphisms; they shrink strictly until they reach 0 or stall.  A nilpotent
-    I gives M > IM > I^2 M > ... strictly, so I^(dim M) = 0.
+    I = ker c is nilpotent, and I^k = 0 exactly when I^k M = 0.  The chain
+    M > IM > I^2 M > ... is walked as submodules: I^(k+1) M is spanned by
+    f(x) for f in a basis of I and x in a basis of I^k M.  It shrinks
+    strictly until it reaches 0, or stalls when I is not nilpotent.
     """
     if M.dims[lam] != 1:
         raise ModuleError(f"{M.name or 'module'} has dimension {M.dims[lam]} at weight {lam}, not 1")
@@ -410,11 +410,17 @@ def certify_indecomposable(M: Representation, lam: str) -> None:
     endo = hom_space(M, M)
     scalars = Mat.canonical(F, [[f.mats[lam].data[0][0] for f in endo]])
     ideal = [linear_combination(endo, coords) for coords in kernel_basis(scalars)]
-    power = Subspace(F, len(endo[0].flatten()), [f.flatten() for f in ideal])
-    while power.dim:
-        products = [morphism_from_flat(M, M, flat).compose(g).flatten() for flat in power.basis for g in ideal]
-        nxt = Subspace(F, power.ambient, products)
-        if nxt.dim == power.dim:
+    # rows x times f_v^T are the images f(x), one row per basis vector x
+    transposed = [{v: f.mats[v].transpose() for v in M.vertices} for f in ideal]
+    power = SubFamily.full(M)
+    while not power.is_zero():
+        images = []
+        for v, space in power.spaces.items():
+            if space.dim:
+                basis = Mat.canonical(F, space.basis)
+                images.extend((v, row) for fT in transposed for row in basis.mul(fT[v]).data)
+        nxt = SubFamily.from_vectors(M, images)
+        if nxt.total_dim == power.total_dim:
             raise ModuleError(f"{M.name or 'module'} is decomposable: the maps vanishing at {lam} are not nilpotent")
         power = nxt
 

@@ -145,15 +145,6 @@ class SubFamily:
     def contains(self, other: "SubFamily") -> bool:
         return all(self.spaces[v].contains_space(other.spaces[v]) for v in self.rep.vertices)
 
-    def is_stable(self) -> bool:
-        """Closed under every arrow, i.e. an honest submodule."""
-        for a, (u, w) in self.rep.algebra.quiver.arrows.items():
-            X = self.rep.mats[a]
-            for vec in self.spaces[u].basis:
-                if not self.spaces[w].contains(X.apply(vec)):
-                    return False
-        return True
-
 
 # -- building blocks -----------------------------------------------------------
 
@@ -191,23 +182,10 @@ def projective_rep(algebra: FinDimAlgebra, vertex: str) -> Representation:
 class Morphism:
     """Module homomorphism: one matrix per vertex, commuting with all arrows."""
 
-    def __init__(self, source: Representation, target: Representation, mats: Dict[str, Mat], check: bool = False):
+    def __init__(self, source: Representation, target: Representation, mats: Dict[str, Mat]):
         self.source = source
         self.target = target
         self.mats = mats
-        if check and not self.commutes():
-            raise ModuleError("matrices do not commute with the arrow action")
-
-    def commutes(self) -> bool:
-        for a, (u, w) in self.source.algebra.quiver.arrows.items():
-            lhs = self.mats[w].mul(self.source.mats[a])
-            rhs = self.target.mats[a].mul(self.mats[u])
-            if lhs.data != rhs.data:
-                return False
-        return True
-
-    def apply(self, vertex: str, vec: Sequence) -> list:
-        return self.mats[vertex].apply(list(vec))
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other (other first)."""
@@ -248,13 +226,6 @@ class Morphism:
 
     def is_zero(self) -> bool:
         return all(self.mats[v].is_zero() for v in self.source.vertices)
-
-    def flatten(self) -> list:
-        out = []
-        for v in self.source.vertices:
-            for row in self.mats[v].data:
-                out.extend(row)
-        return out
 
 
 def morphism_from_flat(source: Representation, target: Representation, flat: list) -> Morphism:
@@ -352,8 +323,9 @@ def linear_combination(basis: List[Morphism], coords: Sequence) -> Morphism:
 # -- sums, subs, quotients ------------------------------------------------------
 
 
-def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Morphism], List[Morphism]]:
-    """Direct sum with the canonical injections and projections."""
+def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Morphism]]:
+    """Direct sum with the canonical injections.  At each vertex the summands'
+    coordinates are stacked in the order given."""
     if not reps:
         raise ModuleError("empty direct sum")
     algebra = reps[0].algebra
@@ -375,25 +347,23 @@ def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Mor
                     m.data[off[w] + i][off[u] + j] = X.data[i][j]
         mats[a] = m
     total = Representation(algebra, dims, mats, name="(+)".join(r.name or "?" for r in reps))
-    injections, projections = [], []
+    injections = []
     for r, off in zip(reps, offsets):
-        inj, proj = {}, {}
+        inj = {}
         for v in r.vertices:
-            im = Mat.zero(F, dims[v], r.dims[v])
-            pm = Mat.zero(F, r.dims[v], dims[v])
+            inj[v] = Mat.zero(F, dims[v], r.dims[v])
             for i in range(r.dims[v]):
-                im.data[off[v] + i][i] = F.one
-                pm.data[i][off[v] + i] = F.one
-            inj[v], proj[v] = im, pm
+                inj[v].data[off[v] + i][i] = F.one
         injections.append(Morphism(r, total, inj))
-        projections.append(Morphism(total, r, proj))
-    return total, injections, projections
+    return total, injections
 
 
 def sub_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Morphism]:
-    """The family as a representation in its own right, with its inclusion."""
-    if not fam.is_stable():
-        raise ModuleError("family is not arrow-stable; not a submodule")
+    """The family as a representation in its own right, with its inclusion.
+
+    Raises ModuleError unless the family is arrow-stable: every arrow image
+    of a basis vector must have coordinates in the family.
+    """
     F = M.field
     dims = {v: fam.spaces[v].dim for v in M.vertices}
     mats = {}
@@ -403,7 +373,7 @@ def sub_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Morphism
             img = M.mats[a].apply(vec)
             coords = fam.spaces[w].coords(img)
             if coords is None:
-                raise ModuleError("instability detected while building submodule")
+                raise ModuleError("family is not arrow-stable; not a submodule")
             for i, c in enumerate(coords):
                 m.data[i][j] = c
         mats[a] = m
@@ -413,9 +383,12 @@ def sub_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Morphism
 
 
 def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Morphism]:
-    """Quotient by a submodule family, with the projection morphism."""
-    if not fam.is_stable():
-        raise ModuleError("family is not arrow-stable; not a submodule")
+    """Quotient by a submodule family, with the projection morphism.
+
+    Q_v has kernel exactly fam_v, so the family is arrow-stable exactly when
+    Q_w X_a B_u = 0 for each arrow a: u -> w, with B_u the basis of fam_u as
+    columns; otherwise raises ModuleError.
+    """
     F = M.field
     qmaps, sections = {}, {}
     for v in M.vertices:
@@ -428,7 +401,10 @@ def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Mor
     dims = {v: qmaps[v].rows for v in M.vertices}
     mats = {}
     for a, (u, w) in M.algebra.quiver.arrows.items():
-        mats[a] = qmaps[w].mul(M.mats[a]).mul(sections[u])
+        QX = qmaps[w].mul(M.mats[a])
+        if fam.spaces[u].dim and not QX.mul(Mat.from_cols(F, fam.spaces[u].basis)).is_zero():
+            raise ModuleError("family is not arrow-stable; not a submodule")
+        mats[a] = QX.mul(sections[u])
     quot = Representation(M.algebra, dims, mats, name=f"{M.name}/sub")
     proj = Morphism(M, quot, qmaps)
     return quot, proj
@@ -565,18 +541,17 @@ def is_rigid(M: Representation) -> Tuple[bool, Optional[dict]]:
     return True, None
 
 
-def subquotient(M: Representation, outer: SubFamily, inner: SubFamily) -> Tuple[Representation, List[SubFamily], Morphism]:
+def subquotient(M: Representation, outer: SubFamily, inner: SubFamily) -> Tuple[Representation, List[SubFamily]]:
     """outer/inner with the induced filtration (rad^i M cap outer + inner)/inner.
 
-    Returns the subquotient representation, the induced chain expressed in the
-    subquotient's own coordinates, and the projection outer_rep -> subquotient.
-    The radical series of M is the one kept on M, built once.
+    Returns the subquotient representation and the induced chain expressed in
+    the subquotient's own coordinates.  The radical series of M is the one
+    kept on M, built once.  `sub_rep` and `quotient_rep` refuse an outer or
+    inner family that is not arrow-stable.
     """
-    if not inner.is_stable() or not outer.is_stable():
-        raise ModuleError("subquotient inputs must be arrow-stable")
     if not outer.contains(inner):
         raise ModuleError("subquotient requires inner <= outer")
-    outer_rep, inc = sub_rep(M, outer)
+    outer_rep, _ = sub_rep(M, outer)
     inner_in_outer = SubFamily(
         outer_rep,
         {
@@ -600,7 +575,7 @@ def subquotient(M: Representation, outer: SubFamily, inner: SubFamily) -> Tuple[
         induced.append(SubFamily.from_vectors(quot, vecs))
     while len(induced) > 1 and induced[-1].is_zero() and induced[-2].is_zero():
         induced.pop()
-    return quot, induced, proj
+    return quot, induced
 
 
 # -- projective covers and Ext^1 --------------------------------------------------

@@ -245,7 +245,7 @@ def stretched_subquotients_bruteforce(
             if weights is None:
                 continue
             lam, mu = weights
-            Q, induced, _ = subquotient(T, outer, inner)
+            Q, induced = subquotient(T, outer, inner)
             rad_Q = radical_series(Q)
             if _filtered_iso_to_shifted_quotient(lam, induced, rad_Q):
                 continue

@@ -33,7 +33,7 @@ def test_extract_uniserial_path(sl2):
 
 
 def test_extract_direct_sum_isolated(sl2):
-    M, _, _ = direct_sum([sl2.simple("1"), sl2.simple("2")])
+    M, _ = direct_sum([sl2.simple("1"), sl2.simple("2")])
     cq = extract(M)
     assert len(cq.nodes) == 2 and cq.edges == []
 

@@ -18,7 +18,7 @@ from tiltrig.highest_weight import (
     find_delta_filtration,
     nabla_multiplicities,
 )
-from tiltrig.linalg import Mat, Subspace, rref, solve
+from tiltrig.linalg import Mat, Subspace, kernel_basis, rref, solve
 from tiltrig.modules import (
     ModuleError,
     ProjectiveCover,
@@ -28,6 +28,7 @@ from tiltrig.modules import (
     ext1,
     hom_space,
     linear_combination,
+    morphism_from_flat,
     quotient_rep,
     radical_profile,
     radical_series,
@@ -110,7 +111,7 @@ def test_find_delta_filtration_examples(sl2):
     # the chain climbs from 0 through Delta(2) = [2 | 1] to P(1)
     assert [c.total_dim for c in filt.chain] == [0, 2, 3]
     # semisimple of minimal weight: two steps at shift 0
-    M, _, _ = direct_sum([sl2.simple("1"), sl2.simple("1")])
+    M, _ = direct_sum([sl2.simple("1"), sl2.simple("1")])
     filt = find_delta_filtration(sl2, M)
     assert filt.placement() == [("1", 0), ("1", 0)]
 
@@ -129,7 +130,7 @@ def test_radical_respecting_examples(sl2):
     ok, predicted, actual = check_radical_respecting(sl2, P1, filt)
     assert ok and predicted == actual
     # direct sum with a shift-0 placement: predicted [ {1,2}, {1} ]
-    M, _, _ = direct_sum([sl2.simple("1"), sl2.standard("2")])
+    M, _ = direct_sum([sl2.simple("1"), sl2.standard("2")])
     filt = find_delta_filtration(sl2, M)
     ok, predicted, actual = check_radical_respecting(sl2, M, filt)
     assert ok
@@ -138,7 +139,7 @@ def test_radical_respecting_examples(sl2):
 
 def test_filtration_independence_two_chains(sl2):
     P1, D2 = sl2.projective("1"), sl2.standard("2")
-    M, injs, _ = direct_sum([P1, D2])
+    M, injs = direct_sum([P1, D2])
     full = SubFamily.full(M)
     summand = injs[1].image()
     radp1 = spin_submodule(M, [("2", injs[0].mats["2"].apply([sl2.algebra.field.one]))])
@@ -195,10 +196,10 @@ def test_one_pass_ringel_matches_multipass(fixture, request, auslander):
 def test_certificate_rejects_decomposable_modules(sl2):
     T2 = sl2.tilting("2")
     certify_indecomposable(T2, "2")
-    with_simple, _, _ = direct_sum([T2, sl2.simple("1")])
+    with_simple, _ = direct_sum([T2, sl2.simple("1")])
     with pytest.raises(ModuleError, match="decomposable"):
         certify_indecomposable(with_simple, "2")
-    doubled, _, _ = direct_sum([T2, T2])
+    doubled, _ = direct_sum([T2, T2])
     with pytest.raises(ModuleError, match="dimension 2 at weight 2"):
         certify_indecomposable(doubled, "2")
 
@@ -378,6 +379,50 @@ def _reference_system(fixture, request):
     return request.getfixturevalue("auslander")(*fixture)
 
 
+def _certify_by_composition(M, lam):
+    """The certificate on morphisms: the powers of I = ker c as spans of
+    flattened maps, each power times I by composing every pair."""
+    F = M.field
+    endo = hom_space(M, M)
+    scalars = Mat.canonical(F, [[f.mats[lam].data[0][0] for f in endo]])
+    ideal = [linear_combination(endo, coords) for coords in kernel_basis(scalars)]
+    power = Subspace(F, len(flatten(endo[0])), [flatten(f) for f in ideal])
+    while power.dim:
+        products = [flatten(morphism_from_flat(M, M, flat).compose(g)) for flat in power.basis for g in ideal]
+        nxt = Subspace(F, power.ambient, products)
+        if nxt.dim == power.dim:
+            raise ModuleError(f"{M.name} is decomposable: the maps vanishing at {lam} are not nilpotent")
+        power = nxt
+
+
+def flatten(f) -> list:
+    """The entries of a morphism's vertex matrices, vertex by vertex, row by row."""
+    return [x for v in f.source.vertices for row in f.mats[v].data for x in row]
+
+
+@pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
+def test_certificate_matches_the_composition_walk(fixture, request):
+    # both accept every T(lam), and both reject T(lam) (+) L(mu) whenever
+    # L(mu)_lam = 0, where the line at lam is still one-dimensional
+    sys = _reference_system(fixture, request)
+    modules = 0
+    for lam in sys.labels:
+        T = sys.tilting(lam)
+        certify_indecomposable(T, lam)
+        _certify_by_composition(T, lam)
+        modules += 1
+        for mu in sys.labels:
+            if sys.simple(mu).dims[lam]:
+                continue
+            M, _ = direct_sum([T, sys.simple(mu)])
+            for certify in (certify_indecomposable, _certify_by_composition):
+                with pytest.raises(ModuleError, match="is decomposable"):
+                    certify(M, lam)
+            modules += 1
+    # every mu != lam qualifies: 284 modules over all the fixtures
+    assert modules == len(sys.labels) ** 2
+
+
 @pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
 def test_standard_filtrations_match_reference(fixture, request):
     sys = _reference_system(fixture, request)
@@ -472,7 +517,7 @@ def _graph_by_syzygy_walk(X, ext, syzygy_block_solve):
     cover, F = ext.cover, X.field
     homs, images, inclusion = syzygy_block_solve(cover, X)
     classes = [linear_combination(homs, solve(Mat.from_cols(F, images), phi)) for phi in ext.classes]
-    big, injs, _ = direct_sum([X] + [cover.P0] * ext.dim)
+    big, injs = direct_sum([X] + [cover.P0] * ext.dim)
     vectors = []
     for v in X.vertices:
         for unit in Mat.identity(F, inclusion.source.dims[v]).data:

@@ -15,14 +15,21 @@ from tiltrig.modules import (
     is_rigid,
     loewy_length,
     parse_rep_text,
+    quotient_rep,
     radical_of,
     radical_profile,
     radical_series,
     socle_profile,
     socle_series,
     spin_submodule,
+    sub_rep,
     subquotient,
 )
+
+
+def flatten(f) -> list:
+    """The entries of a morphism's vertex matrices, vertex by vertex, row by row."""
+    return [x for v in f.source.vertices for row in f.mats[v].data for x in row]
 
 
 def ext1_dim_by_cocycles(M: Representation, N: Representation) -> int:
@@ -121,7 +128,7 @@ def test_projective_profiles(sl2):
 
 
 def test_semisimple_single_layer(sl2):
-    M, _, _ = direct_sum([L(sl2, "1"), L(sl2, "2")])
+    M, _ = direct_sum([L(sl2, "1"), L(sl2, "2")])
     assert radical_profile(M) == [Counter({"1": 1, "2": 1})]
 
 
@@ -156,20 +163,20 @@ def test_radical_is_intersection_of_maximals(sl2):
     # rad M = sum of arrow images and M/rad is semisimple
     for M in (P(sl2, "1"), P(sl2, "2")):
         rad = radical_of(M, SubFamily.full(M))
-        head, _, _ = subquotient(M, SubFamily.full(M), rad)
+        head, _ = subquotient(M, SubFamily.full(M), rad)
         assert loewy_length(head) <= 1
 
 
 def test_subquotient_examples(sl2):
     P1 = P(sl2, "1")
-    whole, induced, _ = subquotient(P1, SubFamily.full(P1), SubFamily(P1))
+    whole, induced = subquotient(P1, SubFamily.full(P1), SubFamily(P1))
     assert whole.total_dim == P1.total_dim
     assert [f.total_dim for f in induced] == [3, 2, 1, 0]
     chain = radical_series(P1)
-    middle, _, _ = subquotient(P1, chain[1], chain[2])
+    middle, _ = subquotient(P1, chain[1], chain[2])
     assert radical_profile(middle) == [Counter({"2": 1})]
     soc = socle_series(P1)[1]
-    top, _, _ = subquotient(P1, SubFamily.full(P1), soc)
+    top, _ = subquotient(P1, SubFamily.full(P1), soc)
     assert radical_profile(top) == [Counter({"1": 1}), Counter({"2": 1})]
 
 
@@ -186,8 +193,13 @@ def test_subquotient_validation(sl2):
     with pytest.raises(ModuleError):
         subquotient(P1, chain[2], chain[1])  # not nested
     bad = SubFamily.from_vectors(P1, [("1", [1, 0])])  # head line is not stable
-    with pytest.raises(ModuleError):
+    with pytest.raises(ModuleError, match="not arrow-stable"):
         subquotient(P1, SubFamily.full(P1), bad)
+    with pytest.raises(ModuleError, match="not arrow-stable"):
+        subquotient(P1, bad, SubFamily(P1))
+    for build in (sub_rep, quotient_rep):
+        with pytest.raises(ModuleError, match="not arrow-stable"):
+            build(P1, bad)
 
 
 def test_ext1_examples(sl2):
@@ -273,7 +285,7 @@ def test_ext1_matches_literal_middle_term_enumeration(sl2_f2):
 def test_is_rigid_examples(sl2):
     assert is_rigid(L(sl2, "1"))[0]
     assert is_rigid(P(sl2, "1"))[0]
-    M, _, _ = direct_sum([L(sl2, "1"), P(sl2, "1")])
+    M, _ = direct_sum([L(sl2, "1"), P(sl2, "1")])
     ok, witness = is_rigid(M)
     assert not ok and witness["layer"] >= 1
 
@@ -335,8 +347,8 @@ def test_hom_from_projective_is_the_block_solve(fixture, request, auslander):
         P = sys.projective(v)
         solved_from = Representation(P.algebra, P.dims, P.mats)  # no basis paths: solved
         for N in _family_modules(sys):
-            read = [f.flatten() for f in hom_space(P, N)]
-            assert read == [f.flatten() for f in hom_space(solved_from, N)], (v, N.name)
+            read = [flatten(f) for f in hom_space(P, N)]
+            assert read == [flatten(f) for f in hom_space(solved_from, N)], (v, N.name)
             compared += len(read)
     assert compared
 

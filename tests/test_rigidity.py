@@ -44,11 +44,16 @@ from tiltrig.rigidity import (
 from tiltrig.quiver import parse_alg_text
 
 
+def flatten(f) -> list:
+    """The entries of a morphism's vertex matrices, vertex by vertex, row by row."""
+    return [x for v in f.source.vertices for row in f.mats[v].data for x in row]
+
+
 def morphism_coords(basis, f):
     """Coordinates of f in a hom-space basis (None if outside the span)."""
     if not basis:
         return [] if f.is_zero() else None
-    return solve(Mat.from_cols(f.source.field, [g.flatten() for g in basis]), f.flatten())
+    return solve(Mat.from_cols(f.source.field, [flatten(g) for g in basis]), flatten(f))
 
 
 def _constrain(hom_basis, conditions) -> Subspace:
@@ -144,7 +149,7 @@ def test_filtered_ext_nonzero_on_ce3(ce3):
 
 
 def test_detect_semisimple_passes(sl2):
-    M, _, _ = direct_sum([sl2.simple("1"), sl2.simple("2")])
+    M, _ = direct_sum([sl2.simple("1"), sl2.simple("2")])
     assert detect_stretched(sl2, M, "delta-L").ok
     assert detect_stretched(sl2, M, "L-nabla").ok
 
@@ -409,7 +414,7 @@ def _reference_shifted_quotient(sys, lam, Q, induced):
     for U in all_submodules(P, max_total_dim=max(10, P.total_dim)):
         if P.total_dim - U.total_dim != Q.total_dim:
             continue
-        Pq, target_chain, _ = subquotient(P, SubFamily.full(P), U)
+        Pq, target_chain = subquotient(P, SubFamily.full(P), U)
         homs = hom_space(Q, Pq)
         if not homs:
             continue
@@ -457,7 +462,7 @@ def _reference_witnesses(sys, T, outcomes):
     for outer, inner in itertools.product(subs, subs):
         if inner.total_dim >= outer.total_dim or not outer.contains(inner):
             continue
-        Q, induced, _ = subquotient(T, outer, inner)
+        Q, induced = subquotient(T, outer, inner)
         if Q.total_dim < 2:
             continue
         rad_Q = radical_series(Q)
@@ -469,7 +474,7 @@ def _reference_witnesses(sys, T, outcomes):
                 if line in seen_lines or line.total_dim != 1:
                     continue
                 seen_lines.add(line)
-                W, _, _ = subquotient(Q, SubFamily.full(Q), line)
+                W, _ = subquotient(Q, SubFamily.full(Q), line)
                 head = radical_profile(W)[0]
                 if sum(head.values()) != 1:
                     continue
