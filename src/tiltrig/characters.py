@@ -172,16 +172,21 @@ def hom_dim(standard_mults: Dict[str, int], costandard_mults: Dict[str, int], b:
     return sum(standard_mults.get(l, 0) * costandard_mults.get(l, 0) for l in b.labels)
 
 
+def _add_shifted(layers: Profile, profile: Profile, shift: int) -> None:
+    """Add `profile`, moved down `shift` layers, into `layers` in place."""
+    for t, layer in enumerate(profile):
+        while len(layers) <= shift + t:
+            layers.append(Counter())
+        layers[shift + t] += layer
+
+
 def layers_from_placement(placement: Sequence[Tuple[str, int]], b: BlockData) -> Profile:
     """Sum of shifted standard layer profiles over the head placement."""
     layers: Profile = []
     for lam, shift in placement:
         if shift < 0:
             raise BlockError("head shifts must be non-negative")
-        for t, layer in enumerate(b.layered[lam]):
-            while len(layers) <= shift + t:
-                layers.append(Counter())
-            layers[shift + t] += layer
+        _add_shifted(layers, b.layered[lam], shift)
     return layers
 
 
@@ -215,24 +220,13 @@ def solve_placement(target: Profile, mults: Dict[str, int], b: BlockData) -> Lis
                 results.append(list(chosen))
             return
         lam = items[i]
+        profile = b.layered[lam]
         start = last_shift_same if i > 0 and items[i - 1] == lam else 0
-        for shift in range(start, depth):
+        for shift in range(start, depth - len(profile) + 1):  # the shifted profile must end within depth
             new_layers = [Counter(l) for l in layers]
-            ok = True
-            for t, layer in enumerate(b.layered[lam]):
-                if shift + t >= depth:
-                    ok = False
-                    break
-                while len(new_layers) <= shift + t:
-                    new_layers.append(Counter())
-                new_layers[shift + t] += layer
-                for l, c in new_layers[shift + t].items():
-                    if c > target[shift + t][l]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            _add_shifted(new_layers, profile, shift)
+            touched = range(shift, shift + len(profile))
+            if all(c <= target[s][l] for s in touched for l, c in new_layers[s].items()):
                 chosen.append((lam, shift))
                 recurse(i + 1, new_layers, chosen, shift)
                 chosen.pop()

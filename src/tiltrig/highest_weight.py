@@ -28,7 +28,6 @@ from .modules import (
     radical_series,
     simple_rep,
     spin_submodule,
-    subquotient,
 )
 from .quiver import FinDimAlgebra, PosetError, WeightPoset
 
@@ -228,6 +227,18 @@ def _preimage_family(M: Representation, proj: Morphism, fam: SubFamily) -> SubFa
     return SubFamily(M, spaces)
 
 
+def is_standard_quotient(sys: StandardSystem, lam: str, dims: Dict[str, int]) -> bool:
+    """Is a module W generated at lam, with dimension vector `dims`, a quotient
+    of copies of Delta(lam)?
+
+    The kernel U of P(lam) -> Delta(lam) is generated by the P(lam)_v with v
+    not <= lam (Dlab-Ringel), and a map P(lam) -> W sends P(lam)_v into W_v.
+    The maps out of copies of P(lam) onto W all kill U exactly when W_v = 0
+    for every such v.
+    """
+    return all(d == 0 for v, d in dims.items() if not sys.poset.leq(v, lam))
+
+
 def find_delta_filtration(sys: StandardSystem, M: Representation):
     """Greedy standard filtration: trace of the maximal weight, then recurse.
 
@@ -240,21 +251,17 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
     while chain[-1].total_dim < M.total_dim:
         quot, proj = quotient_rep(M, chain[-1])
         lam = sys.poset.max_label([v for v in M.vertices if quot.dims[v]])
-        kernel_fam = sys.standard_kernel(lam)
         homs = hom_space(sys.projective(lam), quot)
         partials, trace = [], SubFamily(quot)
         for g in homs:
             trace = trace.sum(g.image())
             partials.append(trace)
-        factoring = all(
-            all(g.mats[v].apply(vec) == [M.field.zero] * quot.dims[v] for vec in kernel_fam.spaces[v].basis)
-            for g in homs
-            for v in M.vertices
-        )
+        trace_dims = {v: trace.dim_at(v) for v in M.vertices}
+        factoring = is_standard_quotient(sys, lam, trace_dims)
         if not factoring or trace.total_dim != len(homs) * sys.standard(lam).total_dim:
             return FiltrationFailure(
                 lam,
-                {v: trace.dim_at(v) for v in M.vertices},
+                trace_dims,
                 "trace of the maximal weight is not a standard power"
                 + ("" if factoring else " (a map does not factor through the standard quotient)"),
             )
@@ -270,8 +277,12 @@ def delta_filtration_from_chain(
 ) -> DeltaFiltration:
     """Validate a user-supplied chain as a standard filtration and tag shifts.
 
-    Each successive quotient must be isomorphic to a standard module; the
-    step's head shift is the radical depth of its head class in M.
+    Each step above/below is read in M.  Its top is above - (J above +
+    below), which must be one L(lam), so the step is generated at lam.
+    With Delta(lam)'s dimension vector it vanishes off {v <= lam}, so it is
+    a quotient of Delta(lam) (`is_standard_quotient`) of the same dimension:
+    Delta(lam) itself.  The step's head shift is the radical depth of its
+    head class in M.
     """
     if chain[0].total_dim != 0 or chain[-1].total_dim != M.total_dim:
         raise ModuleError("chain must run from 0 to the whole module")
@@ -279,15 +290,16 @@ def delta_filtration_from_chain(
     for below, above in zip(chain, chain[1:]):
         if not above.contains(below):
             raise ModuleError("chain is not nested")
-        Q, _ = subquotient(M, above, below)
-        head = radical_profile(Q)[0]
-        if sum(head.values()) != 1:
+        j_above = radical_of(M, above)
+        if not above.contains(j_above):
+            raise ModuleError("family is not arrow-stable; not a submodule")
+        floor = j_above.sum(below)
+        top = {v: above.dim_at(v) - floor.dim_at(v) for v in M.vertices}
+        if sum(top.values()) != 1:
             raise ModuleError("chain step does not have a simple head")
-        lam = next(iter(head))
-        delta = sys.standard(lam)
-        if Q.total_dim != delta.total_dim or not any(
-            g.image().total_dim == Q.total_dim for g in hom_space(delta, Q)
-        ):
+        lam = next(v for v, d in top.items() if d)
+        dims = {v: above.dim_at(v) - below.dim_at(v) for v in M.vertices}
+        if dims != sys.standard(lam).dims:
             raise ModuleError(f"chain step is not a standard module at weight {lam}")
         steps.append(_step(M, lam, below, above))
     return DeltaFiltration(M, steps, list(chain))
@@ -309,11 +321,15 @@ def check_radical_respecting(
 
 
 def check_quasihereditary(sys: StandardSystem) -> dict:
-    """Verify End Delta = K and that each projective has a standard filtration."""
+    """Verify End Delta = K and that each projective has a standard filtration.
+
+    Delta(lam) vanishes off {v <= lam}, so every map P(lam) -> Delta(lam)
+    factors through Delta(lam): End Delta(lam) is all of Delta(lam)_lam.
+    """
     report = {"ok": True, "weights": {}, "shift_convention": "non-negative radical depths"}
     for lam in sys.labels:
         entry: Dict[str, object] = {}
-        end_dim = len(hom_space(sys.standard(lam), sys.standard(lam)))
+        end_dim = sys.standard(lam).dims[lam]
         entry["end_dim"] = end_dim
         entry["axiom_i"] = end_dim == 1
         entry["projective_profile"] = [dict(layer) for layer in radical_profile(sys.projective(lam))]

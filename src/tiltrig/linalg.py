@@ -266,8 +266,10 @@ def _rref_mod_p(data: Sequence[Sequence], ncols: int, p: int) -> Tuple[List[list
             for i, row in enumerate(rows):
                 f = row[c]
                 if f:
-                    rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
-        rest = [row for row in rest if any(row)]
+                    row = rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+                    if not any(row):  # only an updated row can become zero, and never a pivot row
+                        rows[i] = None
+        rest = [row for row in rest if row is not None]
         done.append(prow)
         pivots.append(c)
     return done, pivots
@@ -307,8 +309,10 @@ def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[list], Li
                 if b:
                     g = gcd(a, b)
                     s, t = a // g, b // g
-                    rows[i] = _primitive([s * x - t * y for x, y in zip(row, prow)])
-        rest = [row for row in rest if any(row)]
+                    row = rows[i] = _primitive([s * x - t * y for x, y in zip(row, prow)])
+                    if not any(row):  # only an updated row can become zero, and never a pivot row
+                        rows[i] = None
+        rest = [row for row in rest if row is not None]
         done.append(prow)
         pivots.append(c)
     rows = [[Fraction(x, row[c]) if x else _QZERO for x in row] for row, c in zip(done, pivots)]
@@ -324,10 +328,6 @@ def rref(m: Mat) -> Tuple[Mat, List[int]]:
         rows, pivots = _rref_rational(m.data, m.cols)
     rows.extend([F.zero] * m.cols for _ in range(m.rows - len(rows)))
     return Mat.canonical(F, rows, m.cols), pivots
-
-
-def rank(m: Mat) -> int:
-    return len(rref(m)[1])
 
 
 def _free_vectors(F: Field, rows: Sequence[Sequence], pivots: List[int], n: int) -> Tuple[List[Vec], List[int]]:

@@ -4,8 +4,9 @@ representations: one exact matrix per arrow.
 Submodules are per-vertex subspace families closed under the arrow action
 (vertex idempotents split any module element into its vertex components, so
 nothing is lost by working per vertex).  Radical and socle series, spins,
-subquotients with induced filtrations, Hom and Ext^1 spaces and the rigidity
-test all live here.
+quotient modules, Hom and Ext^1 spaces and the rigidity test all live here.
+A subquotient is read in its ambient module, as the families between inner
+and outer, and never built as a module of its own.
 """
 
 from __future__ import annotations
@@ -224,9 +225,6 @@ class Morphism:
     def is_surjective(self) -> bool:
         return self.image().total_dim == self.target.total_dim
 
-    def is_zero(self) -> bool:
-        return all(self.mats[v].is_zero() for v in self.source.vertices)
-
 
 def morphism_from_flat(source: Representation, target: Representation, flat: list) -> Morphism:
     """The morphism whose vertex matrices, row by row, are the canonical list `flat`."""
@@ -356,30 +354,6 @@ def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Mor
                 inj[v].data[off[v] + i][i] = F.one
         injections.append(Morphism(r, total, inj))
     return total, injections
-
-
-def sub_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Morphism]:
-    """The family as a representation in its own right, with its inclusion.
-
-    Raises ModuleError unless the family is arrow-stable: every arrow image
-    of a basis vector must have coordinates in the family.
-    """
-    F = M.field
-    dims = {v: fam.spaces[v].dim for v in M.vertices}
-    mats = {}
-    for a, (u, w) in M.algebra.quiver.arrows.items():
-        m = Mat.zero(F, dims[w], dims[u])
-        for j, vec in enumerate(fam.spaces[u].basis):
-            img = M.mats[a].apply(vec)
-            coords = fam.spaces[w].coords(img)
-            if coords is None:
-                raise ModuleError("family is not arrow-stable; not a submodule")
-            for i, c in enumerate(coords):
-                m.data[i][j] = c
-        mats[a] = m
-    sub = Representation(M.algebra, dims, mats, name=f"sub({M.name})")
-    inc = Morphism(sub, M, {v: Mat.from_cols(F, fam.spaces[v].basis) if dims[v] else Mat.zero(F, M.dims[v], 0) for v in M.vertices})
-    return sub, inc
 
 
 def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Morphism]:
@@ -539,43 +513,6 @@ def is_rigid(M: Representation) -> Tuple[bool, Optional[dict]]:
                 "socle_dims": {v: soc[ell - i].dim_at(v) for v in M.vertices},
             }
     return True, None
-
-
-def subquotient(M: Representation, outer: SubFamily, inner: SubFamily) -> Tuple[Representation, List[SubFamily]]:
-    """outer/inner with the induced filtration (rad^i M cap outer + inner)/inner.
-
-    Returns the subquotient representation and the induced chain expressed in
-    the subquotient's own coordinates.  The radical series of M is the one
-    kept on M, built once.  `sub_rep` and `quotient_rep` refuse an outer or
-    inner family that is not arrow-stable.
-    """
-    if not outer.contains(inner):
-        raise ModuleError("subquotient requires inner <= outer")
-    outer_rep, _ = sub_rep(M, outer)
-    inner_in_outer = SubFamily(
-        outer_rep,
-        {
-            v: Subspace(
-                M.field,
-                outer.spaces[v].dim,
-                [outer.spaces[v].coords(vec) for vec in inner.spaces[v].basis],
-            )
-            for v in M.vertices
-        },
-    )
-    quot, proj = quotient_rep(outer_rep, inner_in_outer)
-    induced: List[SubFamily] = []
-    for rad_i in radical_series(M):
-        meet = rad_i.intersect(outer)
-        vecs = []
-        for v in M.vertices:
-            for vec in meet.spaces[v].basis:
-                coords = outer.spaces[v].coords(vec)
-                vecs.append((v, proj.mats[v].apply(coords)))
-        induced.append(SubFamily.from_vectors(quot, vecs))
-    while len(induced) > 1 and induced[-1].is_zero() and induced[-2].is_zero():
-        induced.pop()
-    return quot, induced
 
 
 # -- projective covers and Ext^1 --------------------------------------------------
@@ -740,18 +677,6 @@ def all_submodules(M: Representation, max_total_dim: int = 10) -> List[SubFamily
                     new.add(s)
         frontier = new
     return sorted(lattice, key=lambda f: (f.total_dim, tuple(f.dim_at(v) for v in M.vertices)))
-
-
-def hom_combinations(basis: List[Morphism]) -> Iterable[Morphism]:
-    """All nonzero combinations of a hom basis over a small finite field."""
-    F = basis[0].source.field if basis else None
-    if not basis:
-        return
-    if F.p == 0 or F.p ** len(basis) > 2 ** 14:
-        raise ModuleError("hom-space enumeration out of range")
-    for coeffs in itertools.product(F.elements(), repeat=len(basis)):
-        if any(coeffs):
-            yield linear_combination(basis, coeffs)
 
 
 # -- .rep file format -----------------------------------------------------------------

@@ -242,9 +242,6 @@ class FinDimAlgebra:
                 return chain
             i += 1
 
-    def loewy_length(self) -> int:
-        return len(self.radical_powers()) - 1
-
     # -- duality -------------------------------------------------------------
 
     def _check_duality(self) -> None:

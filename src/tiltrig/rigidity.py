@@ -1,7 +1,8 @@
 """Executable rigidity checks for tilting modules: filtered Ext^1 against
 standard modules, detection of stretched subquotients by hom lifting, a
-definitional brute-force enumerator over small finite fields, and the
-pipeline tying them to the direct radical-vs-socle oracle.
+definitional brute-force enumerator over small finite fields that reads each
+subquotient in T, and the pipeline tying them to the direct
+radical-vs-socle oracle.
 
 Filtered Ext^1 and the stretched-subquotient detector read the same
 positioned cocycle and boundary spaces of the minimal presentation of
@@ -30,10 +31,8 @@ from .modules import (
     radical_of,
     radical_profile,
     radical_series,
-    socle_of,
-    subquotient,
 )
-from .highest_weight import MinimalPresentation, StandardSystem, check_radical_respecting
+from .highest_weight import MinimalPresentation, StandardSystem, check_radical_respecting, is_standard_quotient
 
 
 def _clamped(chain: Sequence[SubFamily], i: int) -> SubFamily:
@@ -218,9 +217,12 @@ def stretched_subquotients_bruteforce(
 
     Only usable over a small finite field; this is the definitional oracle the
     layer criterion is compared against.  The pairs (outer, inner) come from
-    the submodule lattice of T.  The head and standard-quotient tests are read
-    off Q's top and dimension vector before Q is built; the shifted-quotient
-    test then runs once per pair and the splitting test on the socle line.
+    the submodule lattice of T, and Q = outer/inner is read in T as the
+    families between inner and outer: rad^k Q is J^k outer + inner, the
+    induced chain is (rad^i T cap outer) + inner, and the positions are
+    differences of dimensions.  The head and standard-quotient tests are read
+    off Q's top and dimension vector; the shifted-quotient test then runs
+    once per pair and the socle test on the line Q_mu.  No module is built.
     """
     if side not in ("delta-L", "L-nabla"):
         raise ValueError(f"unknown side {side!r}")
@@ -235,7 +237,7 @@ def stretched_subquotients_bruteforce(
     witnesses: List[BruteForceWitness] = []
     subs = all_submodules(T, max_total_dim=max_dim)
     for outer in subs:
-        rad_outer = radical_of(T, outer)  # rad Q = (J outer + inner)/inner
+        rad_outer = radical_of(T, outer)  # rad Q = J outer + inner
         for inner in subs:
             if outer.total_dim - inner.total_dim < 2 or not outer.contains(inner):
                 continue
@@ -245,16 +247,15 @@ def stretched_subquotients_bruteforce(
             if weights is None:
                 continue
             lam, mu = weights
-            Q, induced = subquotient(T, outer, inner)
-            rad_Q = radical_series(Q)
-            if _filtered_iso_to_shifted_quotient(lam, induced, rad_Q):
+            induced = _induced_chain(T, outer, inner)
+            if _filtered_iso_to_shifted_quotient(lam, induced, _radical_chain(T, outer, inner)):
                 continue
-            # Q_mu is a line, so the socle line at mu is the only candidate
-            line = SubFamily(Q, {mu: socle_of(Q, SubFamily(Q)).spaces[mu]})
-            if line.is_zero() or _extension_splits(rad_Q, line):
+            # Q_mu is a line in rad Q, as top Q = L(lam); it is the socle line
+            # at mu exactly when every arrow sends it into inner
+            if not inner.contains(radical_of(T, SubFamily(T, {mu: outer.spaces[mu]}))):
                 continue
             outer_dims, inner_dims = (tuple(fam.dim_at(v) for v in T.vertices) for fam in (outer, inner))
-            witnesses.append(BruteForceWitness(outer_dims, inner_dims, lam, mu, _induced_positions(induced)))
+            witnesses.append(BruteForceWitness(outer_dims, inner_dims, lam, mu, _induced_positions(induced, inner)))
     return witnesses
 
 
@@ -266,41 +267,44 @@ def _witness_weights(sys: StandardSystem, top: Dict[str, int], dims: Dict[str, i
     has Q's top and dimension vector dims - e_mu: the head test asks for top
     L(lam) with lam < mu, the standard-quotient test for dims - e_mu to
     vanish off {v <= lam}.  Then dim Q_mu = 1, so at most one mu qualifies.
+    Conversely, with top L(lam) and mu != lam, Q_mu lies in rad Q, so no
+    line at mu splits off.
     """
     head = [v for v, d in top.items() if d]
     if len(head) != 1 or top[head[0]] != 1:
         return None
     lam = head[0]
     for mu, d in dims.items():
-        if d == 1 and sys.poset.less(lam, mu) and _is_standard_quotient(sys, lam, {**dims, mu: 0}):
+        if d == 1 and sys.poset.less(lam, mu) and is_standard_quotient(sys, lam, {**dims, mu: 0}):
             return lam, mu
     return None
 
 
-def _is_standard_quotient(sys: StandardSystem, lam: str, dims: Dict[str, int]) -> bool:
-    """Is a module W with top L(lam) and dimension vector `dims` a quotient of Delta(lam)?
-
-    The kernel of P(lam) -> Delta(lam) is generated by the P(lam)_v with v
-    not <= lam, and P(lam) -> W is onto at every vertex, so it kills that
-    kernel exactly when W_v = 0 for every such v.
-    """
-    return all(d == 0 for v, d in dims.items() if not sys.poset.leq(v, lam))
+def _radical_chain(T: Representation, outer: SubFamily, inner: SubFamily) -> List[SubFamily]:
+    """The radical series of Q = outer/inner in T: outer > J outer + inner > ... > inner."""
+    chain = [outer]
+    while chain[-1] != inner:
+        chain.append(radical_of(T, chain[-1]).sum(inner))
+    return chain
 
 
-def _extension_splits(rad_Q: Sequence[SubFamily], line: SubFamily) -> bool:
-    """Does 0 -> line -> Q -> Q/line -> 0 split?  A simple submodule is a
-    direct summand exactly when it does not lie in the radical."""
-    return not rad_Q[1].contains(line)
+def _induced_chain(T: Representation, outer: SubFamily, inner: SubFamily) -> List[SubFamily]:
+    """(rad^i T cap outer) + inner, down to the first entry equal to inner."""
+    induced = [rad_i.intersect(outer).sum(inner) for rad_i in radical_series(T)]
+    while len(induced) > 1 and induced[-1] == induced[-2] == inner:
+        induced.pop()
+    return induced
 
 
 def _filtered_iso_to_shifted_quotient(lam: str, induced: List[SubFamily], rad_Q: Sequence[SubFamily]) -> bool:
     """Is Q, with its induced chain, a shifted filtered quotient of P(lam)?
 
-    Exactly when Q's top is L(lam) and the induced chain is Q's radical
-    series moved down r steps.  A surjection P(lam) -> Q carries rad^k P(lam)
-    onto rad^k Q, and an isomorphism keeps radical layers, so neither the
-    kernel of P(lam) -> Q nor the isomorphism matters.  Both chains end in
-    their only zero entry, so r can only be the difference of their lengths.
+    Both chains are of families of T between inner and outer.  Exactly when
+    Q's top is L(lam) and the induced chain is Q's radical series moved down
+    r steps.  A surjection P(lam) -> Q carries rad^k P(lam) onto rad^k Q,
+    and an isomorphism keeps radical layers, so neither the kernel of
+    P(lam) -> Q nor the isomorphism matters.  Both chains end in their only
+    entry equal to inner, so r can only be the difference of their lengths.
     """
     top, rad = rad_Q[0], rad_Q[1]
     if any(top.dim_at(v) - rad.dim_at(v) != int(v == lam) for v in top.rep.vertices):
@@ -309,13 +313,12 @@ def _filtered_iso_to_shifted_quotient(lam: str, induced: List[SubFamily], rad_Q:
     return all(induced[i] == _clamped(rad_Q, i - r) for i in range(len(induced)))
 
 
-def _induced_positions(induced: List[SubFamily]) -> List[Tuple[int, ...]]:
-    out = []
-    for big, small in zip(induced, induced[1:]):
-        out.append(tuple(big.dim_at(v) - small.dim_at(v) for v in big.rep.vertices))
-    if induced:
-        out.append(tuple(induced[-1].dim_at(v) for v in induced[-1].rep.vertices))
-    return out
+def _induced_positions(induced: List[SubFamily], inner: SubFamily) -> List[Tuple[int, ...]]:
+    """Dimension vectors of the layers of an induced chain, the last taken over inner."""
+    return [
+        tuple(big.dim_at(v) - small.dim_at(v) for v in inner.rep.vertices)
+        for big, small in zip(induced, induced[1:] + [inner])
+    ]
 
 
 # -- the pipeline ------------------------------------------------------------------------

@@ -6,7 +6,18 @@ import pytest
 from tiltrig import modules
 from tiltrig.acceptance import CE3_BLOCK, SL2_BLOCK
 from tiltrig.highest_weight import StandardSystem
-from tiltrig.modules import PositionedGenerator, ProjectiveCover, hom_space, sub_rep
+from tiltrig.linalg import Mat, Subspace
+from tiltrig.modules import (
+    ModuleError,
+    Morphism,
+    PositionedGenerator,
+    ProjectiveCover,
+    Representation,
+    SubFamily,
+    hom_space,
+    quotient_rep,
+    radical_series,
+)
 from tiltrig.quiver import parse_alg_text
 
 
@@ -105,6 +116,67 @@ def dot_is_wellformed():
     return _dot_is_wellformed
 
 
+def _sub_rep(M, fam):
+    """The family as a representation in its own right, with its inclusion.
+
+    Raises ModuleError unless the family is arrow-stable: every arrow image
+    of a basis vector must have coordinates in the family.
+    """
+    F = M.field
+    dims = {v: fam.spaces[v].dim for v in M.vertices}
+    mats = {}
+    for a, (u, w) in M.algebra.quiver.arrows.items():
+        m = Mat.zero(F, dims[w], dims[u])
+        for j, vec in enumerate(fam.spaces[u].basis):
+            coords = fam.spaces[w].coords(M.mats[a].apply(vec))
+            if coords is None:
+                raise ModuleError("family is not arrow-stable; not a submodule")
+            for i, c in enumerate(coords):
+                m.data[i][j] = c
+        mats[a] = m
+    sub = Representation(M.algebra, dims, mats, name=f"sub({M.name})")
+    inc = Morphism(sub, M, {v: Mat.from_cols(F, fam.spaces[v].basis) if dims[v] else Mat.zero(F, M.dims[v], 0) for v in M.vertices})
+    return sub, inc
+
+
+def _subquotient(M, outer, inner):
+    """outer/inner as a module, with the induced filtration (rad^i M cap outer + inner)/inner.
+
+    The induced chain is in the subquotient's own coordinates.  `_sub_rep`
+    and `quotient_rep` refuse an outer or inner family that is not
+    arrow-stable.  The library reads subquotients in M instead; this is
+    the reference it is compared against.
+    """
+    if not outer.contains(inner):
+        raise ModuleError("subquotient requires inner <= outer")
+    outer_rep, _ = _sub_rep(M, outer)
+    inner_in_outer = SubFamily(
+        outer_rep,
+        {v: Subspace(M.field, outer.dim_at(v), [outer.spaces[v].coords(x) for x in inner.spaces[v].basis]) for v in M.vertices},
+    )
+    quot, proj = quotient_rep(outer_rep, inner_in_outer)
+    induced = []
+    for rad_i in radical_series(M):
+        meet = rad_i.intersect(outer)
+        vecs = [(v, proj.mats[v].apply(outer.spaces[v].coords(x))) for v in M.vertices for x in meet.spaces[v].basis]
+        induced.append(SubFamily.from_vectors(quot, vecs))
+    while len(induced) > 1 and induced[-1].is_zero() and induced[-2].is_zero():
+        induced.pop()
+    return quot, induced
+
+
+@pytest.fixture(scope="session")
+def sub_rep():
+    """sub_rep(M, fam) is (the submodule as a module, its inclusion)."""
+    return _sub_rep
+
+
+@pytest.fixture(scope="session")
+def subquotient():
+    """subquotient(M, outer, inner) is (outer/inner as a module, the induced chain in it)."""
+    return _subquotient
+
+
 def _syzygy_block_solve(cover, N):
     """Hom(Omega, N) by the block solve on Omega as a module in its own right.
 
@@ -112,7 +184,7 @@ def _syzygy_block_solve(cover, N):
     the v_j, read through Omega's coordinates) and the inclusion of Omega
     in P0.
     """
-    omega, inclusion = sub_rep(cover.P0, cover.syzygy)
+    omega, inclusion = _sub_rep(cover.P0, cover.syzygy)
     homs = hom_space(omega, N)
     coords = [cover.syzygy.spaces[g.label].coords(g.vector) for g in cover.generators]
     images = [[x for g, c in zip(cover.generators, coords) for x in f.mats[g.label].apply(c)] for f in homs]

@@ -86,6 +86,22 @@ def test_bare_order_line_declares_an_order_with_no_covers(tmp_path, capsys):
     assert code == 2 and err == "error: algebra file declares no weight order\n"
 
 
+def test_incomparable_weights_reach_the_factoring_witness(tmp_path, capsys):
+    # a and b are incomparable, so P(a) = [a | b] is generated at the maximal
+    # weight a but does not vanish at b, which is not <= a
+    alg = tmp_path / "incomparable.alg"
+    alg.write_text("field 2\nvertex a b\norder\narrow x a b\n")
+    code, out, _ = run(capsys, "--format", "json", "qh", "verify", str(alg))
+    assert code == 1
+    weights = json.loads(out)["weights"]
+    assert weights["a"]["witness"] == (
+        "FiltrationFailure(at a: trace of the maximal weight is not a standard power"
+        " (a map does not factor through the standard quotient))"
+    )
+    assert (weights["a"]["axiom_i"], weights["a"]["axiom_ii"]) == (True, False)
+    assert weights["b"]["ok"] and weights["b"]["filtration"] == [["b", 0]]
+
+
 def test_tilting_and_rigidity_refuse_non_quasihereditary_order(tmp_path, capsys):
     reversed_alg = tmp_path / "rev.alg"
     reversed_alg.write_text(

@@ -34,6 +34,7 @@ from tiltrig.modules import (
     radical_series,
     spin_submodule,
 )
+from tiltrig.acceptance import SL2_REVERSED
 from tiltrig.quiver import parse_alg_text
 
 
@@ -153,6 +154,19 @@ def test_filtration_independence_two_chains(sl2):
         assert ok
         preds.append(predicted)
     assert preds[0] == preds[1]
+
+
+def test_filtration_from_chain_refusals(sl2):
+    P1 = sl2.projective("1")
+    # P(1) has top L(1) but is not Delta(1): it does not vanish at 2
+    with pytest.raises(ModuleError, match="chain step is not a standard module at weight 1"):
+        delta_filtration_from_chain(sl2, P1, [SubFamily(P1), SubFamily.full(P1)])
+    M, _ = direct_sum([sl2.simple("1"), sl2.simple("2")])
+    with pytest.raises(ModuleError, match="chain step does not have a simple head"):
+        delta_filtration_from_chain(sl2, M, [SubFamily(M), SubFamily.full(M)])
+    bad = SubFamily.from_vectors(P1, [("1", [1, 0])])  # the head line is not a submodule
+    with pytest.raises(ModuleError, match="not arrow-stable"):
+        delta_filtration_from_chain(sl2, P1, [SubFamily(P1), bad, SubFamily.full(P1)])
 
 
 def test_heredity_multiplicity_from_filtration(sl2, ce3):
@@ -398,6 +412,21 @@ def _certify_by_composition(M, lam):
 def flatten(f) -> list:
     """The entries of a morphism's vertex matrices, vertex by vertex, row by row."""
     return [x for v in f.source.vertices for row in f.mats[v].data for x in row]
+
+
+@pytest.mark.parametrize("fixture", REFERENCE_FIXTURES + ["sl2_reversed"], ids=str)
+def test_end_dim_matches_the_block_solve(fixture, request):
+    # End Delta(lam) is read off Delta(lam)_lam; the reversed sl2 order makes
+    # Delta(1) = P(1), with L(1) twice, so End Delta(1) is 2-dimensional there
+    if fixture == "sl2_reversed":
+        sys = StandardSystem(parse_alg_text(SL2_REVERSED, name="sl2block-reversed"))
+    else:
+        sys = _reference_system(fixture, request)
+    report = check_quasihereditary(sys)
+    for lam in sys.labels:
+        assert report["weights"][lam]["end_dim"] == len(hom_space(sys.standard(lam), sys.standard(lam))), lam
+    if fixture == "sl2_reversed":
+        assert report["weights"]["1"]["end_dim"] == 2
 
 
 @pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tiltrig.linalg import Field, Mat, Subspace, kernel_basis, quotient_map, rank, rref, solve
+from tiltrig.linalg import Field, Mat, Subspace, kernel_basis, quotient_map, rref, solve
 from tiltrig.modules import hom_space, radical_series
 from tiltrig.rigidity import positioned_lifting, rigidity_pipeline
 
@@ -47,7 +47,7 @@ def test_rref_f2_hand_case():
 def test_rank_nullity_and_solve():
     Q = Field(0)
     m = Mat(Q, [[1, 2, 3], [2, 4, 6]])
-    assert rank(m) == 1
+    assert len(rref(m)[1]) == 1
     ker = kernel_basis(m)
     assert len(ker) == 2
     for v in ker:

@@ -22,8 +22,6 @@ from tiltrig.modules import (
     socle_profile,
     socle_series,
     spin_submodule,
-    sub_rep,
-    subquotient,
 )
 
 
@@ -159,7 +157,7 @@ def test_spin_examples(sl2):
     assert spin_submodule(P1, [("1", vec)]).total_dim == 1
 
 
-def test_radical_is_intersection_of_maximals(sl2):
+def test_radical_is_intersection_of_maximals(sl2, subquotient):
     # rad M = sum of arrow images and M/rad is semisimple
     for M in (P(sl2, "1"), P(sl2, "2")):
         rad = radical_of(M, SubFamily.full(M))
@@ -167,7 +165,7 @@ def test_radical_is_intersection_of_maximals(sl2):
         assert loewy_length(head) <= 1
 
 
-def test_subquotient_examples(sl2):
+def test_subquotient_examples(sl2, subquotient):
     P1 = P(sl2, "1")
     whole, induced = subquotient(P1, SubFamily.full(P1), SubFamily(P1))
     assert whole.total_dim == P1.total_dim
@@ -187,7 +185,7 @@ def test_radical_series_is_built_once(sl2):
     assert [f.total_dim for f in chain] == [3, 2, 1, 0]
 
 
-def test_subquotient_validation(sl2):
+def test_subquotient_validation(sl2, sub_rep, subquotient):
     P1 = P(sl2, "1")
     chain = radical_series(P1)
     with pytest.raises(ModuleError):

@@ -1,9 +1,10 @@
-"""Every function, method and class in the library has a use somewhere,
-every attribute the library stores on `self` is read somewhere, and every
-import in a library module is read by that module.
+"""Every function, method and class in the library has a use in the
+library, every attribute the library stores on `self` is read somewhere,
+and every import in a library module is read by that module.
 
-A definition counts as used when its name appears in `src/` or `tests/`,
-outside its own definition, as a name, an attribute or an imported name.
+A definition counts as used when its name appears in `src/`, outside its
+own definition, as a name, an attribute or an imported name; a use from
+`tests/` alone does not count, as test-only code belongs in `tests/`.
 Dunders are exempt, and a re-export in the package `__init__.py` is not a
 use.  The match is by name only, so it errs on the side of keeping code.
 An attribute stored as `self.<name> = ...` in `src/` counts as read when
@@ -42,6 +43,8 @@ def unused_definitions() -> list:
     trees = _trees()
     uses = {}
     for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
         for name, line in _uses(path, tree):
             uses.setdefault(name, []).append((path, line))
     unused = []

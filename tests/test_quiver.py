@@ -282,7 +282,7 @@ def test_build_algebra_matches_word_enumeration(case, auslander_alg):
 def test_auslander_growth(n, auslander_alg):
     A = parse_alg_text(auslander_alg(n, 3))
     assert A.dim == n * (n + 1) * (2 * n + 1) // 6
-    assert A.loewy_length() == 2 * n - 1
+    assert len(A.radical_powers()) - 1 == 2 * n - 1
     F = A.field
     for rel in A.relations:
         image = {}

@@ -6,15 +6,22 @@ import pytest
 from tiltrig import highest_weight, rigidity
 from tiltrig.acceptance import SL2_BLOCK, _f2_fixture_sets
 from tiltrig.characters import layers_from_placement, projective_layers
-from tiltrig.highest_weight import FiltrationFailure, StandardSystem, check_radical_respecting, find_delta_filtration
+from tiltrig.highest_weight import (
+    FiltrationFailure,
+    StandardSystem,
+    check_radical_respecting,
+    find_delta_filtration,
+    is_standard_quotient,
+)
 from tiltrig.linalg import Mat, Subspace, kernel_basis, quotient_map, solve
 from tiltrig.modules import (
+    ModuleError,
+    Representation,
     SubFamily,
     _path_map,
     all_submodules,
     direct_sum,
     ext1,
-    hom_combinations,
     hom_space,
     is_rigid,
     linear_combination,
@@ -24,17 +31,16 @@ from tiltrig.modules import (
     radical_series,
     socle_of,
     spin_submodule,
-    subquotient,
     subspace_vectors,
 )
 from tiltrig.rigidity import (
     MinimalPresentation,
     PositionedLifting,
     _clamped,
-    _extension_splits,
     _filtered_iso_to_shifted_quotient,
-    _induced_positions,
-    _is_standard_quotient,
+    _induced_chain,
+    _radical_chain,
+    _witness_weights,
     detect_stretched,
     filtered_ext1_delta,
     positioned_lifting,
@@ -52,7 +58,7 @@ def flatten(f) -> list:
 def morphism_coords(basis, f):
     """Coordinates of f in a hom-space basis (None if outside the span)."""
     if not basis:
-        return [] if f.is_zero() else None
+        return [] if all(m.is_zero() for m in f.mats.values()) else None
     return solve(Mat.from_cols(f.source.field, [flatten(g) for g in basis]), flatten(f))
 
 
@@ -407,7 +413,19 @@ def test_lifting_with_no_syzygy_maps(auslander, p):
 # -- the brute-force oracle's predicates against the enumerating references ------------
 
 
-def _reference_shifted_quotient(sys, lam, Q, induced):
+def hom_combinations(basis):
+    """All nonzero combinations of a hom basis over a small finite field."""
+    if not basis:
+        return
+    F = basis[0].source.field
+    if F.p == 0 or F.p ** len(basis) > 2 ** 14:
+        raise ModuleError("hom-space enumeration out of range")
+    for coeffs in itertools.product(F.elements(), repeat=len(basis)):
+        if any(coeffs):
+            yield linear_combination(basis, coeffs)
+
+
+def _reference_shifted_quotient(sys, lam, Q, induced, subquotient):
     """Q with its induced chain against every quotient P(lam)/U and every
     injective map Q -> P(lam)/U that respects the chains up to a shift."""
     P = sys.projective(lam)
@@ -453,10 +471,19 @@ def _reference_splits(Q, line):
     )
 
 
-def _reference_witnesses(sys, T, outcomes):
-    """The oracle's enumeration with the enumerating predicates.  Each of the
-    three tests runs, with its reference, on every candidate that gets past
-    the head check; they must agree there.  `outcomes` counts the values."""
+def _positions_in(Q, induced):
+    """The layer dimension vectors of an induced chain in Q's coordinates, and its last entry."""
+    positions = [tuple(big.dim_at(v) - small.dim_at(v) for v in Q.vertices) for big, small in zip(induced, induced[1:])]
+    return positions + [tuple(induced[-1].dim_at(v) for v in Q.vertices)]
+
+
+def _reference_witnesses(sys, T, outcomes, subquotient):
+    """The oracle's enumeration on subquotients built as modules, with the
+    enumerating predicates.  Each of the three tests runs, with its
+    reference, on every candidate that gets past the head check; they must
+    agree there.  The oracle's screen on Q's top and dimension vector passes
+    exactly on the candidates that are standard and do not split, so no
+    screened candidate splits.  `outcomes` counts the values."""
     witnesses = []
     subs = all_submodules(T, max_total_dim=8)
     for outer, inner in itertools.product(subs, subs):
@@ -465,7 +492,8 @@ def _reference_witnesses(sys, T, outcomes):
         Q, induced = subquotient(T, outer, inner)
         if Q.total_dim < 2:
             continue
-        rad_Q = radical_series(Q)
+        top = radical_profile(Q)[0]
+        screened = _witness_weights(sys, {v: top[v] for v in Q.vertices}, Q.dims)
         soc = socle_of(Q, SubFamily(Q))
         for mu in Q.vertices:
             seen_lines = set()
@@ -483,15 +511,17 @@ def _reference_witnesses(sys, T, outcomes):
                     continue
                 standard = _reference_standard_quotient(sys, lam, W)
                 splits = _reference_splits(Q, line)
-                shifted = _reference_shifted_quotient(sys, lam, Q, induced)
+                shifted = _reference_shifted_quotient(sys, lam, Q, induced, subquotient)
                 case = (T.name, outer, inner, mu, w)
-                assert _is_standard_quotient(sys, lam, W.dims) == standard, case
-                assert _extension_splits(rad_Q, line) == splits, case
-                assert _filtered_iso_to_shifted_quotient(lam, induced, rad_Q) == shifted, case
+                assert is_standard_quotient(sys, lam, W.dims) == standard, case
+                assert (screened == (lam, mu)) == (standard and not splits), case
+                # the oracle reads Q's chains in T
+                in_T = _filtered_iso_to_shifted_quotient(lam, _induced_chain(T, outer, inner), _radical_chain(T, outer, inner))
+                assert in_T == shifted, case
                 outcomes.update([("standard", standard), ("splits", splits), ("shifted", shifted)])
                 if standard and not splits and not shifted:
                     outer_dims, inner_dims = (tuple(fam.dim_at(v) for v in T.vertices) for fam in (outer, inner))
-                    witnesses.append((outer_dims, inner_dims, lam, mu, _induced_positions(induced)))
+                    witnesses.append((outer_dims, inner_dims, lam, mu, _positions_in(Q, induced)))
     return witnesses
 
 
@@ -511,7 +541,7 @@ def _f2_cases(dual_extension, auslander):
         yield from ((sys, M) for lam in sys.labels for M in (f(lam) for f in kinds) if M.total_dim <= 8)
 
 
-def test_bruteforce_predicates_match_references(monkeypatch, dual_extension, auslander):
+def test_bruteforce_predicates_match_references(monkeypatch, dual_extension, auslander, subquotient):
     lattices = []
 
     def recorded_lattice(M, max_total_dim=10):
@@ -530,28 +560,84 @@ def test_bruteforce_predicates_match_references(monkeypatch, dual_extension, aus
             ]
             # the oracle enumerates the submodule lattice of the module under test only
             assert len(lattices) == 1 and lattices[0].dims == N.dims
-            assert found == _reference_witnesses(side_sys, N, outcomes), (M.name, side)
+            assert found == _reference_witnesses(side_sys, N, outcomes, subquotient), (M.name, side)
             cases, witness_cases = cases + 1, witness_cases + bool(found)
     # every test took both values somewhere, and two cases have witnesses
     assert set(outcomes) == {(name, value) for name in ("standard", "splits", "shifted") for value in (True, False)}
     assert (cases, witness_cases) == (182, 2)
 
 
-def test_bruteforce_builds_only_screened_subquotients(monkeypatch):
-    # Q is built only when its top and dimension vector admit a witness:
+def _witnesses_on_built_subquotients(sys, T, subquotient, refused):
+    """The oracle with each screened Q built as a module: its radical series,
+    induced chain and socle taken in Q's own coordinates.  `refused` collects
+    the screened pairs whose line Q_mu is not in the socle of Q."""
+    witnesses = []
+    subs = all_submodules(T, max_total_dim=8)
+    for outer, inner in itertools.product(subs, subs):
+        if outer.total_dim - inner.total_dim < 2 or not outer.contains(inner):
+            continue
+        rad = radical_of(T, outer).sum(inner)
+        top = {v: outer.dim_at(v) - rad.dim_at(v) for v in T.vertices}
+        weights = _witness_weights(sys, top, {v: outer.dim_at(v) - inner.dim_at(v) for v in T.vertices})
+        if weights is None:
+            continue
+        lam, mu = weights
+        Q, induced = subquotient(T, outer, inner)
+        if _filtered_iso_to_shifted_quotient(lam, induced, radical_series(Q)):
+            continue
+        if not socle_of(Q, SubFamily(Q)).dim_at(mu):
+            refused.append((outer, inner))
+            continue
+        outer_dims, inner_dims = (tuple(fam.dim_at(v) for v in T.vertices) for fam in (outer, inner))
+        witnesses.append((outer_dims, inner_dims, lam, mu, _positions_in(Q, induced)))
+    return witnesses
+
+
+@pytest.mark.parametrize("seed,lam,side", [(12, "3", "delta-L"), (5, "4", "L-nabla")])
+def test_bruteforce_socle_test_matches_built_subquotients(seed, lam, side, dual_extension, subquotient):
+    # T(3) of seed 12 and the dual of P(4) of seed 5 have screened pairs that
+    # are not shifted quotients and whose line Q_mu is not in the socle of Q,
+    # so there the socle test alone refuses a witness
+    sys = dual_extension(seed, 2)
+    if side == "delta-L":
+        M = N = sys.tilting(lam)
+        side_sys = sys
+    else:
+        M = sys.projective(lam)
+        N, side_sys = sys.dual_module(M)
+    found = [(w.outer_dims, w.inner_dims, w.label, w.mu, w.positions) for w in stretched_subquotients_bruteforce(sys, M, side)]
+    refused = []
+    assert found == _witnesses_on_built_subquotients(side_sys, N, subquotient, refused)
+    assert refused
+
+
+def test_bruteforce_reads_screened_pairs_in_the_module(monkeypatch):
     # 42 of the 126 pairs of codimension >= 2 of the bundled F_2 fixtures
-    built = []
+    # pass the screen on Q's top and dimension vector, and Q is read in the
+    # module under test: the oracle builds no representation
+    screened, built = [], []
+    screen, construct = rigidity._witness_weights, Representation.__init__
 
-    def counted(*args):
+    def counted_screen(*args):
+        weights = screen(*args)
+        if weights is not None:
+            screened.append(weights)
+        return weights
+
+    def counted_construct(rep, *args, **kwargs):
         built.append(args)
-        return subquotient(*args)
+        construct(rep, *args, **kwargs)
 
-    monkeypatch.setattr(rigidity, "subquotient", counted)
-    for sys, fixtures in _f2_fixture_sets():
-        for M in fixtures.values():
-            for side in ("delta-L", "L-nabla"):
-                stretched_subquotients_bruteforce(sys, M, side)
-    assert len(built) == 42
+    cases = [(sys, M) for sys, fixtures in _f2_fixture_sets() for M in fixtures.values()]
+    for sys, M in cases:
+        sys.dual_module(M)  # the L-nabla side's dual, built once per module
+    monkeypatch.setattr(rigidity, "_witness_weights", counted_screen)
+    monkeypatch.setattr(Representation, "__init__", counted_construct)
+    for sys, M in cases:
+        for side in ("delta-L", "L-nabla"):
+            stretched_subquotients_bruteforce(sys, M, side)
+    assert len(screened) == 42
+    assert built == []
 
 
 @pytest.mark.parametrize("seed", [0, 2, 3, 7, 11, 13, 14])
