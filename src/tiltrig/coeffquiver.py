@@ -5,10 +5,11 @@ graph-level pruning rule for stretched-subquotient candidates.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Mat, solve
-from .modules import Representation, SubFamily, flag_complements, radical_series
+from .modules import LoewyProfile, Representation, SubFamily, flag_complements, format_profile, radical_series
 
 
 class CQNode:
@@ -39,11 +40,11 @@ class CoefficientQuiver:
         self.nodes = nodes
         self.edges = edges
 
-    def layer_profile(self) -> List[Dict[str, int]]:
+    def layer_profile(self) -> LoewyProfile:
         depth = max((n.layer for n in self.nodes), default=-1) + 1
-        out: List[Dict[str, int]] = [{} for _ in range(depth)]
+        out: LoewyProfile = [Counter() for _ in range(depth)]
         for n in self.nodes:
-            out[n.layer][n.label] = out[n.layer].get(n.label, 0) + 1
+            out[n.layer][n.label] += 1
         return out
 
 
@@ -90,7 +91,7 @@ def render(cq: CoefficientQuiver, fmt: str = "dot", label_order: Optional[Sequen
     if fmt == "dot":
         return render_dot(cq)
     if fmt == "ascii":
-        return render_ascii(cq, label_order)
+        return format_profile(cq.layer_profile(), label_order or ())
     raise ValueError(f"unknown render format {fmt!r}")
 
 
@@ -108,19 +109,6 @@ def render_dot(cq: CoefficientQuiver) -> str:
         lines.append(f"  n{e.src} -> n{e.dst} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def render_ascii(cq: CoefficientQuiver, label_order: Optional[Sequence[str]] = None) -> str:
-    profile = cq.layer_profile()
-    order = {l: i for i, l in enumerate(label_order)} if label_order else {}
-    rows = []
-    for layer in profile:
-        labs = []
-        for l, c in layer.items():
-            labs.extend([l] * c)
-        labs.sort(key=lambda l: (order.get(l, len(order)), l))
-        rows.append(",".join(labs) if labs else "-")
-    return " | ".join(rows)
 
 
 # -- graph-level pruning for stretched-subquotient candidates ---------------------------

@@ -2,6 +2,11 @@
 modules, quasi-hereditary verification, Delta-filtrations with head shifts,
 radical-respecting checks, Ringel's tilting construction, and the BGG
 reciprocity check for algebras with a duality.
+
+A `StandardSystem` builds each object once.  Delta(lam) is P(lam)/U(lam),
+and its minimal presentation is read off that same P(lam) and U(lam);
+Ringel's construction and the rigidity engine take Ext^1 against Delta(lam)
+through it.
 """
 
 from __future__ import annotations
@@ -48,11 +53,17 @@ def transpose_to_opposite(M: Representation, op_algebra: FinDimAlgebra) -> Repre
 
 
 class MinimalPresentation(ProjectiveCover):
-    """The projective cover P(lam) -> Delta(lam), its syzygy and positioned
-    generators: one per weight, kept by `StandardSystem.presentation`."""
+    """The projective cover P(lam) -> Delta(lam) = P(lam)/U(lam), its syzygy
+    U(lam) and positioned generators: one per weight, kept by
+    `StandardSystem.presentation`, on the system's own P(lam) and U(lam).
+
+    Every surjection P(lam) -> Delta(lam) has kernel U(lam): it lifts to an
+    automorphism of P(lam), and U(lam), a sum of traces of projectives, is
+    mapped into itself by every endomorphism of P(lam).
+    """
 
     def __init__(self, sys: "StandardSystem", lam: str):
-        super().__init__(sys.standard(lam))
+        super().__init__(sys.projective(lam), [lam], sys.standard_kernel(lam))
 
 
 class DeltaStep:
@@ -355,16 +366,16 @@ def check_quasihereditary(sys: StandardSystem) -> dict:
 # -- universal extensions and Ringel tilting ------------------------------------------
 
 
-def universal_extension(X: Representation, delta: Representation, ext) -> Representation:
-    """0 -> X -> X' -> delta^d -> 0 along a basis of Ext^1(delta, X).
+def universal_extension(X: Representation, cover: ProjectiveCover, classes: List[list]) -> Representation:
+    """0 -> X -> X' -> M^d -> 0 along a basis `classes` of Ext^1(M, X), M = P0/Omega.
 
-    Realized as (X (+) P0^d) / graph, where P0 covers delta and the graph
-    identifies each syzygy copy with its cocycle image in X.  A class phi
-    is known by its generator images phi(v_j), so the graph of the i-th
-    copy is spanned by p.(phi_i(v_j), -v_j) over the generator columns
-    (j, p).  Returns X'.
+    Realized as (X (+) P0^d) / graph, where the graph identifies each
+    syzygy copy with its cocycle image in X.  A class phi is known by its
+    generator images phi(v_j) (`ext1`), so the graph of the i-th copy is
+    spanned by p.(phi_i(v_j), -v_j) over the generator columns (j, p).
+    Returns X'.
     """
-    d, cover, F = ext.dim, ext.cover, X.field
+    d, F = len(classes), X.field
     big, injs = direct_sum([X] + [cover.P0] * d)
     blocks, pos = [], 0  # where phi(v_j) sits in a class
     for g in cover.generators:
@@ -375,7 +386,7 @@ def universal_extension(X: Representation, delta: Representation, ext) -> Repres
         zero = [F.zero] * cover.P0.dims[w]
         for (j, p), image in zip(cover.paths[w], cover.path_images[w].transpose().data):
             act, neg = X.path_matrix(p), [F.neg(c) for c in image]
-            for i, phi in enumerate(ext.classes):
+            for i, phi in enumerate(classes):
                 # direct_sum stacks the summands' coordinates at each vertex
                 copies = [x for k in range(d) for x in (neg if k == i else zero)]
                 vectors.append((w, act.apply(phi[blocks[j]]) + copies))
@@ -383,7 +394,7 @@ def universal_extension(X: Representation, delta: Representation, ext) -> Repres
     quot, proj = quotient_rep(big, graph)
     if not proj.compose(injs[0]).is_injective():
         raise ModuleError("universal extension failed to embed the base module")
-    if quot.total_dim != X.total_dim + d * delta.total_dim:
+    if quot.total_dim != X.total_dim + d * (cover.P0.total_dim - cover.syzygy.total_dim):
         raise ModuleError("universal extension has the wrong dimension")
     return quot
 
@@ -395,14 +406,16 @@ def ringel_tilting(sys: StandardSystem, lam: str) -> Representation:
     each is extended at once.  Ext^1(Delta(mu), Delta(nu)) != 0 only when
     mu < nu, so extending by Delta(nu) brings back no Ext^1 against a weight
     already passed; one exact check that every Ext^1 vanishes closes it.
+    Each Ext^1(Delta(mu), -) is read off the presentation of Delta(mu).
     """
     X = sys.standard(lam)
     for mu in sys.poset.maximal_first():
-        e = ext1(sys.standard(mu), X, sys.presentation(mu))
-        if e.dim:
-            X = universal_extension(X, sys.standard(mu), e)
+        pres = sys.presentation(mu)
+        classes = ext1(pres, X)
+        if classes:
+            X = universal_extension(X, pres, classes)
     for mu in sys.labels:
-        if ext1(sys.standard(mu), X, sys.presentation(mu)).dim:
+        if ext1(sys.presentation(mu), X):
             raise ModuleError(f"tilting construction left Ext^1(Delta({mu}), T({lam})) nonzero")
     X.name = f"T({lam})"
     certify_indecomposable(X, lam)

@@ -446,15 +446,6 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
-    def coords(self, v: Vec) -> Optional[Vec]:
-        """Coordinates of v in this basis, or None if v is outside.
-
-        The basis is reduced, so they are the entries of v at the pivots.
-        """
-        if not self.contains(v):
-            return None
-        return [v[pc] for pc in self.pivots]
-
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")

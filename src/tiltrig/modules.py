@@ -6,7 +6,9 @@ Submodules are per-vertex subspace families closed under the arrow action
 nothing is lost by working per vertex).  Radical and socle series, spins,
 quotient modules, Hom and Ext^1 spaces and the rigidity test all live here.
 A subquotient is read in its ambient module, as the families between inner
-and outer, and never built as a module of its own.
+and outer, and never built as a module of its own.  Ext^1 is read off the
+presentation P0 -> P0/Omega of a given projective P0 and submodule Omega,
+which builds no module either.
 """
 
 from __future__ import annotations
@@ -221,9 +223,6 @@ class Morphism:
 
     def is_injective(self) -> bool:
         return self.kernel().total_dim == 0
-
-    def is_surjective(self) -> bool:
-        return self.image().total_dim == self.target.total_dim
 
 
 def morphism_from_flat(source: Representation, target: Representation, flat: list) -> Morphism:
@@ -489,10 +488,13 @@ def loewy_length(M: Representation) -> int:
 
 
 def format_profile(profile: LoewyProfile, label_order: Sequence[str]) -> str:
+    """Layers joined by " | ", each label once per multiplicity, in
+    `label_order` and then, for labels outside it, by name; "-" marks an
+    empty layer."""
     order = {lab: i for i, lab in enumerate(label_order)}
     parts = []
     for layer in profile:
-        labs = sorted(layer.elements(), key=lambda l: order.get(l, len(order)))
+        labs = sorted(layer.elements(), key=lambda l: (order.get(l, len(order)), l))
         parts.append(",".join(labs) if labs else "-")
     return " | ".join(parts)
 
@@ -515,7 +517,7 @@ def is_rigid(M: Representation) -> Tuple[bool, Optional[dict]]:
     return True, None
 
 
-# -- projective covers and Ext^1 --------------------------------------------------
+# -- projective presentations and Ext^1 -------------------------------------------
 
 
 class PositionedGenerator:
@@ -528,19 +530,26 @@ class PositionedGenerator:
         return f"PositionedGenerator(L({self.label}) at layer {self.depth})"
 
 
-def _path_map(N: Representation, gens: Sequence[Tuple[str, list]]):
-    """The map (+) P(v_j) -> N sending the idempotent of summand j to x_j, for gens = [(v_j, x_j)].
-
-    Returns, at each vertex w, its columns (j, p), one per basis path p of
-    P(v_j) ending at w (summand by summand, in the order `projective_rep`
-    gives), and its matrix, whose columns are the images p.x_j in N_w.
-    """
-    A, F = N.algebra, N.field
-    columns: Dict[str, List[Tuple[int, Path]]] = {w: [] for w in N.vertices}
-    for j, (v, _) in enumerate(gens):
+def _path_columns(A: FinDimAlgebra, labels: Sequence[str]) -> Dict[str, List[Tuple[int, Path]]]:
+    """The columns (j, p) of (+) P(labels[j]) at each vertex w, one per basis
+    path p of P(labels[j]) ending at w, summand by summand, in the order
+    `projective_rep` gives."""
+    columns: Dict[str, List[Tuple[int, Path]]] = {w: [] for w in A.quiver.vertices}
+    for j, v in enumerate(labels):
         for p in A.basis:
             if A.path_source(p) == v:
                 columns[A.path_target(p)].append((j, p))
+    return columns
+
+
+def _path_map(N: Representation, gens: Sequence[Tuple[str, list]]):
+    """The map (+) P(v_j) -> N sending the idempotent of summand j to x_j, for gens = [(v_j, x_j)].
+
+    Returns, at each vertex w, its columns (`_path_columns`) and its matrix,
+    whose columns are the images p.x_j in N_w.
+    """
+    F = N.field
+    columns = _path_columns(N.algebra, [v for v, _ in gens])
     images = {w: [N.path_matrix(p).apply(gens[j][1]) for j, p in cols] for w, cols in columns.items()}
     return columns, {w: Mat.from_cols(F, images[w]) if images[w] else Mat.zero(F, N.dims[w], 0) for w in N.vertices}
 
@@ -562,40 +571,33 @@ def _path_rows(N: Representation, labels: Sequence[str], columns, vectors) -> Ma
 
 
 class ProjectiveCover:
-    """Projective presentation of M: P0 = (+) P(v_i) -> M, its kernel Omega
-    and generators v_j of Omega positioned by radical depth in P0.
+    """Projective presentation P0 -> P0/Omega of a given projective
+    P0 = (+) P(heads[i]) and submodule Omega, with generators v_j of Omega
+    positioned by radical depth in P0.
 
-    Summand i is P(v_i) for a head basis vector of M at v_i = heads[i]; its
-    idempotent goes to a lift of that vector.  Column c of P0 at vertex w is
-    the basis path p of summand i, where columns[w][c] = (i, p).  At each
-    vertex the generators are taken deepest first (`flag_complements`): those of
-    depth d extend (Omega cap rad^(d+1) P0) + rad Omega to (Omega cap rad^d P0) + rad Omega.
-    They generate Omega, so a map out of Omega is known by their images, and
-    Omega is (+) P(v_j) modulo the relations: the kernel of e_j |-> v_j,
-    whose columns at w are paths[w] = [(j, p)], with the matrix path_images[w].
+    P0 is stacked summand by summand at each vertex, as `direct_sum` of
+    `projective_rep`s stacks it: column c of P0 at vertex w is the basis
+    path p of summand i, where columns[w][c] = (i, p).  At each vertex the
+    generators are taken deepest first (`flag_complements`): those of depth
+    d extend (Omega cap rad^(d+1) P0) + rad Omega to (Omega cap rad^d P0) +
+    rad Omega.  They generate Omega, so a map out of Omega is known by their
+    images, and Omega is (+) P(v_j) modulo the relations: the kernel of
+    e_j |-> v_j, whose columns at w are paths[w] = [(j, p)], with the matrix
+    path_images[w].  No module is built.
     """
 
-    def __init__(self, M: Representation):
-        algebra, F = M.algebra, M.field
-        rad = radical_of(M, SubFamily.full(M))
-        lifts = [(v, vec) for v in M.vertices for vec in rad.spaces[v].complement_in(Subspace.full(F, M.dims[v]))]
-        summands = [projective_rep(algebra, v) for v, _ in lifts]
-        self.heads = [v for v, _ in lifts]
-        self.P0 = direct_sum(summands)[0] if summands else Representation(algebra, {}, {}, name="0")
-        self.columns, images = _path_map(M, lifts)
-        cover = Morphism(self.P0, M, images)
-        if not cover.is_surjective():
-            raise ModuleError("projective cover failed to surject")
-        self.syzygy = cover.kernel()
-        rad_syz = radical_of(self.P0, self.syzygy)
-        flag = [self.syzygy.intersect(rad_d).sum(rad_syz) for rad_d in radical_series(self.P0)]
+    def __init__(self, P0: Representation, heads: Sequence[str], syzygy: SubFamily):
+        self.P0, self.heads, self.syzygy = P0, list(heads), syzygy
+        self.columns = _path_columns(P0.algebra, self.heads)
+        rad_syz = radical_of(P0, syzygy)
+        flag = [syzygy.intersect(rad_d).sum(rad_syz) for rad_d in radical_series(P0)]
         self.generators = [
             PositionedGenerator(v, depth, vec) for v, picked in flag_complements(flag, rad_syz).items() for depth, vec in picked
         ]
-        self.paths, self.path_images = _path_map(self.P0, [(g.label, g.vector) for g in self.generators])
-        self.relations = {w: kernel_basis(self.path_images[w]) for w in M.vertices}
-        for w in M.vertices:  # the rank of e_j |-> v_j at w must be dim Omega_w
-            if len(self.paths[w]) - len(self.relations[w]) != self.syzygy.dim_at(w):
+        self.paths, self.path_images = _path_map(P0, [(g.label, g.vector) for g in self.generators])
+        self.relations = {w: kernel_basis(self.path_images[w]) for w in P0.vertices}
+        for w in P0.vertices:  # the rank of e_j |-> v_j at w must be dim Omega_w
+            if len(self.paths[w]) - len(self.relations[w]) != syzygy.dim_at(w):
                 raise ModuleError(f"the positioned generators do not span the syzygy at vertex {w}")
 
     def hom(self, N: Representation) -> Subspace:
@@ -614,25 +616,16 @@ class ProjectiveCover:
         return _path_rows(N, self.heads, self.columns, [(g.label, g.vector) for g in self.generators])
 
 
-class Ext1Result:
-    def __init__(self, classes: List[list], cover: ProjectiveCover):
-        self.dim = len(classes)
-        self.classes = classes  # generator images of maps syzygy -> N, a basis of Ext^1
-        self.cover = cover
-
-
-def ext1(M: Representation, N: Representation, cover: Optional[ProjectiveCover] = None) -> Ext1Result:
-    """Ext^1(M, N) = Hom(Omega, N) / restrictions of Hom(P0, N).
+def ext1(cover: ProjectiveCover, N: Representation) -> List[list]:
+    """A basis of Ext^1(P0/Omega, N) = Hom(Omega, N) / restrictions of Hom(P0, N).
 
     Both live in the generator images of Omega (`ProjectiveCover.hom` and
-    `.read_off`), and the classes complement the restrictions there.
-    `cover` is a presentation of M to reuse; by default one is built.
+    `.read_off`), and each class is given by its generator images, as a
+    complement of the restrictions there.
     """
-    if cover is None:
-        cover = ProjectiveCover(M)
     hom = cover.hom(N)
     restricted = Subspace(N.field, hom.ambient, cover.read_off(N).transpose().data)
-    return Ext1Result(restricted.complement_in(hom), cover)
+    return restricted.complement_in(hom)
 
 
 # -- finite-field enumeration helpers (oracles) -------------------------------------

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +16,20 @@ from tiltrig.modules import (
     ProjectiveCover,
     Representation,
     SubFamily,
+    _path_map,
+    direct_sum,
     hom_space,
+    projective_rep,
     quotient_rep,
+    radical_of,
     radical_series,
 )
 from tiltrig.quiver import parse_alg_text
+
+# the Auslander family the benchmark runs on, from its own generator
+_FAMILY = importlib.util.spec_from_file_location("family", Path(__file__).resolve().parents[1] / "benchmarks" / "family.py")
+family = importlib.util.module_from_spec(_FAMILY)
+_FAMILY.loader.exec_module(family)
 
 
 @pytest.fixture(scope="session")
@@ -34,18 +45,6 @@ def sl2_f2():
 @pytest.fixture(scope="session")
 def ce3():
     return StandardSystem(parse_alg_text(CE3_BLOCK, name="ce3"))
-
-
-def _auslander_alg(n: int, p: int) -> str:
-    """`.alg` text of the Auslander algebra of K[x]/(x^n): arrows a_i: i -> i+1, b_i: i+1 -> i."""
-    lines = [f"field {p}", "vertex " + " ".join(str(i) for i in range(1, n + 1))]
-    lines += [f"order {i + 1} < {i}" for i in range(1, n)]
-    for i in range(1, n):
-        lines += [f"arrow a{i} {i} {i + 1}", f"arrow b{i} {i + 1} {i}"]
-    lines.append("relation a1.b1")
-    lines += [f"relation b{i - 1}.a{i - 1} + -1*a{i}.b{i}" for i in range(2, n)]
-    lines.append("duality " + " ".join(f"a{i}=b{i}" for i in range(1, n)))
-    return "\n".join(lines) + "\n"
 
 
 def _dual_extension_alg(seed: int, p: int) -> str:
@@ -80,13 +79,13 @@ def dual_extension():
 @pytest.fixture(scope="session")
 def auslander_alg():
     """auslander_alg(n, p) is the `.alg` text over F_p (p = 0: over Q)."""
-    return _auslander_alg
+    return family.auslander_alg
 
 
 @pytest.fixture(scope="session")
 def auslander():
     """auslander(n, p) builds a fresh system over F_p (p = 0: over Q)."""
-    return lambda n, p: StandardSystem(parse_alg_text(_auslander_alg(n, p), name=f"aus{n}_{p}"))
+    return lambda n, p: StandardSystem(parse_alg_text(family.auslander_alg(n, p), name=f"aus{n}_{p}"))
 
 
 _DOT_EDGE = re.compile(r"^\s*n\d+ -> n\d+ \[style=(solid|dotted)\];$")
@@ -116,6 +115,22 @@ def dot_is_wellformed():
     return _dot_is_wellformed
 
 
+def _coords(space, v):
+    """Coordinates of v in the basis of a Subspace, or None if v is outside.
+
+    The basis is reduced, so they are the entries of v at the pivots.
+    """
+    if not space.contains(v):
+        return None
+    return [v[pc] for pc in space.pivots]
+
+
+@pytest.fixture(scope="session")
+def coords():
+    """coords(space, v) is v in the reduced basis of space, or None outside it."""
+    return _coords
+
+
 def _sub_rep(M, fam):
     """The family as a representation in its own right, with its inclusion.
 
@@ -128,10 +143,10 @@ def _sub_rep(M, fam):
     for a, (u, w) in M.algebra.quiver.arrows.items():
         m = Mat.zero(F, dims[w], dims[u])
         for j, vec in enumerate(fam.spaces[u].basis):
-            coords = fam.spaces[w].coords(M.mats[a].apply(vec))
-            if coords is None:
+            column = _coords(fam.spaces[w], M.mats[a].apply(vec))
+            if column is None:
                 raise ModuleError("family is not arrow-stable; not a submodule")
-            for i, c in enumerate(coords):
+            for i, c in enumerate(column):
                 m.data[i][j] = c
         mats[a] = m
     sub = Representation(M.algebra, dims, mats, name=f"sub({M.name})")
@@ -152,13 +167,13 @@ def _subquotient(M, outer, inner):
     outer_rep, _ = _sub_rep(M, outer)
     inner_in_outer = SubFamily(
         outer_rep,
-        {v: Subspace(M.field, outer.dim_at(v), [outer.spaces[v].coords(x) for x in inner.spaces[v].basis]) for v in M.vertices},
+        {v: Subspace(M.field, outer.dim_at(v), [_coords(outer.spaces[v], x) for x in inner.spaces[v].basis]) for v in M.vertices},
     )
     quot, proj = quotient_rep(outer_rep, inner_in_outer)
     induced = []
     for rad_i in radical_series(M):
         meet = rad_i.intersect(outer)
-        vecs = [(v, proj.mats[v].apply(outer.spaces[v].coords(x))) for v in M.vertices for x in meet.spaces[v].basis]
+        vecs = [(v, proj.mats[v].apply(_coords(outer.spaces[v], x))) for v in M.vertices for x in meet.spaces[v].basis]
         induced.append(SubFamily.from_vectors(quot, vecs))
     while len(induced) > 1 and induced[-1].is_zero() and induced[-2].is_zero():
         induced.pop()
@@ -186,7 +201,7 @@ def _syzygy_block_solve(cover, N):
     """
     omega, inclusion = _sub_rep(cover.P0, cover.syzygy)
     homs = hom_space(omega, N)
-    coords = [cover.syzygy.spaces[g.label].coords(g.vector) for g in cover.generators]
+    coords = [_coords(cover.syzygy.spaces[g.label], g.vector) for g in cover.generators]
     images = [[x for g, c in zip(cover.generators, coords) for x in f.mats[g.label].apply(c)] for f in homs]
     return homs, images, inclusion
 
@@ -197,8 +212,34 @@ def syzygy_block_solve():
     return _syzygy_block_solve
 
 
+def _projective_cover(M):
+    """The projective cover P0 -> M of any module, as a ProjectiveCover.
+
+    P0 has one summand P(v_i) for each basis vector of a complement of
+    rad M at v_i, and its idempotent goes to that vector; Omega is the
+    kernel.  The library presents only P(lam) -> Delta(lam), on the
+    system's own P(lam) and U(lam); this is the reference it is compared
+    against, and the presentation `ext1` takes for any other module.
+    """
+    F = M.field
+    rad = radical_of(M, SubFamily.full(M))
+    lifts = [(v, vec) for v in M.vertices for vec in rad.spaces[v].complement_in(Subspace.full(F, M.dims[v]))]
+    summands = [projective_rep(M.algebra, v) for v, _ in lifts]
+    P0 = direct_sum(summands)[0] if summands else Representation(M.algebra, {}, {}, name="0")
+    cover = Morphism(P0, M, _path_map(M, lifts)[1])
+    if cover.image().total_dim != M.total_dim:
+        raise ModuleError("projective cover failed to surject")
+    return ProjectiveCover(P0, [v for v, _ in lifts], cover.kernel())
+
+
+@pytest.fixture(scope="session")
+def projective_cover():
+    """projective_cover(M) is the reference presentation of a module M."""
+    return _projective_cover
+
+
 def _signed_cover(M):
-    """A ProjectiveCover of M built on its generators times 1, -1, 1, ...
+    """The projective cover of M built on its generators times 1, -1, 1, ...
 
     They generate the syzygy as well, with entries other than 1, so a
     dropped or misplaced coefficient shows.
@@ -212,12 +253,12 @@ def _signed_cover(M):
 
     modules.PositionedGenerator = signed
     try:
-        return ProjectiveCover(M)
+        return _projective_cover(M)
     finally:
         modules.PositionedGenerator = PositionedGenerator
 
 
 @pytest.fixture(scope="session")
 def signed_cover():
-    """signed_cover(M) is a ProjectiveCover of M on rescaled generators."""
+    """signed_cover(M) is the projective cover of M on rescaled generators."""
     return _signed_cover

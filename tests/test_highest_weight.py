@@ -21,7 +21,6 @@ from tiltrig.highest_weight import (
 from tiltrig.linalg import Mat, Subspace, kernel_basis, rref, solve
 from tiltrig.modules import (
     ModuleError,
-    ProjectiveCover,
     Representation,
     SubFamily,
     direct_sum,
@@ -184,24 +183,26 @@ def test_ringel_examples(sl2):
     assert sl2.tilting("1").total_dim == 1
 
 
-def _ringel_multipass(sys, lam):
+def _ringel_multipass(sys, lam, projective_cover):
     """Ringel's construction as a loop: after every extension recompute
-    Ext^1(Delta(mu), X) for every mu, each through a fresh projective cover,
-    and extend at a maximal weight where it is nonzero, until none is."""
+    Ext^1(Delta(mu), X) for every mu, each through a fresh projective cover
+    of Delta(mu), and extend at a maximal weight where it is nonzero, until
+    none is."""
     X = sys.standard(lam)
     while True:
-        pending = {mu: e for mu in sys.labels if (e := ext1(sys.standard(mu), X)).dim}
+        covers = {mu: projective_cover(sys.standard(mu)) for mu in sys.labels}
+        pending = {mu: classes for mu in sys.labels if (classes := ext1(covers[mu], X))}
         if not pending:
             return X
         mu = sys.poset.max_label(list(pending))
-        X = universal_extension(X, sys.standard(mu), pending[mu])
+        X = universal_extension(X, covers[mu], pending[mu])
 
 
 @pytest.mark.parametrize("fixture", ["sl2", "ce3", (3, 2), (3, 3), (3, 0), (4, 2), (4, 3), (4, 0), (5, 2), (5, 3), (5, 0)], ids=str)
-def test_one_pass_ringel_matches_multipass(fixture, request, auslander):
+def test_one_pass_ringel_matches_multipass(fixture, request, auslander, projective_cover):
     sys = request.getfixturevalue(fixture) if isinstance(fixture, str) else auslander(*fixture)
     for lam in sys.labels:
-        T, R = sys.tilting(lam), _ringel_multipass(sys, lam)
+        T, R = sys.tilting(lam), _ringel_multipass(sys, lam, projective_cover)
         assert T.dims == R.dims and radical_profile(T) == radical_profile(R), lam
         # every order here is total, so both take the same extensions in the same basis
         assert {a: m.data for a, m in T.mats.items()} == {a: m.data for a, m in R.mats.items()}, lam
@@ -241,16 +242,17 @@ def test_auslander_tiltings_agree_over_q_and_f3(auslander):
         assert _plain(radical_profile(Tq)) == _plain(radical_profile(Tf))
 
 
-def test_tilting_has_both_filtrations_and_ext_vanishing(sl2, ce3):
+def test_tilting_has_both_filtrations_and_ext_vanishing(sl2, ce3, projective_cover):
     for sys in (sl2, ce3):
         for lam in sys.labels:
             T = sys.tilting(lam)
             filt = find_delta_filtration(sys, T)
             assert not isinstance(filt, FiltrationFailure)
             assert nabla_multiplicities(sys, T) is not None
+            cover = projective_cover(T)
             for mu in sys.labels:
-                assert ext1(sys.standard(mu), T).dim == 0
-                assert ext1(T, sys.costandard(mu)).dim == 0
+                assert ext1(projective_cover(sys.standard(mu)), T) == []
+                assert ext1(cover, sys.costandard(mu)) == []
             # highest-weight condition: composition factors bounded by lam
             for nu in sum(radical_profile(T), Counter()):
                 assert sys.poset.leq(nu, lam)
@@ -393,6 +395,35 @@ def _reference_system(fixture, request):
     return request.getfixturevalue("auslander")(*fixture)
 
 
+@pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
+def test_presentation_is_the_cover_of_delta_on_the_systems_own_objects(fixture, request, monkeypatch, projective_cover):
+    # a fresh system, so that no presentation is in its memo yet
+    sys = StandardSystem(_reference_system(fixture, request).algebra)
+    for lam in sys.labels:  # U(lam) and P(lam) are all it reads; Delta(lam) is not needed
+        sys.standard_kernel(lam)
+    built, construct = [], Representation.__init__
+
+    def counted_construct(rep, *args, **kwargs):
+        built.append(args)
+        construct(rep, *args, **kwargs)
+
+    monkeypatch.setattr(Representation, "__init__", counted_construct)
+    presentations = {lam: sys.presentation(lam) for lam in sys.labels}
+    monkeypatch.undo()
+    assert built == []
+    for lam, pres in presentations.items():
+        assert pres.P0 is sys.projective(lam) and pres.heads == [lam], lam
+        assert pres.syzygy == sys.standard_kernel(lam), lam
+        ref = projective_cover(sys.standard(lam))
+        assert ref.heads == pres.heads and ref.columns == pres.columns, lam
+        assert [(g.label, g.depth, g.vector) for g in pres.generators] == [
+            (g.label, g.depth, g.vector) for g in ref.generators
+        ], lam
+        assert pres.paths == ref.paths, lam
+        assert {w: m.data for w, m in pres.path_images.items()} == {w: m.data for w, m in ref.path_images.items()}, lam
+        assert pres.relations == ref.relations, lam
+
+
 def _certify_by_composition(M, lam):
     """The certificate on morphisms: the powers of I = ker c as spans of
     flattened maps, each power times I by composing every pair."""
@@ -523,13 +554,13 @@ def test_dualize_fixes_simples(sl2):
 
 
 @pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
-def test_hom_out_of_syzygy_matches_the_block_solve(fixture, request, syzygy_block_solve, signed_cover):
+def test_hom_out_of_syzygy_matches_the_block_solve(fixture, request, syzygy_block_solve, projective_cover, signed_cover):
     sys = _reference_system(fixture, request)
     F = sys.algebra.field
     targets = [f(lam) for f in (sys.simple, sys.standard, sys.costandard, sys.tilting) for lam in sys.labels]
     compared = 0
     for M in [f(lam) for f in (sys.standard, sys.costandard) for lam in sys.labels]:
-        for cover in (ProjectiveCover(M), signed_cover(M)):
+        for cover in (projective_cover(M), signed_cover(M)):
             for N in targets:
                 hom = cover.hom(N)
                 solved = syzygy_block_solve(cover, N)[1]
@@ -539,18 +570,18 @@ def test_hom_out_of_syzygy_matches_the_block_solve(fixture, request, syzygy_bloc
     assert compared
 
 
-def _graph_by_syzygy_walk(X, ext, syzygy_block_solve):
+def _graph_by_syzygy_walk(X, cover, classes, syzygy_block_solve):
     """The graph of `universal_extension` as it was built before: each class
     as a map out of Omega, and for every basis vector w of Omega one vector
     (phi_i(w), -w in the i-th copy of P0) of X (+) P0^d."""
-    cover, F = ext.cover, X.field
+    F = X.field
     homs, images, inclusion = syzygy_block_solve(cover, X)
-    classes = [linear_combination(homs, solve(Mat.from_cols(F, images), phi)) for phi in ext.classes]
-    big, injs = direct_sum([X] + [cover.P0] * ext.dim)
+    maps = [linear_combination(homs, solve(Mat.from_cols(F, images), phi)) for phi in classes]
+    big, injs = direct_sum([X] + [cover.P0] * len(classes))
     vectors = []
     for v in X.vertices:
         for unit in Mat.identity(F, inclusion.source.dims[v]).data:
-            for i, phi in enumerate(classes):
+            for i, phi in enumerate(maps):
                 x_part = injs[0].mats[v].apply(phi.mats[v].apply(unit))
                 p_part = injs[1 + i].mats[v].apply([F.neg(c) for c in inclusion.mats[v].apply(unit)])
                 vectors.append((v, [F.add(a, b) for a, b in zip(x_part, p_part)]))
@@ -567,11 +598,11 @@ def test_path_image_graph_matches_the_syzygy_walk(fixture, request, monkeypatch,
         graphs.append(fam)
         return quotient_rep(M, fam)
 
-    def checked_extension(X, delta, ext):
+    def checked_extension(X, cover, classes):
         graphs.clear()
-        out = universal_extension(X, delta, ext)
-        assert graphs[0] == _graph_by_syzygy_walk(X, ext, syzygy_block_solve), (X.name, delta.name)
-        checked.append(ext.dim)
+        out = universal_extension(X, cover, classes)
+        assert graphs[0] == _graph_by_syzygy_walk(X, cover, classes, syzygy_block_solve), X.name
+        checked.append(len(classes))
         return out
 
     monkeypatch.setattr(highest_weight, "quotient_rep", quotient_capturing_the_graph)

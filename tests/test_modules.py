@@ -5,7 +5,6 @@ import pytest
 from tiltrig.linalg import Mat, Subspace, kernel_basis
 from tiltrig.modules import (
     ModuleError,
-    ProjectiveCover,
     Representation,
     SubFamily,
     all_submodules,
@@ -200,15 +199,15 @@ def test_subquotient_validation(sl2, sub_rep, subquotient):
             build(P1, bad)
 
 
-def test_ext1_examples(sl2):
-    assert ext1(L(sl2, "1"), L(sl2, "1")).dim == 0
-    assert ext1(L(sl2, "1"), L(sl2, "2")).dim == 1
+def test_ext1_examples(sl2, projective_cover):
+    assert len(ext1(projective_cover(L(sl2, "1")), L(sl2, "1"))) == 0
+    assert len(ext1(projective_cover(L(sl2, "1")), L(sl2, "2"))) == 1
     for N in (L(sl2, "1"), L(sl2, "2"), P(sl2, "1")):
-        assert ext1(P(sl2, "1"), N).dim == 0
-        assert ext1(P(sl2, "2"), N).dim == 0
+        assert len(ext1(projective_cover(P(sl2, "1")), N)) == 0
+        assert len(ext1(projective_cover(P(sl2, "2")), N)) == 0
 
 
-def test_ext1_matches_cocycle_oracle(sl2_f2, ce3):
+def test_ext1_matches_cocycle_oracle(sl2_f2, ce3, projective_cover):
     for sys in (sl2_f2, ce3):
         mods = {f"L{l}": L(sys, l) for l in sys.labels}
         mods.update({f"P{l}": P(sys, l) for l in sys.labels})
@@ -216,10 +215,10 @@ def test_ext1_matches_cocycle_oracle(sl2_f2, ce3):
             for name_n, N in mods.items():
                 if M.total_dim + N.total_dim > 4:
                     continue
-                assert ext1(M, N).dim == ext1_dim_by_cocycles(M, N), (name_m, name_n)
+                assert len(ext1(projective_cover(M), N)) == ext1_dim_by_cocycles(M, N), (name_m, name_n)
 
 
-def test_ext1_matches_literal_middle_term_enumeration(sl2_f2):
+def test_ext1_matches_literal_middle_term_enumeration(sl2_f2, projective_cover):
     # enumerate every block-triangular middle term over F2 and count the
     # relation-satisfying choices and the split ones directly
     import itertools
@@ -276,7 +275,7 @@ def test_ext1_matches_literal_middle_term_enumeration(sl2_f2):
                 if sub.total_dim == M.total_dim and sub.intersect(n_part).total_dim == 0:
                     split += 1
                     break
-        d = ext1(M, N).dim
+        d = len(ext1(projective_cover(M), N))
         assert valid % split == 0 and valid // split == 2 ** d, (lm, ln, valid, split, d)
 
 
@@ -372,10 +371,10 @@ def test_read_off_restrictions_match_the_block_solve(fixture, request, auslander
 
 
 @pytest.mark.parametrize("n,p", [(3, 3), (3, 0)])
-def test_ext1_matches_cocycle_oracle_on_auslander(n, p, auslander):
+def test_ext1_matches_cocycle_oracle_on_auslander(n, p, auslander, projective_cover):
     sys = auslander(n, p)
     modules = _family_modules(sys) + [sys.tilting(lam) for lam in sys.labels]
     for M in modules:
-        cover = ProjectiveCover(M)
+        cover = projective_cover(M)
         for N in modules:
-            assert ext1(M, N, cover).dim == ext1_dim_by_cocycles(M, N), (M.name, N.name)
+            assert len(ext1(cover, N)) == ext1_dim_by_cocycles(M, N), (M.name, N.name)

@@ -3,10 +3,13 @@ library, every attribute the library stores on `self` is read somewhere,
 and every import in a library module is read by that module.
 
 A definition counts as used when its name appears in `src/`, outside its
-own definition, as a name, an attribute or an imported name; a use from
-`tests/` alone does not count, as test-only code belongs in `tests/`.
-Dunders are exempt, and a re-export in the package `__init__.py` is not a
-use.  The match is by name only, so it errs on the side of keeping code.
+own definition, as a name, an attribute or an imported name; a method
+counts only when its name appears as an attribute (`x.coords`), since a
+bare name of the same spelling is a variable, not a call of the method.
+A use from `tests/` alone does not count, as test-only code belongs in
+`tests/`.  Dunders are exempt, and a re-export in the package
+`__init__.py` is not a use.  The match is by name only, so it errs on the
+side of keeping code.
 An attribute stored as `self.<name> = ...` in `src/` counts as read when
 `<name>` is loaded as an attribute of any object in `src/` or `tests/`;
 again the match is by name only.
@@ -22,15 +25,15 @@ PACKAGE = ROOT / "src" / "tiltrig"
 
 
 def _uses(path: Path, tree: ast.AST):
-    """(name, line) for every name, attribute and import in a parsed file."""
+    """(name, line, is_attribute) for every name, attribute and import in a parsed file."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and path != PACKAGE / "__init__.py":
             for alias in node.names:
-                yield alias.name.rsplit(".", 1)[-1], node.lineno
+                yield alias.name.rsplit(".", 1)[-1], node.lineno, False
 
 
 def _trees() -> dict:
@@ -45,10 +48,17 @@ def unused_definitions() -> list:
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
-        for name, line in _uses(path, tree):
-            uses.setdefault(name, []).append((path, line))
+        for name, line, is_attribute in _uses(path, tree):
+            uses.setdefault(name, []).append((path, line, is_attribute))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
+        methods = {
+            id(item)
+            for node in ast.walk(trees[path])
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(trees[path]):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
@@ -56,8 +66,9 @@ def unused_definitions() -> list:
                 continue
             outside = [
                 (p, line)
-                for p, line in uses.get(node.name, [])
+                for p, line, is_attribute in uses.get(node.name, [])
                 if not (p == path and node.lineno <= line <= node.end_lineno)
+                and (is_attribute or id(node) not in methods)
             ]
             if not outside:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
