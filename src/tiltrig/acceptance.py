@@ -27,6 +27,7 @@ from .modules import (
     SubFamily,
     direct_sum,
     hom_space,
+    image,
     radical_profile,
     socle_profile,
     spin_submodule,
@@ -112,15 +113,15 @@ def criterion_1_sl4_projectives() -> Tuple[bool, str]:
 def criterion_2_sl4_tiltings() -> Tuple[bool, str]:
     b = ch.load_block()
     for lam, expected in PAPER_TILTINGS.items():
-        got = ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b)
+        got = ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b.layered)
         if got != [Counter(layer) for layer in expected]:
             return False, f"T({lam}) layers mismatch"
     golden = ch.parse_lay_text(ch.golden_lay("sl4.tiltings.lay"), b.labels)
     for kind, label, prof in golden:
-        if ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[label], b) != prof:
+        if ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[label], b.layered) != prof:
             return False, f"golden mismatch at T({label})"
     for lam, placement in ch.SL4_TILTING_PLACEMENTS.items():
-        target = ch.layers_from_placement(placement, b)
+        target = ch.layers_from_placement(placement, b.layered)
         mults = Counter(l for l, _ in placement)
         sols = ch.solve_placement(target, mults, b)
         if len(sols) != 1 or sorted(sols[0]) != sorted(placement):
@@ -218,8 +219,8 @@ def criterion_6_property_suites() -> Tuple[bool, str]:
     P1, D2 = sys.projective("1"), sys.standard("2")
     M, injs = direct_sum([P1, D2])
     full = SubFamily.full(M)
-    summand_delta = injs[1].image()
-    rad_p1_part = spin_submodule(M, [("2", injs[0].mats["2"].apply([sys.algebra.field.one]))])
+    summand_delta = image(M, injs[1])
+    rad_p1_part = spin_submodule(M, [("2", injs[0]["2"].apply([sys.algebra.field.one]))])
     chain_a = [SubFamily(M), summand_delta, summand_delta.sum(rad_p1_part), full]
     chain_b = [SubFamily(M), rad_p1_part, summand_delta.sum(rad_p1_part), full]
     if chain_a[1] == chain_b[1]:

@@ -180,13 +180,14 @@ def _add_shifted(layers: Profile, profile: Profile, shift: int) -> None:
         layers[shift + t] += layer
 
 
-def layers_from_placement(placement: Sequence[Tuple[str, int]], b: BlockData) -> Profile:
-    """Sum of shifted standard layer profiles over the head placement."""
+def layers_from_placement(placement: Sequence[Tuple[str, int]], layered: Dict[str, Profile]) -> Profile:
+    """Sum of shifted standard layer profiles over the head placement, with
+    `layered` giving each label's standard layer profile."""
     layers: Profile = []
     for lam, shift in placement:
         if shift < 0:
             raise BlockError("head shifts must be non-negative")
-        _add_shifted(layers, b.layered[lam], shift)
+        _add_shifted(layers, layered[lam], shift)
     return layers
 
 
@@ -201,7 +202,7 @@ def projective_placement(b: BlockData, mu: str) -> List[Tuple[str, int]]:
 
 
 def projective_layers(b: BlockData, mu: str) -> Profile:
-    return layers_from_placement(projective_placement(b, mu), b)
+    return layers_from_placement(projective_placement(b, mu), b.layered)
 
 
 def solve_placement(target: Profile, mults: Dict[str, int], b: BlockData) -> List[List[Tuple[str, int]]]:

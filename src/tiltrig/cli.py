@@ -173,22 +173,14 @@ def cmd_sl4(args) -> int:
     from . import characters as ch
 
     b = ch.load_block(args.block)
-    if args.what == "projectives":
-        lines = [f"proj {mu} : {ch.format_layers(ch.projective_layers(b, mu), b)}" for mu in b.labels]
-        payload = {"projectives": {mu: [dict(l) for l in ch.projective_layers(b, mu)] for mu in b.labels}}
-        _emit(payload, args.format, lambda p: print("\n".join(lines)))
-        return 0
-    if args.what == "tiltings":
-        lines = [
-            f"tilt {lam} : {ch.format_layers(ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b), b)}"
-            for lam in b.labels
-        ]
-        payload = {
-            "tiltings": {
-                lam: [dict(l) for l in ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b)]
-                for lam in b.labels
-            }
-        }
+    if args.what in ("projectives", "tiltings"):
+        if args.what == "projectives":
+            tag, profiles = "proj", {mu: ch.projective_layers(b, mu) for mu in b.labels}
+        else:
+            tag = "tilt"
+            profiles = {lam: ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b.layered) for lam in b.labels}
+        lines = [f"{tag} {lab} : {ch.format_layers(profile, b)}" for lab, profile in profiles.items()]
+        payload = {args.what: {lab: [dict(l) for l in profile] for lab, profile in profiles.items()}}
         _emit(payload, args.format, lambda p: print("\n".join(lines)))
         return 0
     if args.what == "wallcross":

@@ -24,15 +24,12 @@ class CQNode:
 
 
 class CQEdge:
-    def __init__(self, src: int, dst: int, style: str = "solid"):
-        if style not in ("solid", "dotted"):
-            raise ValueError(f"unknown edge style {style!r}")
+    def __init__(self, src: int, dst: int):
         self.src = src
         self.dst = dst
-        self.style = style
 
     def __repr__(self) -> str:
-        return f"CQEdge({self.src} -> {self.dst}, {self.style})"
+        return f"CQEdge({self.src} -> {self.dst})"
 
 
 class CoefficientQuiver:
@@ -77,7 +74,7 @@ def extract(M: Representation) -> CoefficientQuiver:
                 raise ValueError("adapted basis failed to span an arrow image")
             for i, c in enumerate(coords):
                 if c != F.zero:
-                    edges.append(CQEdge(index[(u, j)], index[(w, i)], "solid"))
+                    edges.append(CQEdge(index[(u, j)], index[(w, i)]))
     seen = set()
     unique_edges = []
     for e in edges:
@@ -105,8 +102,7 @@ def render_dot(cq: CoefficientQuiver) -> str:
             lines.append(f'    n{n.id} [label="{n.label}"];')
         lines.append("  }")
     for e in cq.edges:
-        style = "solid" if e.style == "solid" else "dotted"
-        lines.append(f"  n{e.src} -> n{e.dst} [style={style}];")
+        lines.append(f"  n{e.src} -> n{e.dst} [style=solid];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

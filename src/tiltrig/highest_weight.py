@@ -6,7 +6,9 @@ reciprocity check for algebras with a duality.
 A `StandardSystem` builds each object once.  Delta(lam) is P(lam)/U(lam),
 and its minimal presentation is read off that same P(lam) and U(lam);
 Ringel's construction and the rigidity engine take Ext^1 against Delta(lam)
-through it.
+through it.  Each universal extension checks only its dimension, which
+decides whether the base module embeds, and T(lam) is certified
+indecomposable on the spanning set f - c(f) id of the maps vanishing at lam.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from .linalg import Mat, Subspace, kernel_basis, quotient_map
 from .modules import (
     LoewyProfile,
     ModuleError,
-    Morphism,
     ProjectiveCover,
     Representation,
     SubFamily,
     direct_sum,
     ext1,
     hom_space,
-    linear_combination,
+    image,
     projective_rep,
     quotient_rep,
     radical_of,
@@ -170,19 +171,6 @@ class StandardSystem:
         """The greedy standard filtration of P(lam), or its FiltrationFailure."""
         return self.memo(("P filtration", lam), lambda: find_delta_filtration(self, self.projective(lam)))
 
-    def block(self):
-        """Labels, order and Delta radical profiles as a character-level block."""
-        from .characters import BlockData
-
-        return self.memo(
-            ("block",),
-            lambda: BlockData(
-                self.labels,
-                self.algebra.order_covers or (),
-                {lam: radical_profile(self.standard(lam)) for lam in self.labels},
-            ),
-        )
-
     def require_quasihereditary(self) -> None:
         """Raise ModuleError naming the first weight that breaks an axiom."""
         report = self.memo(("qh",), lambda: check_quasihereditary(self))
@@ -228,12 +216,12 @@ def _step(M: Representation, lam: str, below: SubFamily, above: SubFamily) -> De
     return DeltaStep(lam, s)
 
 
-def _preimage_family(M: Representation, proj: Morphism, fam: SubFamily) -> SubFamily:
+def _preimage_family(M: Representation, proj: Dict[str, Mat], fam: SubFamily) -> SubFamily:
     """{x in M : proj(x) in fam}, computed per vertex."""
     spaces = {}
     for v in M.vertices:
         Q, _ = quotient_map(M.field, fam.spaces[v])
-        comp = Q.mul(proj.mats[v])
+        comp = Q.mul(proj[v])
         spaces[v] = Subspace(M.field, M.dims[v], kernel_basis(comp))
     return SubFamily(M, spaces)
 
@@ -265,7 +253,7 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
         homs = hom_space(sys.projective(lam), quot)
         partials, trace = [], SubFamily(quot)
         for g in homs:
-            trace = trace.sum(g.image())
+            trace = trace.sum(image(quot, g))
             partials.append(trace)
         trace_dims = {v: trace.dim_at(v) for v in M.vertices}
         factoring = is_standard_quotient(sys, lam, trace_dims)
@@ -322,7 +310,9 @@ def check_radical_respecting(
     """Compare the layer-formula prediction with the actual radical profile."""
     from .characters import layers_from_placement
 
-    predicted = layers_from_placement(filt.placement(), sys.block())
+    placement = filt.placement()
+    layered = {lam: radical_profile(sys.standard(lam)) for lam, _ in placement}
+    predicted = layers_from_placement(placement, layered)
     actual = radical_profile(M)
     while len(predicted) < len(actual):
         predicted.append(Counter())
@@ -376,7 +366,7 @@ def universal_extension(X: Representation, cover: ProjectiveCover, classes: List
     Returns X'.
     """
     d, F = len(classes), X.field
-    big, injs = direct_sum([X] + [cover.P0] * d)
+    big = direct_sum([X] + [cover.P0] * d)[0]
     blocks, pos = [], 0  # where phi(v_j) sits in a class
     for g in cover.generators:
         blocks.append(slice(pos, pos + X.dims[g.label]))
@@ -384,16 +374,18 @@ def universal_extension(X: Representation, cover: ProjectiveCover, classes: List
     vectors = []
     for w in X.vertices:
         zero = [F.zero] * cover.P0.dims[w]
-        for (j, p), image in zip(cover.paths[w], cover.path_images[w].transpose().data):
-            act, neg = X.path_matrix(p), [F.neg(c) for c in image]
+        for (j, p), column in zip(cover.paths[w], cover.path_images[w].transpose().data):
+            act, neg = X.path_matrix(p), [F.neg(c) for c in column]
             for i, phi in enumerate(classes):
                 # direct_sum stacks the summands' coordinates at each vertex
                 copies = [x for k in range(d) for x in (neg if k == i else zero)]
                 vectors.append((w, act.apply(phi[blocks[j]]) + copies))
     graph = SubFamily.from_vectors(big, vectors)
-    quot, proj = quotient_rep(big, graph)
-    if not proj.compose(injs[0]).is_injective():
-        raise ModuleError("universal extension failed to embed the base module")
+    quot = quotient_rep(big, graph)[0]
+    # The graph projects onto Omega^d, as the presentation certifies that its
+    # generators span Omega, so dim X' = dim X + d (dim P0 - dim Omega) -
+    # dim(graph cap X): the dimension is right exactly when X embeds in X',
+    # which fails when some class is not a cocycle.
     if quot.total_dim != X.total_dim + d * (cover.P0.total_dim - cover.syzygy.total_dim):
         raise ModuleError("universal extension has the wrong dimension")
     return quot
@@ -428,19 +420,22 @@ def certify_indecomposable(M: Representation, lam: str) -> None:
     Over a quasi-hereditary order [T(lam):L(lam)] = 1, so dim T(lam)_lam = 1.
     When dim M_lam = 1, each endomorphism acts on M_lam by a scalar c(f), and
     c: End(M) -> K is an algebra map onto K.  M is indecomposable exactly when
-    I = ker c is nilpotent, and I^k = 0 exactly when I^k M = 0.  The chain
+    I = ker c is nilpotent, and I^k = 0 exactly when I^k M = 0.  I is spanned
+    by the f - c(f) id over a basis f_k of End(M): if g = sum a_k f_k lies in
+    I then sum a_k c(f_k) = 0, so g = sum a_k (f_k - c(f_k) id).  The chain
     M > IM > I^2 M > ... is walked as submodules: I^(k+1) M is spanned by
-    f(x) for f in a basis of I and x in a basis of I^k M.  It shrinks
+    g(x) for g in that spanning set and x in a basis of I^k M.  It shrinks
     strictly until it reaches 0, or stalls when I is not nilpotent.
     """
     if M.dims[lam] != 1:
         raise ModuleError(f"{M.name or 'module'} has dimension {M.dims[lam]} at weight {lam}, not 1")
     F = M.field
-    endo = hom_space(M, M)
-    scalars = Mat.canonical(F, [[f.mats[lam].data[0][0] for f in endo]])
-    ideal = [linear_combination(endo, coords) for coords in kernel_basis(scalars)]
-    # rows x times f_v^T are the images f(x), one row per basis vector x
-    transposed = [{v: f.mats[v].transpose() for v in M.vertices} for f in ideal]
+    # g = f - c(f) id over the basis of End(M); rows x times g_v^T are the
+    # images g(x), one row per basis vector x
+    transposed = []
+    for f in hom_space(M, M):
+        minus_c = F.neg(f[lam].data[0][0])
+        transposed.append({v: f[v].transpose().add(Mat.identity(F, M.dims[v]).scale(minus_c)) for v in M.vertices})
     power = SubFamily.full(M)
     while not power.is_zero():
         images = []

@@ -3,8 +3,10 @@ representations: one exact matrix per arrow.
 
 Submodules are per-vertex subspace families closed under the arrow action
 (vertex idempotents split any module element into its vertex components, so
-nothing is lost by working per vertex).  Radical and socle series, spins,
-quotient modules, Hom and Ext^1 spaces and the rigidity test all live here.
+nothing is lost by working per vertex).  A map between modules is a plain
+dict of its vertex matrices, one per vertex; `image` reads its image.
+Radical and socle series, spins, quotient modules, Hom and Ext^1 spaces and
+the rigidity test all live here.
 A subquotient is read in its ambient module, as the families between inner
 and outer, and never built as a module of its own.  Ext^1 is read off the
 presentation P0 -> P0/Omega of a given projective P0 and submodule Omega,
@@ -182,51 +184,8 @@ def projective_rep(algebra: FinDimAlgebra, vertex: str) -> Representation:
     return rep
 
 
-class Morphism:
-    """Module homomorphism: one matrix per vertex, commuting with all arrows."""
-
-    def __init__(self, source: Representation, target: Representation, mats: Dict[str, Mat]):
-        self.source = source
-        self.target = target
-        self.mats = mats
-
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self after other (other first)."""
-        if other.target is not self.source and other.target.dims != self.source.dims:
-            raise ModuleError("composition mismatch")
-        return Morphism(
-            other.source,
-            self.target,
-            {v: self.mats[v].mul(other.mats[v]) for v in self.source.vertices},
-        )
-
-    def add(self, other: "Morphism") -> "Morphism":
-        return Morphism(self.source, self.target, {v: self.mats[v].add(other.mats[v]) for v in self.source.vertices})
-
-    def scale(self, c) -> "Morphism":
-        return Morphism(self.source, self.target, {v: self.mats[v].scale(c) for v in self.source.vertices})
-
-    def image(self) -> SubFamily:
-        return SubFamily(
-            self.target,
-            {
-                v: Subspace(self.target.field, self.target.dims[v], self.mats[v].transpose().data)
-                for v in self.target.vertices
-            },
-        )
-
-    def kernel(self) -> SubFamily:
-        return SubFamily(
-            self.source,
-            {v: Subspace(self.source.field, self.source.dims[v], kernel_basis(self.mats[v])) for v in self.source.vertices},
-        )
-
-    def is_injective(self) -> bool:
-        return self.kernel().total_dim == 0
-
-
-def morphism_from_flat(source: Representation, target: Representation, flat: list) -> Morphism:
-    """The morphism whose vertex matrices, row by row, are the canonical list `flat`."""
+def morphism_from_flat(source: Representation, target: Representation, flat: list) -> Dict[str, Mat]:
+    """The map whose vertex matrices, row by row, are the canonical list `flat`."""
     mats = {}
     pos = 0
     for v in source.vertices:
@@ -236,11 +195,17 @@ def morphism_from_flat(source: Representation, target: Representation, flat: lis
         else:
             mats[v] = Mat.canonical(source.field, [flat[pos + i * c : pos + (i + 1) * c] for i in range(r)])
         pos += r * c
-    return Morphism(source, target, mats)
+    return mats
 
 
-def hom_space(M: Representation, N: Representation) -> List[Morphism]:
-    """Basis of Hom(M, N): solve the commuting conditions exactly.
+def image(N: Representation, f: Dict[str, Mat]) -> SubFamily:
+    """The image in N of a map into N, given by its vertex matrices."""
+    return SubFamily(N, {v: Subspace(N.field, N.dims[v], f[v].transpose().data) for v in N.vertices})
+
+
+def hom_space(M: Representation, N: Representation) -> List[Dict[str, Mat]]:
+    """Basis of Hom(M, N), each map as its vertex matrices: solve the
+    commuting conditions exactly.
 
     The unknowns are the entries of f_v (dim N_v x dim M_v), row by row,
     vertex after vertex.  Arrow a: u -> w gives one equation per entry (r, c)
@@ -284,7 +249,7 @@ def hom_space(M: Representation, N: Representation) -> List[Morphism]:
     return [morphism_from_flat(M, N, s) for s in sols]
 
 
-def _hom_from_projective(P: Representation, N: Representation) -> List[Morphism]:
+def _hom_from_projective(P: Representation, N: Representation) -> List[Dict[str, Mat]]:
     """Hom(P(v), N) read off N_v, with no linear system.
 
     x in N_v gives the map sending each basis path p of P(v) to p.x.  The
@@ -305,24 +270,12 @@ def _hom_from_projective(P: Representation, N: Representation) -> List[Morphism]
     return [morphism_from_flat(P, N, row[::-1]) for row in reversed(echelon)]
 
 
-def linear_combination(basis: List[Morphism], coords: Sequence) -> Morphism:
-    """sum_k coords[k] * basis[k] over a nonempty hom basis."""
-    F = basis[0].source.field
-    out = None
-    for c, g in zip(coords, basis):
-        if c == F.zero:
-            continue
-        term = g.scale(c)
-        out = term if out is None else out.add(term)
-    return out if out is not None else basis[0].scale(F.zero)
-
-
 # -- sums, subs, quotients ------------------------------------------------------
 
 
-def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Morphism]]:
-    """Direct sum with the canonical injections.  At each vertex the summands'
-    coordinates are stacked in the order given."""
+def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Dict[str, Mat]]]:
+    """Direct sum with the vertex matrices of the canonical injections.  At
+    each vertex the summands' coordinates are stacked in the order given."""
     if not reps:
         raise ModuleError("empty direct sum")
     algebra = reps[0].algebra
@@ -351,12 +304,12 @@ def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Mor
             inj[v] = Mat.zero(F, dims[v], r.dims[v])
             for i in range(r.dims[v]):
                 inj[v].data[off[v] + i][i] = F.one
-        injections.append(Morphism(r, total, inj))
+        injections.append(inj)
     return total, injections
 
 
-def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Morphism]:
-    """Quotient by a submodule family, with the projection morphism.
+def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Dict[str, Mat]]:
+    """Quotient by a submodule family, with the vertex matrices of the projection.
 
     Q_v has kernel exactly fam_v, so the family is arrow-stable exactly when
     Q_w X_a B_u = 0 for each arrow a: u -> w, with B_u the basis of fam_u as
@@ -378,9 +331,7 @@ def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Mor
         if fam.spaces[u].dim and not QX.mul(Mat.from_cols(F, fam.spaces[u].basis)).is_zero():
             raise ModuleError("family is not arrow-stable; not a submodule")
         mats[a] = QX.mul(sections[u])
-    quot = Representation(M.algebra, dims, mats, name=f"{M.name}/sub")
-    proj = Morphism(M, quot, qmaps)
-    return quot, proj
+    return Representation(M.algebra, dims, mats, name=f"{M.name}/sub"), qmaps
 
 
 # -- series and profiles ---------------------------------------------------------

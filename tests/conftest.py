@@ -8,10 +8,9 @@ import pytest
 from tiltrig import modules
 from tiltrig.acceptance import CE3_BLOCK, SL2_BLOCK
 from tiltrig.highest_weight import StandardSystem
-from tiltrig.linalg import Mat, Subspace
+from tiltrig.linalg import Mat, Subspace, kernel_basis
 from tiltrig.modules import (
     ModuleError,
-    Morphism,
     PositionedGenerator,
     ProjectiveCover,
     Representation,
@@ -19,6 +18,7 @@ from tiltrig.modules import (
     _path_map,
     direct_sum,
     hom_space,
+    image,
     projective_rep,
     quotient_rep,
     radical_of,
@@ -88,7 +88,7 @@ def auslander():
     return lambda n, p: StandardSystem(parse_alg_text(family.auslander_alg(n, p), name=f"aus{n}_{p}"))
 
 
-_DOT_EDGE = re.compile(r"^\s*n\d+ -> n\d+ \[style=(solid|dotted)\];$")
+_DOT_EDGE = re.compile(r"^\s*n\d+ -> n\d+ \[style=solid\];$")
 _DOT_NODE = re.compile(r'^\s*n\d+ \[label=".*"\];$')
 
 
@@ -115,6 +115,35 @@ def dot_is_wellformed():
     return _dot_is_wellformed
 
 
+# -- maps between modules, as the library gives them: one matrix per vertex ------------
+#
+# Test modules import these as `from conftest import ...`.
+
+
+def flatten(f) -> list:
+    """The entries of a map's vertex matrices, vertex by vertex, row by row."""
+    return [x for m in f.values() for row in m.data for x in row]
+
+
+def combine(basis, coeffs):
+    """sum_k coeffs[k] * basis[k] over a nonempty list of maps."""
+    out = {v: m.scale(0) for v, m in basis[0].items()}
+    for c, g in zip(coeffs, basis):
+        if c:
+            out = {v: out[v].add(m.scale(c)) for v, m in g.items()}
+    return out
+
+
+def compose(f, g):
+    """f after g (g first)."""
+    return {v: f[v].mul(m) for v, m in g.items()}
+
+
+def kernel(M, f):
+    """The kernel of a map out of M, as a family in M."""
+    return SubFamily(M, {v: Subspace(M.field, M.dims[v], kernel_basis(f[v])) for v in M.vertices})
+
+
 def _coords(space, v):
     """Coordinates of v in the basis of a Subspace, or None if v is outside.
 
@@ -132,7 +161,8 @@ def coords():
 
 
 def _sub_rep(M, fam):
-    """The family as a representation in its own right, with its inclusion.
+    """The family as a representation in its own right, with the vertex
+    matrices of its inclusion.
 
     Raises ModuleError unless the family is arrow-stable: every arrow image
     of a basis vector must have coordinates in the family.
@@ -150,7 +180,7 @@ def _sub_rep(M, fam):
                 m.data[i][j] = c
         mats[a] = m
     sub = Representation(M.algebra, dims, mats, name=f"sub({M.name})")
-    inc = Morphism(sub, M, {v: Mat.from_cols(F, fam.spaces[v].basis) if dims[v] else Mat.zero(F, M.dims[v], 0) for v in M.vertices})
+    inc = {v: Mat.from_cols(F, fam.spaces[v].basis) if dims[v] else Mat.zero(F, M.dims[v], 0) for v in M.vertices}
     return sub, inc
 
 
@@ -173,7 +203,7 @@ def _subquotient(M, outer, inner):
     induced = []
     for rad_i in radical_series(M):
         meet = rad_i.intersect(outer)
-        vecs = [(v, proj.mats[v].apply(_coords(outer.spaces[v], x))) for v in M.vertices for x in meet.spaces[v].basis]
+        vecs = [(v, proj[v].apply(_coords(outer.spaces[v], x))) for v in M.vertices for x in meet.spaces[v].basis]
         induced.append(SubFamily.from_vectors(quot, vecs))
     while len(induced) > 1 and induced[-1].is_zero() and induced[-2].is_zero():
         induced.pop()
@@ -202,7 +232,7 @@ def _syzygy_block_solve(cover, N):
     omega, inclusion = _sub_rep(cover.P0, cover.syzygy)
     homs = hom_space(omega, N)
     coords = [_coords(cover.syzygy.spaces[g.label], g.vector) for g in cover.generators]
-    images = [[x for g, c in zip(cover.generators, coords) for x in f.mats[g.label].apply(c)] for f in homs]
+    images = [[x for g, c in zip(cover.generators, coords) for x in f[g.label].apply(c)] for f in homs]
     return homs, images, inclusion
 
 
@@ -226,10 +256,10 @@ def _projective_cover(M):
     lifts = [(v, vec) for v in M.vertices for vec in rad.spaces[v].complement_in(Subspace.full(F, M.dims[v]))]
     summands = [projective_rep(M.algebra, v) for v, _ in lifts]
     P0 = direct_sum(summands)[0] if summands else Representation(M.algebra, {}, {}, name="0")
-    cover = Morphism(P0, M, _path_map(M, lifts)[1])
-    if cover.image().total_dim != M.total_dim:
+    cover = _path_map(M, lifts)[1]
+    if image(M, cover).total_dim != M.total_dim:
         raise ModuleError("projective cover failed to surject")
-    return ProjectiveCover(P0, [v for v, _ in lifts], cover.kernel())
+    return ProjectiveCover(P0, [v for v, _ in lifts], kernel(P0, cover))
 
 
 @pytest.fixture(scope="session")

@@ -157,10 +157,10 @@ def test_projective_layers_examples(block):
 
 
 def test_layers_from_placement_examples(block):
-    got = ch.layers_from_placement([("2", 0), ("3", 1)], block)
+    got = ch.layers_from_placement([("2", 0), ("3", 1)], block.layered)
     assert got == [Counter({"2": 1}), Counter({"3": 1, "1": 1}), Counter({"2": 1})]
-    assert ch.layers_from_placement([("1", 0)], block) == [Counter({"1": 1})]
-    t5 = ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS["5"], block)
+    assert ch.layers_from_placement([("1", 0)], block.layered) == [Counter({"1": 1})]
+    t5 = ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS["5"], block.layered)
     assert t5 == [
         Counter({"3": 1, "3'": 1}),
         Counter({"fl'": 1, "fl": 1, "2": 2, "4": 1}),
@@ -172,11 +172,11 @@ def test_layers_from_placement_examples(block):
 
 def test_layers_from_placement_rejects_negative_shift(block):
     with pytest.raises(ch.BlockError):
-        ch.layers_from_placement([("2", -1)], block)
+        ch.layers_from_placement([("2", -1)], block.layered)
 
 
 def test_solve_placement_examples(block):
-    t4 = ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS["4"], block)
+    t4 = ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS["4"], block.layered)
     sols = ch.solve_placement(t4, {"4": 1, "3": 1, "3'": 1, "2": 1}, block)
     assert len(sols) == 1
     assert sorted(sols[0]) == sorted([("2", 0), ("3", 1), ("3'", 1), ("4", 2)])
@@ -258,7 +258,7 @@ def test_golden_files_parse_and_match(block):
     assert len(golden) == 8
     for kind, label, prof in golden:
         assert kind == "tilt"
-        assert prof == ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[label], block)
+        assert prof == ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[label], block.layered)
 
 
 def test_format_character_descending_order(block):

@@ -307,3 +307,15 @@ def test_each_subcommand_loads_only_the_modules_it_uses():
     sl4 = _loaded_library_modules("sl4", "tiltings")
     assert "tiltrig.characters" in sl4
     assert not {"tiltrig.modules", "tiltrig.highest_weight"} & sl4
+    # the subcommands the benchmark times: every job compiles what it loads
+    base = {"tiltrig", "tiltrig.cli", "tiltrig.linalg", "tiltrig.quiver", "tiltrig.modules"}
+    assert _loaded_library_modules("module", "series", REP) == base
+    assert _loaded_library_modules("render", REP) == base | {"tiltrig.coeffquiver"}
+    hw = base | {"tiltrig.highest_weight"}
+    assert _loaded_library_modules("tilting", "build", SL2, "--weight", "2") == hw
+    # characters checks BGG reciprocity, so only an algebra with a duality needs it
+    assert _loaded_library_modules("qh", "verify", CE3) == hw
+    assert _loaded_library_modules("qh", "verify", SL2) == hw | {"tiltrig.characters"}
+    assert _loaded_library_modules("rigidity", "check", SL2, "--weight", "2") == hw | {
+        "tiltrig.characters", "tiltrig.rigidity"
+    }

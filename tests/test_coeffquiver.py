@@ -80,12 +80,6 @@ def test_render_ascii(sl2):
     assert text == "1 | 2 | 1"
 
 
-def test_dotted_edges_render(dot_is_wellformed):
-    cq = CoefficientQuiver([CQNode(0, "a", 0), CQNode(1, "b", 1)], [CQEdge(0, 1, "dotted")])
-    text = render(cq, "dot")
-    assert "style=dotted" in text and dot_is_wellformed(text)
-
-
 LESS = lambda x, y: (x, y) in {("a", "c")}
 EXT = {("a", "c"): True}
 

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import combine, compose, flatten
 
 from tiltrig import highest_weight
 from tiltrig.highest_weight import (
@@ -26,7 +27,7 @@ from tiltrig.modules import (
     direct_sum,
     ext1,
     hom_space,
-    linear_combination,
+    image,
     morphism_from_flat,
     quotient_rep,
     radical_profile,
@@ -141,8 +142,8 @@ def test_filtration_independence_two_chains(sl2):
     P1, D2 = sl2.projective("1"), sl2.standard("2")
     M, injs = direct_sum([P1, D2])
     full = SubFamily.full(M)
-    summand = injs[1].image()
-    radp1 = spin_submodule(M, [("2", injs[0].mats["2"].apply([sl2.algebra.field.one]))])
+    summand = image(M, injs[1])
+    radp1 = spin_submodule(M, [("2", injs[0]["2"].apply([sl2.algebra.field.one]))])
     chain_a = [SubFamily(M), summand, summand.sum(radp1), full]
     chain_b = [SubFamily(M), radp1, summand.sum(radp1), full]
     assert chain_a[1] != chain_b[1]
@@ -309,7 +310,7 @@ def _trace_of(P, M):
     """Sum of the images of all homomorphisms P -> M."""
     fam = SubFamily(M)
     for g in hom_space(P, M):
-        fam = fam.sum(g.image())
+        fam = fam.sum(image(M, g))
     return fam
 
 
@@ -339,17 +340,17 @@ def _greedy_reference(sys, M):
         homs = hom_space(P, quot)
         trace = SubFamily(quot)
         for g in homs:
-            trace = trace.sum(g.image())
+            trace = trace.sum(image(quot, g))
         factoring = all(
-            not any(g.mats[v].apply(vec)) for g in homs for v in M.vertices for vec in kernel.spaces[v].basis
+            not any(g[v].apply(vec)) for g in homs for v in M.vertices for vec in kernel.spaces[v].basis
         )
         if not factoring or trace.total_dim != len(homs) * (P.total_dim - kernel.total_dim):
             return lam, {v: trace.dim_at(v) for v in M.vertices}
         generator = [M.field.one if p == (lam,) else M.field.zero for p in P.basis_paths[lam]]
         partial = SubFamily(quot)
         for g in homs:
-            partial = partial.sum(g.image())
-            heads.append((lam, solve(proj.mats[lam], g.mats[lam].apply(generator))))
+            partial = partial.sum(image(quot, g))
+            heads.append((lam, solve(proj[lam], g[lam].apply(generator))))
             chain.append(_preimage_family(M, proj, partial))
     placement = []
     for (lam, vec), below in zip(heads, chain):
@@ -425,24 +426,19 @@ def test_presentation_is_the_cover_of_delta_on_the_systems_own_objects(fixture, 
 
 
 def _certify_by_composition(M, lam):
-    """The certificate on morphisms: the powers of I = ker c as spans of
+    """The certificate on maps: the powers of I = ker c as spans of
     flattened maps, each power times I by composing every pair."""
     F = M.field
     endo = hom_space(M, M)
-    scalars = Mat.canonical(F, [[f.mats[lam].data[0][0] for f in endo]])
-    ideal = [linear_combination(endo, coords) for coords in kernel_basis(scalars)]
+    scalars = Mat.canonical(F, [[f[lam].data[0][0] for f in endo]])
+    ideal = [combine(endo, coords) for coords in kernel_basis(scalars)]
     power = Subspace(F, len(flatten(endo[0])), [flatten(f) for f in ideal])
     while power.dim:
-        products = [flatten(morphism_from_flat(M, M, flat).compose(g)) for flat in power.basis for g in ideal]
+        products = [flatten(compose(morphism_from_flat(M, M, flat), g)) for flat in power.basis for g in ideal]
         nxt = Subspace(F, power.ambient, products)
         if nxt.dim == power.dim:
             raise ModuleError(f"{M.name} is decomposable: the maps vanishing at {lam} are not nilpotent")
         power = nxt
-
-
-def flatten(f) -> list:
-    """The entries of a morphism's vertex matrices, vertex by vertex, row by row."""
-    return [x for v in f.source.vertices for row in f.mats[v].data for x in row]
 
 
 @pytest.mark.parametrize("fixture", REFERENCE_FIXTURES + ["sl2_reversed"], ids=str)
@@ -576,14 +572,14 @@ def _graph_by_syzygy_walk(X, cover, classes, syzygy_block_solve):
     (phi_i(w), -w in the i-th copy of P0) of X (+) P0^d."""
     F = X.field
     homs, images, inclusion = syzygy_block_solve(cover, X)
-    maps = [linear_combination(homs, solve(Mat.from_cols(F, images), phi)) for phi in classes]
+    maps = [combine(homs, solve(Mat.from_cols(F, images), phi)) for phi in classes]
     big, injs = direct_sum([X] + [cover.P0] * len(classes))
     vectors = []
     for v in X.vertices:
-        for unit in Mat.identity(F, inclusion.source.dims[v]).data:
+        for unit in Mat.identity(F, cover.syzygy.dim_at(v)).data:
             for i, phi in enumerate(maps):
-                x_part = injs[0].mats[v].apply(phi.mats[v].apply(unit))
-                p_part = injs[1 + i].mats[v].apply([F.neg(c) for c in inclusion.mats[v].apply(unit)])
+                x_part = injs[0][v].apply(phi[v].apply(unit))
+                p_part = injs[1 + i][v].apply([F.neg(c) for c in inclusion[v].apply(unit)])
                 vectors.append((v, [F.add(a, b) for a, b in zip(x_part, p_part)]))
     return SubFamily.from_vectors(big, vectors)
 
@@ -610,3 +606,37 @@ def test_path_image_graph_matches_the_syzygy_walk(fixture, request, monkeypatch,
     for lam in sys.labels:
         highest_weight.ringel_tilting(sys, lam)
     assert checked
+
+
+def _graph_meets_the_base(X, cover, phi):
+    """dim of graph cap (X (+) 0) in X (+) P0 for one generator-image vector
+    phi, the graph spanned by p.(phi(v_j), -v_j) over the generators v_j and
+    the basis paths p out of their labels."""
+    A, F, P0 = X.algebra, X.field, cover.P0
+    big = direct_sum([X, P0])[0]
+    vectors, pos = [], 0
+    for g in cover.generators:
+        block, pos = phi[pos : pos + X.dims[g.label]], pos + X.dims[g.label]
+        for p in A.basis:
+            if A.path_source(p) == g.label:
+                minus = [F.neg(c) for c in P0.path_matrix(p).apply(g.vector)]
+                vectors.append((A.path_target(p), X.path_matrix(p).apply(block) + minus))
+    base = [(v, unit + [F.zero] * P0.dims[v]) for v in X.vertices for unit in Mat.identity(F, X.dims[v]).data]
+    return SubFamily.from_vectors(big, vectors).intersect(SubFamily.from_vectors(big, base)).total_dim
+
+
+def test_universal_extension_refuses_a_non_cocycle(sl2, projective_cover):
+    # the syzygy of L(2) has one generator, at 1, and a relation that cuts
+    # Hom(syzygy, P(1)) down to a line of P(1)_1
+    cover, X = projective_cover(sl2.simple("2")), sl2.projective("1")
+    hom = cover.hom(X)
+    assert hom.dim < hom.ambient
+    phi = next(u for u in Subspace.full(X.field, hom.ambient).basis if not hom.contains(u))
+    assert _graph_meets_the_base(X, cover, phi) > 0
+    with pytest.raises(ModuleError, match="wrong dimension"):
+        universal_extension(X, cover, [phi])
+    # a cocycle's graph meets X in 0, and the extension has the expected dimension
+    (cocycle,) = hom.basis
+    assert _graph_meets_the_base(X, cover, cocycle) == 0
+    extended = universal_extension(X, cover, [cocycle])
+    assert extended.total_dim == X.total_dim + cover.P0.total_dim - cover.syzygy.total_dim

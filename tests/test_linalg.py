@@ -2,15 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import flatten
 
 from tiltrig.linalg import Field, Mat, Subspace, kernel_basis, quotient_map, rref, solve
 from tiltrig.modules import hom_space, radical_series
 from tiltrig.rigidity import positioned_lifting, rigidity_pipeline
-
-
-def flatten(f) -> list:
-    """The entries of a morphism's vertex matrices, vertex by vertex, row by row."""
-    return [x for v in f.source.vertices for row in f.mats[v].data for x in row]
 
 
 def test_field_validation():
