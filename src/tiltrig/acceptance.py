@@ -32,7 +32,7 @@ from .modules import (
     socle_profile,
     spin_submodule,
 )
-from .quiver import parse_alg_text
+from .quiver import bgg_symmetry_check, layers_from_placement, parse_alg_text
 from .rigidity import (
     detect_stretched,
     filtered_ext1_delta,
@@ -113,15 +113,15 @@ def criterion_1_sl4_projectives() -> Tuple[bool, str]:
 def criterion_2_sl4_tiltings() -> Tuple[bool, str]:
     b = ch.load_block()
     for lam, expected in PAPER_TILTINGS.items():
-        got = ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b.layered)
+        got = layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b.layered)
         if got != [Counter(layer) for layer in expected]:
             return False, f"T({lam}) layers mismatch"
     golden = ch.parse_lay_text(ch.golden_lay("sl4.tiltings.lay"), b.labels)
     for kind, label, prof in golden:
-        if ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[label], b.layered) != prof:
+        if layers_from_placement(ch.SL4_TILTING_PLACEMENTS[label], b.layered) != prof:
             return False, f"golden mismatch at T({label})"
     for lam, placement in ch.SL4_TILTING_PLACEMENTS.items():
-        target = ch.layers_from_placement(placement, b.layered)
+        target = layers_from_placement(placement, b.layered)
         mults = Counter(l for l, _ in placement)
         sols = ch.solve_placement(target, mults, b)
         if len(sols) != 1 or sorted(sols[0]) != sorted(placement):
@@ -150,7 +150,7 @@ def criterion_3_wall_crossing() -> Tuple[bool, str]:
 
 def criterion_4_bgg_symmetry() -> Tuple[bool, str]:
     b = ch.load_block()
-    report = ch.bgg_symmetry_check(b.labels, {mu: ch.projective_layers(b, mu) for mu in b.labels})
+    report = bgg_symmetry_check(b.labels, {mu: ch.projective_layers(b, mu) for mu in b.labels})
     if not report["ok"]:
         return False, f"failures: {report['failures']}"
     return True, "layer reciprocity holds on the computed projective profiles"
@@ -299,7 +299,7 @@ def criterion_7_negative_controls() -> Tuple[bool, str]:
     b = ch.load_block()
     profiles = {mu: ch.projective_layers(b, mu) for mu in b.labels}
     profiles["1"][1]["4"] -= 1  # drop one entry from the computed table
-    report = ch.bgg_symmetry_check(b.labels, profiles)
+    report = bgg_symmetry_check(b.labels, profiles)
     if report["ok"]:
         return False, "corrupted table passed the symmetry check"
     witness = report["failures"][0]
@@ -344,7 +344,7 @@ CRITERIA: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
 ]
 
 
-def run_all(printer=print) -> bool:
+def run_all() -> bool:
     all_ok = True
     for name, fn in CRITERIA:
         try:
@@ -352,5 +352,5 @@ def run_all(printer=print) -> bool:
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
         all_ok = all_ok and ok
-        printer(f"[{'PASS' if ok else 'FAIL'}] criterion {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] criterion {name}: {detail}")
     return all_ok

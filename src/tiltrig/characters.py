@@ -1,7 +1,9 @@
 """Grothendieck-group arithmetic for a block: decomposition and layered
-tables, wall-crossing on characters, the Hom-dimension pairing, layered
-reciprocity for projectives, and Loewy-layer reconstruction from head
-placements.
+tables, wall-crossing on characters, the Hom-dimension pairing, projective
+layers read off the layered table by reciprocity, and the head placements
+that reproduce a Loewy profile.  The layer formula and the reciprocity
+check themselves are `quiver.layers_from_placement` and
+`quiver.bgg_symmetry_check`, shared with the module side.
 
 The bundled data for the restricted SL4 block (labels 1, 2, 3, 3', fl, fl',
 4, 5) carries the simple-character decomposition rows, the Weyl radical
@@ -14,9 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .quiver import WeightPoset
-
-Profile = List[Counter]
+from .quiver import LoewyProfile, WeightPoset, _add_shifted, layers_from_placement
 
 
 class BlockError(ValueError):
@@ -38,7 +38,7 @@ class BlockData:
         self,
         labels: Sequence[str],
         covers: Sequence[Tuple[str, str]],
-        layered: Dict[str, Profile],
+        layered: Dict[str, LoewyProfile],
         decomposition: Optional[Dict[str, Counter]] = None,
         walls: Optional[Dict[Tuple[str, str], Tuple[str, Optional[str]]]] = None,
         generators: Sequence[str] = ("s0", "s1", "s2", "s3"),
@@ -80,9 +80,6 @@ class BlockData:
             raise BlockError(f"unknown label {label!r}")
         return self.walls.get((label, generator), ("unknown", None))
 
-    def descending_labels(self) -> List[str]:
-        return list(reversed(self.labels))
-
 
 class Character:
     """Integer vector in the simple (L) or standard (delta) basis."""
@@ -98,14 +95,6 @@ class Character:
 
     def __repr__(self) -> str:
         return f"Character({self.basis}: {dict(self.coeffs)})"
-
-    def add(self, other: "Character") -> "Character":
-        if other.basis != self.basis:
-            raise BlockError("cannot add characters in different bases")
-        return Character(self.basis, self.coeffs + other.coeffs)
-
-    def scale(self, k: int) -> "Character":
-        return Character(self.basis, {l: k * c for l, c in self.coeffs.items()})
 
 
 def simple_character(label: str) -> Character:
@@ -172,25 +161,6 @@ def hom_dim(standard_mults: Dict[str, int], costandard_mults: Dict[str, int], b:
     return sum(standard_mults.get(l, 0) * costandard_mults.get(l, 0) for l in b.labels)
 
 
-def _add_shifted(layers: Profile, profile: Profile, shift: int) -> None:
-    """Add `profile`, moved down `shift` layers, into `layers` in place."""
-    for t, layer in enumerate(profile):
-        while len(layers) <= shift + t:
-            layers.append(Counter())
-        layers[shift + t] += layer
-
-
-def layers_from_placement(placement: Sequence[Tuple[str, int]], layered: Dict[str, Profile]) -> Profile:
-    """Sum of shifted standard layer profiles over the head placement, with
-    `layered` giving each label's standard layer profile."""
-    layers: Profile = []
-    for lam, shift in placement:
-        if shift < 0:
-            raise BlockError("head shifts must be non-negative")
-        _add_shifted(layers, layered[lam], shift)
-    return layers
-
-
 def projective_placement(b: BlockData, mu: str) -> List[Tuple[str, int]]:
     """Head placement of P(mu) read off the layered table by reciprocity."""
     placement = []
@@ -201,11 +171,11 @@ def projective_placement(b: BlockData, mu: str) -> List[Tuple[str, int]]:
     return placement
 
 
-def projective_layers(b: BlockData, mu: str) -> Profile:
+def projective_layers(b: BlockData, mu: str) -> LoewyProfile:
     return layers_from_placement(projective_placement(b, mu), b.layered)
 
 
-def solve_placement(target: Profile, mults: Dict[str, int], b: BlockData) -> List[List[Tuple[str, int]]]:
+def solve_placement(target: LoewyProfile, mults: Dict[str, int], b: BlockData) -> List[List[Tuple[str, int]]]:
     """All shift assignments reproducing the target profile (exhaustive search)."""
     target = [Counter(layer) for layer in target]
     items: List[str] = []
@@ -214,7 +184,7 @@ def solve_placement(target: Profile, mults: Dict[str, int], b: BlockData) -> Lis
     depth = len(target)
     results: List[List[Tuple[str, int]]] = []
 
-    def recurse(i: int, layers: Profile, chosen: List[Tuple[str, int]], last_shift_same: int):
+    def recurse(i: int, layers: LoewyProfile, chosen: List[Tuple[str, int]], last_shift_same: int):
         if i == len(items):
             padded = layers + [Counter()] * (depth - len(layers))
             if padded == target:
@@ -236,30 +206,12 @@ def solve_placement(target: Profile, mults: Dict[str, int], b: BlockData) -> Lis
     return results
 
 
-def bgg_symmetry_check(labels: Sequence[str], profiles: Dict[str, Profile]) -> dict:
-    """Layer reciprocity [rad_s P(mu) : L(lam)] = [rad_s P(lam) : L(mu)], all layers.
-
-    The profiles may come from a layered table (`projective_layers`), from
-    modules, or from golden data; each unordered pair is reported once.
-    """
-    depth = max(len(p) for p in profiles.values())
-    failures = []
-    for s in range(depth):
-        for i, lam in enumerate(labels):
-            for mu in labels[i:]:
-                a = profiles[mu][s][lam] if s < len(profiles[mu]) else 0
-                c = profiles[lam][s][mu] if s < len(profiles[lam]) else 0
-                if a != c:
-                    failures.append({"layer": s, "pair": [mu, lam], "counts": [a, c]})
-    return {"ok": not failures, "failures": failures}
-
-
 # -- formatting and file formats -------------------------------------------------------
 
 
 def format_character(c: Character, b: BlockData) -> str:
     parts = []
-    for l in b.descending_labels():
+    for l in reversed(b.labels):
         k = c.coeffs.get(l, 0)
         if k == 0:
             continue
@@ -267,17 +219,8 @@ def format_character(c: Character, b: BlockData) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def format_layers(profile: Profile, b: BlockData) -> str:
-    order = {l: i for i, l in enumerate(b.labels)}
-    cols = []
-    for layer in profile:
-        labs = sorted(layer.elements(), key=lambda l: order[l])
-        cols.append(",".join(labs) if labs else "-")
-    return " | ".join(cols)
-
-
-def parse_layers(text: str, labels: Sequence[str]) -> Profile:
-    out: Profile = []
+def parse_layers(text: str, labels: Sequence[str]) -> LoewyProfile:
+    out: LoewyProfile = []
     for chunk in text.split("|"):
         layer = Counter()
         chunk = chunk.strip()
@@ -295,7 +238,7 @@ def parse_block_text(text: str) -> BlockData:
     labels: List[str] = []
     covers: List[Tuple[str, str]] = []
     generators: List[str] = []
-    layered: Dict[str, Profile] = {}
+    layered: Dict[str, LoewyProfile] = {}
     decomposition: Dict[str, Counter] = {}
     walls: Dict[Tuple[str, str], Tuple[str, Optional[str]]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -336,7 +279,7 @@ def parse_block_text(text: str) -> BlockData:
     return BlockData(labels, covers, layered, decomposition or None, walls, generators or ("s0", "s1", "s2", "s3"))
 
 
-def parse_lay_text(text: str, labels: Sequence[str]) -> List[Tuple[str, str, Profile]]:
+def parse_lay_text(text: str, labels: Sequence[str]) -> List[Tuple[str, str, LoewyProfile]]:
     out = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -27,22 +27,22 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit(payload, fmt: str, text_renderer=None) -> None:
+def _emit(payload, fmt: str, text_renderer) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, default=str))
     else:
-        if text_renderer is not None:
-            text_renderer(payload)
-        else:
-            print(payload)
+        text_renderer(payload)
 
 
-def _load_system(path: str, field: Optional[int]):
-    """The `StandardSystem` of the algebra file at `path`."""
+def _load_system(path: str, field: Optional[int], weight: Optional[str] = None):
+    """The `StandardSystem` of the algebra file at `path`, of which `weight`, if given, is a vertex."""
     from .highest_weight import StandardSystem
     from .quiver import load_alg
 
-    return StandardSystem(load_alg(path, field_override=field))
+    sys_ = StandardSystem(load_alg(path, field_override=field))
+    if weight is not None and weight not in sys_.labels:
+        raise CliError(f"argument --weight: {weight!r} is not a vertex of {path}", 2)
+    return sys_
 
 
 def cmd_algebra(args) -> int:
@@ -66,7 +66,8 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_module_series(args) -> int:
-    from .modules import format_profile, load_rep, radical_profile, socle_profile
+    from .modules import load_rep, radical_profile, socle_profile
+    from .quiver import format_profile
 
     rep = load_rep(args.path, field_override=args.field)
     profile = radical_profile(rep) if args.type == "radical" else socle_profile(rep)
@@ -106,9 +107,10 @@ def _print_qh_text(report) -> None:
 
 
 def cmd_tilting(args) -> int:
-    from .modules import format_profile, radical_profile
+    from .modules import radical_profile
+    from .quiver import format_profile
 
-    sys_ = _load_system(args.path, args.field)
+    sys_ = _load_system(args.path, args.field, args.weight)
     T = sys_.tilting(args.weight)
     profile = radical_profile(T)
     payload = {
@@ -125,7 +127,7 @@ def cmd_tilting(args) -> int:
 def cmd_rigidity(args) -> int:
     from .rigidity import rigidity_pipeline
 
-    sys_ = _load_system(args.path, args.field)
+    sys_ = _load_system(args.path, args.field, args.weight)
     report = rigidity_pipeline(sys_, args.weight, method=args.method)
     report["seed"] = args.seed
     _emit(report, args.format, _print_rigidity_text)
@@ -171,6 +173,7 @@ def _parse_mults(text: str) -> Counter:
 
 def cmd_sl4(args) -> int:
     from . import characters as ch
+    from .quiver import format_profile, layers_from_placement
 
     b = ch.load_block(args.block)
     if args.what in ("projectives", "tiltings"):
@@ -178,8 +181,8 @@ def cmd_sl4(args) -> int:
             tag, profiles = "proj", {mu: ch.projective_layers(b, mu) for mu in b.labels}
         else:
             tag = "tilt"
-            profiles = {lam: ch.layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b.layered) for lam in b.labels}
-        lines = [f"{tag} {lab} : {ch.format_layers(profile, b)}" for lab, profile in profiles.items()]
+            profiles = {lam: layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b.layered) for lam in b.labels}
+        lines = [f"{tag} {lab} : {format_profile(profile, b.labels)}" for lab, profile in profiles.items()]
         payload = {args.what: {lab: [dict(l) for l in profile] for lab, profile in profiles.items()}}
         _emit(payload, args.format, lambda p: print("\n".join(lines)))
         return 0
@@ -192,13 +195,11 @@ def cmd_sl4(args) -> int:
         payload = {"basis": basis, "coeffs": dict(result.coeffs), "text": ch.format_character(result, b)}
         _emit(payload, args.format, lambda p: print(p["text"]))
         return 0
-    if args.what == "homdim":
-        m = _parse_mults(args.standard_mults)
-        n = _parse_mults(args.costandard_mults)
-        value = ch.hom_dim(m, n, b)
-        _emit({"dim": value}, args.format, lambda p: print(p["dim"]))
-        return 0
-    raise CliError(f"unknown sl4 subcommand {args.what!r}", 2)
+    # homdim, the last of the four subcommands
+    m = _parse_mults(args.standard_mults)
+    n = _parse_mults(args.costandard_mults)
+    _emit({"dim": ch.hom_dim(m, n, b)}, args.format, lambda p: print(p["dim"]))
+    return 0
 
 
 def cmd_render(args) -> int:

@@ -9,15 +9,15 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Mat, solve
-from .modules import LoewyProfile, Representation, SubFamily, flag_complements, format_profile, radical_series
+from .modules import Representation, SubFamily, flag_complements, radical_series
+from .quiver import LoewyProfile, format_profile
 
 
 class CQNode:
-    def __init__(self, node_id: int, label: str, layer: int, vector: Optional[list] = None):
+    def __init__(self, node_id: int, label: str, layer: int):
         self.id = node_id
         self.label = label
         self.layer = layer
-        self.vector = vector  # adapted basis vector (extraction is basis-dependent)
 
     def __repr__(self) -> str:
         return f"CQNode({self.id}: {self.label}@{self.layer})"
@@ -58,9 +58,9 @@ def extract(M: Representation) -> CoefficientQuiver:
     nodes: List[CQNode] = []
     index: Dict[Tuple[str, int], int] = {}
     for v in M.vertices:
-        for k, (depth, vec) in enumerate(basis_vectors[v]):
+        for k, (depth, _) in enumerate(basis_vectors[v]):
             index[(v, k)] = len(nodes)
-            nodes.append(CQNode(len(nodes), v, depth, vector=vec))
+            nodes.append(CQNode(len(nodes), v, depth))
 
     edges: List[CQEdge] = []
     for a, (u, w) in M.algebra.quiver.arrows.items():

@@ -18,13 +18,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import Mat, Subspace, kernel_basis, quotient_map
 from .modules import (
-    LoewyProfile,
     ModuleError,
     ProjectiveCover,
     Representation,
     SubFamily,
     direct_sum,
     ext1,
+    hom_from_projective,
     hom_space,
     image,
     projective_rep,
@@ -35,7 +35,14 @@ from .modules import (
     simple_rep,
     spin_submodule,
 )
-from .quiver import FinDimAlgebra, PosetError, WeightPoset
+from .quiver import (
+    FinDimAlgebra,
+    LoewyProfile,
+    PosetError,
+    WeightPoset,
+    bgg_symmetry_check,
+    layers_from_placement,
+)
 
 
 def dualize(M: Representation) -> Representation:
@@ -250,7 +257,7 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
     while chain[-1].total_dim < M.total_dim:
         quot, proj = quotient_rep(M, chain[-1])
         lam = sys.poset.max_label([v for v in M.vertices if quot.dims[v]])
-        homs = hom_space(sys.projective(lam), quot)
+        homs = hom_from_projective(sys.projective(lam), lam, quot)
         partials, trace = [], SubFamily(quot)
         for g in homs:
             trace = trace.sum(image(quot, g))
@@ -308,8 +315,6 @@ def check_radical_respecting(
     sys: StandardSystem, M: Representation, filt: DeltaFiltration
 ) -> Tuple[bool, LoewyProfile, LoewyProfile]:
     """Compare the layer-formula prediction with the actual radical profile."""
-    from .characters import layers_from_placement
-
     placement = filt.placement()
     layered = {lam: radical_profile(sys.standard(lam)) for lam, _ in placement}
     predicted = layers_from_placement(placement, layered)
@@ -435,7 +440,11 @@ def certify_indecomposable(M: Representation, lam: str) -> None:
     transposed = []
     for f in hom_space(M, M):
         minus_c = F.neg(f[lam].data[0][0])
-        transposed.append({v: f[v].transpose().add(Mat.identity(F, M.dims[v]).scale(minus_c)) for v in M.vertices})
+        gT = {v: f[v].transpose() for v in M.vertices}
+        for m in gT.values():
+            for i, row in enumerate(m.data):
+                row[i] = F.add(row[i], minus_c)
+        transposed.append(gT)
     power = SubFamily.full(M)
     while not power.is_zero():
         images = []
@@ -456,8 +465,6 @@ def check_bgg(sys: StandardSystem) -> dict:
     """Fixed simples plus layer reciprocity of projective radical profiles."""
     if sys.algebra.duality_pairs is None:
         return {"applicable": False, "note": "not a BGG presentation (no duality declared)"}
-    from .characters import bgg_symmetry_check
-
     fixed = all(dualize(sys.simple(lam)).dims == sys.simple(lam).dims for lam in sys.labels)
     profiles = {lam: radical_profile(sys.projective(lam)) for lam in sys.labels}
     symmetry = bgg_symmetry_check(sys.labels, profiles)

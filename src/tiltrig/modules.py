@@ -20,7 +20,7 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Mat, Subspace, kernel_basis, quotient_map
-from .quiver import FinDimAlgebra, Path
+from .quiver import FinDimAlgebra, LoewyProfile, Path
 
 
 class ModuleError(ValueError):
@@ -35,9 +35,6 @@ class Representation:
     first).  Construction checks shapes and that every relation acts by zero.
     A module never changes afterwards, so `radical_series` keeps its chain on it.
     """
-
-    # vertex -> ordered basis paths, set by `projective_rep` on P(v) only
-    basis_paths: Optional[Dict[str, List[Path]]] = None
 
     def __init__(self, algebra: FinDimAlgebra, dims: Dict[str, int], mats: Dict[str, Mat], name: str = ""):
         self.algebra = algebra
@@ -161,13 +158,11 @@ def simple_rep(algebra: FinDimAlgebra, vertex: str) -> Representation:
 
 
 def projective_rep(algebra: FinDimAlgebra, vertex: str) -> Representation:
-    """Indecomposable projective at a vertex: spanned by paths starting there."""
+    """Indecomposable projective at a vertex: spanned by paths starting there,
+    at each vertex in the order of `_path_columns`."""
     if vertex not in algebra.quiver.vertices:
         raise ModuleError(f"unknown vertex {vertex!r}")
-    paths = [p for p in algebra.basis if algebra.path_source(p) == vertex]
-    by_vertex: Dict[str, List[Path]] = {v: [] for v in algebra.quiver.vertices}
-    for p in paths:
-        by_vertex[algebra.path_target(p)].append(p)
+    by_vertex = {v: [p for _, p in cols] for v, cols in _path_columns(algebra, [vertex]).items()}
     index = {v: {p: i for i, p in enumerate(ps)} for v, ps in by_vertex.items()}
     dims = {v: len(ps) for v, ps in by_vertex.items()}
     F = algebra.field
@@ -179,9 +174,7 @@ def projective_rep(algebra: FinDimAlgebra, vertex: str) -> Representation:
             for q, c in algebra.mult(p, (a,)).items():
                 m.data[index[w][q]][j] = F.add(m.data[index[w][q]][j], c)
         mats[a] = m
-    rep = Representation(algebra, dims, mats, name=f"P({vertex})")
-    rep.basis_paths = by_vertex  # vertex -> ordered path list (generator = idempotent)
-    return rep
+    return Representation(algebra, dims, mats, name=f"P({vertex})")
 
 
 def morphism_from_flat(source: Representation, target: Representation, flat: list) -> Dict[str, Mat]:
@@ -210,13 +203,10 @@ def hom_space(M: Representation, N: Representation) -> List[Dict[str, Mat]]:
     The unknowns are the entries of f_v (dim N_v x dim M_v), row by row,
     vertex after vertex.  Arrow a: u -> w gives one equation per entry (r, c)
     of f_w XM_a - XN_a f_u = 0: column c of XM_a on row r of f_w, and minus
-    row r of XN_a on column c of f_u.  Out of a `projective_rep` the same
-    basis is read off instead (`_hom_from_projective`).
+    row r of XN_a on column c of f_u.
     """
     if M.algebra is not N.algebra and M.algebra.basis != N.algebra.basis:
         raise ModuleError("hom_space requires modules over the same algebra")
-    if M.basis_paths is not None:
-        return _hom_from_projective(M, N)
     F = M.field
     p = F.p
     offsets = {}
@@ -249,17 +239,16 @@ def hom_space(M: Representation, N: Representation) -> List[Dict[str, Mat]]:
     return [morphism_from_flat(M, N, s) for s in sols]
 
 
-def _hom_from_projective(P: Representation, N: Representation) -> List[Dict[str, Mat]]:
-    """Hom(P(v), N) read off N_v, with no linear system.
+def hom_from_projective(P: Representation, v: str, N: Representation) -> List[Dict[str, Mat]]:
+    """Hom(P, N) for P = P(v), read off N_v with no linear system.
 
     x in N_v gives the map sending each basis path p of P(v) to p.x.  The
-    maps of the unit vectors span the space; it is returned in the basis the
-    block solve gives.  That basis (one vector per free column of an rref,
+    maps of the unit vectors span the space; it is returned in the basis
+    `hom_space` gives.  That basis (one vector per free column of an rref,
     see `kernel_basis`) is the reduced echelon basis for the reversed
     coordinate order, listed by last nonzero coordinate.
     """
-    v = next(w for w in P.vertices if (w,) in P.basis_paths[w])
-    paths = {w: [N.path_matrix(p).data for p in P.basis_paths[w]] for w in P.vertices}
+    paths = {w: [N.path_matrix(p).data for _, p in cols] for w, cols in _path_columns(N.algebra, [v]).items()}
     flats = []
     for c in range(N.dims[v]):
         flat = [m[r][c] for w in P.vertices for r in range(N.dims[w]) for m in paths[w]]
@@ -410,9 +399,6 @@ def socle_series(M: Representation) -> List[SubFamily]:
     return chain
 
 
-LoewyProfile = List[Counter]
-
-
 def profile_from_chain(M: Representation, chain: Sequence[SubFamily], descending: bool) -> LoewyProfile:
     """Multiset of simple labels on each layer of a filtration chain."""
     layers: LoewyProfile = []
@@ -436,18 +422,6 @@ def socle_profile(M: Representation) -> LoewyProfile:
 
 def loewy_length(M: Representation) -> int:
     return len(radical_series(M)) - 1
-
-
-def format_profile(profile: LoewyProfile, label_order: Sequence[str]) -> str:
-    """Layers joined by " | ", each label once per multiplicity, in
-    `label_order` and then, for labels outside it, by name; "-" marks an
-    empty layer."""
-    order = {lab: i for i, lab in enumerate(label_order)}
-    parts = []
-    for layer in profile:
-        labs = sorted(layer.elements(), key=lambda l: (order.get(l, len(order)), l))
-        parts.append(",".join(labs) if labs else "-")
-    return " | ".join(parts)
 
 
 def is_rigid(M: Representation) -> Tuple[bool, Optional[dict]]:
@@ -483,13 +457,12 @@ class PositionedGenerator:
 
 def _path_columns(A: FinDimAlgebra, labels: Sequence[str]) -> Dict[str, List[Tuple[int, Path]]]:
     """The columns (j, p) of (+) P(labels[j]) at each vertex w, one per basis
-    path p of P(labels[j]) ending at w, summand by summand, in the order
-    `projective_rep` gives."""
+    path p of P(labels[j]) ending at w, summand by summand, each in the
+    order of the algebra's basis (the order of `projective_rep`)."""
     columns: Dict[str, List[Tuple[int, Path]]] = {w: [] for w in A.quiver.vertices}
     for j, v in enumerate(labels):
-        for p in A.basis:
-            if A.path_source(p) == v:
-                columns[A.path_target(p)].append((j, p))
+        for p in A.paths_from[v]:
+            columns[A.path_target(p)].append((j, p))
     return columns
 
 
@@ -687,22 +660,20 @@ def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Represe
     return Representation(algebra, dims, mats, name=name)
 
 
-def load_rep(path: str, algebra: Optional[FinDimAlgebra] = None, field_override: Optional[int] = None) -> Representation:
+def load_rep(path: str, field_override: Optional[int] = None) -> Representation:
+    """The module of a .rep file, over the algebra its `algebra` line names
+    (a path relative to the .rep file's directory, unless absolute)."""
     import os
 
     from .quiver import load_alg
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if algebra is None:
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line.startswith("algebra "):
-                alg_path = line.split(None, 1)[1]
-                if not os.path.isabs(alg_path):
-                    alg_path = os.path.join(os.path.dirname(os.path.abspath(path)), alg_path)
-                algebra = load_alg(alg_path, field_override=field_override)
-                break
-        if algebra is None:
-            raise ModuleError("representation file lacks an 'algebra' line")
-    return parse_rep_text(text, algebra, name=path)
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("algebra "):
+            alg_path = line.split(None, 1)[1]
+            if not os.path.isabs(alg_path):
+                alg_path = os.path.join(os.path.dirname(os.path.abspath(path)), alg_path)
+            return parse_rep_text(text, load_alg(alg_path, field_override=field_override), name=path)
+    raise ModuleError("representation file lacks an 'algebra' line")

@@ -8,10 +8,15 @@ lower degrees.  Relations must be admissible (paths of length >= 2) and
 length-homogeneous, which keeps the ideal graded so the stratum reduction is
 exact; the Jacobson radical is then exactly the arrow ideal and radical
 powers can be read off path lengths.
+
+The weight poset and the arithmetic of Loewy profiles over vertex labels
+(printing, the layer formula for a head placement and layer reciprocity)
+live here too, as both the module side and the character side use them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Field, Mat, rref
@@ -140,6 +145,60 @@ class WeightPoset:
         return out
 
 
+# -- Loewy profiles over vertex labels ---------------------------------------
+
+LoewyProfile = List[Counter]  # the multiset of simple labels on each layer
+
+
+def format_profile(profile: LoewyProfile, label_order: Sequence[str]) -> str:
+    """Layers joined by " | ", each label once per multiplicity, in
+    `label_order` and then, for labels outside it, by name; "-" marks an
+    empty layer."""
+    order = {lab: i for i, lab in enumerate(label_order)}
+    parts = []
+    for layer in profile:
+        labs = sorted(layer.elements(), key=lambda l: (order.get(l, len(order)), l))
+        parts.append(",".join(labs) if labs else "-")
+    return " | ".join(parts)
+
+
+def _add_shifted(layers: LoewyProfile, profile: LoewyProfile, shift: int) -> None:
+    """Add `profile`, moved down `shift` layers, into `layers` in place."""
+    for t, layer in enumerate(profile):
+        while len(layers) <= shift + t:
+            layers.append(Counter())
+        layers[shift + t] += layer
+
+
+def layers_from_placement(placement: Sequence[Tuple[str, int]], layered: Dict[str, LoewyProfile]) -> LoewyProfile:
+    """Sum of shifted standard layer profiles over the head placement, with
+    `layered` giving each label's standard layer profile."""
+    layers: LoewyProfile = []
+    for lam, shift in placement:
+        if shift < 0:
+            raise ValueError("head shifts must be non-negative")
+        _add_shifted(layers, layered[lam], shift)
+    return layers
+
+
+def bgg_symmetry_check(labels: Sequence[str], profiles: Dict[str, LoewyProfile]) -> dict:
+    """Layer reciprocity [rad_s P(mu) : L(lam)] = [rad_s P(lam) : L(mu)], all layers.
+
+    The profiles may come from a layered table, from modules, or from
+    golden data; each unordered pair is reported once.
+    """
+    depth = max(len(p) for p in profiles.values())
+    failures = []
+    for s in range(depth):
+        for i, lam in enumerate(labels):
+            for mu in labels[i:]:
+                a = profiles[mu][s][lam] if s < len(profiles[mu]) else 0
+                c = profiles[lam][s][mu] if s < len(profiles[lam]) else 0
+                if a != c:
+                    failures.append({"layer": s, "pair": [mu, lam], "counts": [a, c]})
+    return {"ok": not failures, "failures": failures}
+
+
 class FinDimAlgebra:
     """Basic path algebra KQ/I with a path-class basis and radical grading.
 
@@ -164,6 +223,9 @@ class FinDimAlgebra:
         self.relations = list(relations)
         self.field = field
         self.basis = basis
+        self.paths_from: Dict[str, List[Path]] = {v: [] for v in quiver.vertices}  # by source, in basis order
+        for p in basis:
+            self.paths_from[self.path_source(p)].append(p)
         self._reductions = reductions
         self.max_length = max_length  # all paths longer than this reduce to 0
         # None when no order is declared; [] for an order with no covers
@@ -464,10 +526,12 @@ def parse_alg_text(
     field: Optional[Field] = None
     vertices: List[str] = []
     covers: Optional[List[Tuple[str, str]]] = None
+    cover_lines: List[int] = []
     arrows: List[Tuple[str, str, str]] = []
     arrow_lines: Dict[str, int] = {}
     raw_relations: List[Tuple[int, List[Tuple[str, List[str]]]]] = []
     duality: Dict[str, str] = {}
+    duality_items: List[Tuple[int, str, str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -479,11 +543,15 @@ def parse_alg_text(
             if kw == "field":
                 field = Field(int(parts[1]))
             elif kw == "vertex":
-                vertices.extend(parts[1:])
+                for v in parts[1:]:
+                    if v in vertices:
+                        raise ValueError(f"duplicate vertex label {v!r}")
+                    vertices.append(v)
             elif kw == "order":
                 covers = covers or []  # a bare `order` line declares an order with no covers
                 if len(parts) == 4 and parts[2] == "<":
                     covers.append((parts[1], parts[3]))
+                    cover_lines.append(line_no)
                 elif len(parts) != 1:
                     raise ValueError("expected 'order <a> < <b>' or a bare 'order'")
             elif kw == "arrow":
@@ -500,6 +568,7 @@ def parse_alg_text(
                         raise ValueError(f"bad duality item {item!r}")
                     duality[a] = b
                     duality[b] = a
+                    duality_items.append((line_no, a, b))
             else:
                 raise ValueError(f"unknown keyword {kw!r}")
         except AlgParseError:
@@ -516,6 +585,13 @@ def parse_alg_text(
             raise ValueError(f"field override: {exc}") from exc
     if not vertices:
         raise AlgParseError((), "no vertices declared")
+    # vertices and arrows may be declared after the lines that name them
+    for line_no, (a, b) in zip(cover_lines, covers or ()):
+        if a not in vertices or b not in vertices:
+            raise AlgParseError(line_no, f"order relation names unknown label: {a} < {b}")
+    for line_no, a, b in duality_items:
+        if a not in arrow_lines or b not in arrow_lines:
+            raise AlgParseError(line_no, f"duality names unknown arrow in {a}={b}")
 
     try:
         quiver = Quiver(vertices, arrows)
@@ -558,6 +634,6 @@ def _parse_relation_terms(body: str) -> List[Tuple[str, List[str]]]:
     return terms
 
 
-def load_alg(path: str, field_override: Optional[int] = None, dim_cap: int = 10000) -> FinDimAlgebra:
+def load_alg(path: str, field_override: Optional[int] = None) -> FinDimAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_alg_text(fh.read(), field_override=field_override, dim_cap=dim_cap, name=path)
+        return parse_alg_text(fh.read(), field_override=field_override, name=path)

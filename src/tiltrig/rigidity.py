@@ -210,9 +210,10 @@ class BruteForceWitness:
         )
 
 
-def stretched_subquotients_bruteforce(
-    sys: StandardSystem, T: Representation, side: str = "delta-L", max_dim: int = 8
-) -> List[BruteForceWitness]:
+BRUTE_FORCE_MAX_DIM = 8  # the largest T whose submodule lattice the oracle enumerates
+
+
+def stretched_subquotients_bruteforce(sys: StandardSystem, T: Representation, side: str = "delta-L") -> List[BruteForceWitness]:
     """Enumerate subquotient pairs and test the defining conditions directly.
 
     Only usable over a small finite field; this is the definitional oracle the
@@ -228,14 +229,14 @@ def stretched_subquotients_bruteforce(
         raise ValueError(f"unknown side {side!r}")
     if side == "L-nabla":
         dual, dual_sys = sys.dual_module(T)
-        return stretched_subquotients_bruteforce(dual_sys, dual, side="delta-L", max_dim=max_dim)
+        return stretched_subquotients_bruteforce(dual_sys, dual, side="delta-L")
     if T.field.p == 0:
         raise ModuleError("brute-force enumeration requires a finite field")
-    if T.total_dim > max_dim:
-        raise ModuleError(f"module too large for brute force (dim {T.total_dim} > {max_dim})")
+    if T.total_dim > BRUTE_FORCE_MAX_DIM:
+        raise ModuleError(f"module too large for brute force (dim {T.total_dim} > {BRUTE_FORCE_MAX_DIM})")
 
     witnesses: List[BruteForceWitness] = []
-    subs = all_submodules(T, max_total_dim=max_dim)
+    subs = all_submodules(T, max_total_dim=BRUTE_FORCE_MAX_DIM)
     for outer in subs:
         rad_outer = radical_of(T, outer)  # rad Q = J outer + inner
         for inner in subs:

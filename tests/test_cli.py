@@ -158,6 +158,35 @@ def test_relation_with_unknown_arrow_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_duplicate_vertex_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "dup.alg"
+    bad.write_text("field 0\nvertex 1 2\narrow a 1 2\nvertex 2\n")
+    code, _, err = run(capsys, "algebra", "check", str(bad))
+    assert code == 2 and "error: line 4: duplicate vertex label '2'" in err
+
+
+def test_order_with_unknown_label_names_its_line(tmp_path, capsys):
+    # the order comes before the vertices, so the labels are checked once all are read
+    bad = tmp_path / "order.alg"
+    bad.write_text("field 0\norder 1 < 3\nvertex 1 2\narrow a 1 2\n")
+    code, _, err = run(capsys, "algebra", "check", str(bad))
+    assert code == 2 and "error: line 2: order relation names unknown label: 1 < 3" in err
+
+
+def test_duality_with_unknown_arrow_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "duality.alg"
+    bad.write_text("field 0\nvertex 1 2\nduality a=c\narrow a 1 2\narrow b 2 1\nrelation b.a\n")
+    code, _, err = run(capsys, "algebra", "check", str(bad))
+    assert code == 2 and "error: line 3: duality names unknown arrow in a=c" in err
+
+
+def test_unknown_weight_names_the_option(capsys):
+    # as `--field 4` names `--field`
+    for argv in (("tilting", "build"), ("rigidity", "check")):
+        code, _, err = run(capsys, *argv, SL2, "--weight", "3")
+        assert code == 2 and f"error: argument --weight: '3' is not a vertex of {SL2}" in err, argv
+
+
 def test_free_two_loop_algebra_exit_2(tmp_path, capsys):
     free = tmp_path / "free.alg"
     free.write_text("field 3\nvertex 1\narrow x 1 1\narrow y 1 1\n")
@@ -313,9 +342,7 @@ def test_each_subcommand_loads_only_the_modules_it_uses():
     assert _loaded_library_modules("render", REP) == base | {"tiltrig.coeffquiver"}
     hw = base | {"tiltrig.highest_weight"}
     assert _loaded_library_modules("tilting", "build", SL2, "--weight", "2") == hw
-    # characters checks BGG reciprocity, so only an algebra with a duality needs it
+    # the layer formula and BGG reciprocity live in quiver, so no algebra needs characters
     assert _loaded_library_modules("qh", "verify", CE3) == hw
-    assert _loaded_library_modules("qh", "verify", SL2) == hw | {"tiltrig.characters"}
-    assert _loaded_library_modules("rigidity", "check", SL2, "--weight", "2") == hw | {
-        "tiltrig.characters", "tiltrig.rigidity"
-    }
+    assert _loaded_library_modules("qh", "verify", SL2) == hw
+    assert _loaded_library_modules("rigidity", "check", SL2, "--weight", "2") == hw | {"tiltrig.rigidity"}

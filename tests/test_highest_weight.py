@@ -346,7 +346,9 @@ def _greedy_reference(sys, M):
         )
         if not factoring or trace.total_dim != len(homs) * (P.total_dim - kernel.total_dim):
             return lam, {v: trace.dim_at(v) for v in M.vertices}
-        generator = [M.field.one if p == (lam,) else M.field.zero for p in P.basis_paths[lam]]
+        A = P.algebra  # P(lam)_lam is spanned by the basis paths from lam to lam, in basis order
+        loops = [p for p in A.basis if A.path_source(p) == lam == A.path_target(p)]
+        generator = [M.field.one if p == (lam,) else M.field.zero for p in loops]
         partial = SubFamily(quot)
         for g in homs:
             partial = partial.sum(image(quot, g))
@@ -454,6 +456,20 @@ def test_end_dim_matches_the_block_solve(fixture, request):
         assert report["weights"][lam]["end_dim"] == len(hom_space(sys.standard(lam), sys.standard(lam))), lam
     if fixture == "sl2_reversed":
         assert report["weights"]["1"]["end_dim"] == 2
+
+
+@pytest.mark.parametrize(
+    "fixture", [(n, p) for n in (3, 4) for p in (3, 0)] + [("dx", seed, 2) for seed in range(10)], ids=str
+)
+def test_end_of_tilting_is_the_filtration_pairing(fixture, request):
+    # dim End T = sum_mu (T:Delta(mu)) (T:nabla(mu)); this pins the block solve
+    # of hom_space on T.  Every case here takes under 0.1 s, so none is skipped
+    sys = _reference_system(fixture, request)
+    for lam in sys.labels:
+        T = sys.tilting(lam)
+        delta = find_delta_filtration(sys, T).multiplicities()
+        nabla = nabla_multiplicities(sys, T)
+        assert len(hom_space(T, T)) == sum(delta[mu] * nabla[mu] for mu in sys.labels), lam
 
 
 @pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)

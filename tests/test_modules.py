@@ -11,6 +11,7 @@ from tiltrig.modules import (
     all_submodules,
     direct_sum,
     ext1,
+    hom_from_projective,
     hom_space,
     image,
     is_rigid,
@@ -146,7 +147,8 @@ def test_hom_counts_composition_factors(sl2):
 def test_spin_examples(sl2):
     P1 = P(sl2, "1")
     assert spin_submodule(P1, []).total_dim == 0
-    idempotent = [1 if p == ("1",) else 0 for p in P1.basis_paths["1"]]
+    A = P1.algebra  # P(1)_1 is spanned by the basis paths from 1 to 1, in basis order
+    idempotent = [1 if p == ("1",) else 0 for p in A.basis if A.path_source(p) == "1" == A.path_target(p)]
     assert spin_submodule(P1, [("1", idempotent)]).total_dim == P1.total_dim
     soc = socle_series(P1)[1]
     vec = soc.spaces["1"].basis[0]
@@ -339,10 +341,9 @@ def test_hom_from_projective_is_the_block_solve(fixture, request, auslander):
     compared = 0
     for v in sys.labels:
         P = sys.projective(v)
-        solved_from = Representation(P.algebra, P.dims, P.mats)  # no basis paths: solved
         for N in _family_modules(sys):
-            read = [flatten(f) for f in hom_space(P, N)]
-            assert read == [flatten(f) for f in hom_space(solved_from, N)], (v, N.name)
+            read = [flatten(f) for f in hom_from_projective(P, v, N)]
+            assert read == [flatten(f) for f in hom_space(P, N)], (v, N.name)
             compared += len(read)
     assert compared
 

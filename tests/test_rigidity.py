@@ -6,7 +6,7 @@ from conftest import combine, compose, flatten, kernel
 
 from tiltrig import highest_weight, rigidity
 from tiltrig.acceptance import SL2_BLOCK, _f2_fixture_sets
-from tiltrig.characters import BlockData, layers_from_placement, projective_layers
+from tiltrig.characters import BlockData, projective_layers
 from tiltrig.highest_weight import (
     FiltrationFailure,
     StandardSystem,
@@ -48,7 +48,7 @@ from tiltrig.rigidity import (
     rigidity_pipeline,
     stretched_subquotients_bruteforce,
 )
-from tiltrig.quiver import parse_alg_text
+from tiltrig.quiver import layers_from_placement, parse_alg_text
 
 
 def morphism_coords(F, basis, f):
@@ -637,7 +637,7 @@ def test_bruteforce_reads_screened_pairs_in_the_module(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 2, 3, 7, 11, 13, 14])
 def test_detector_agrees_with_bruteforce_on_dual_extensions(seed, dual_extension):
-    # seed 10 is left out: building its tilting modules takes minutes
+    # seed 10 is left out: building its T(5) takes about 12 s over F_2
     sys = dual_extension(seed, 2)
     kinds = (sys.tilting, sys.projective, sys.standard, sys.costandard, sys.simple)
     witness_cases = []

@@ -52,4 +52,4 @@ def test_traced_tilting_build_records_profile_spans(tmp_path):
     argv = ["--format", "json", "tilting", "build", "src/tiltrig/data/sl2block.alg", "--weight", "2"]
     proc, names = _traced(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr
-    assert {"modules.radical_profile", "modules.format_profile"} <= names
+    assert {"modules.radical_profile", "quiver.format_profile"} <= names
