@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import Mat, Subspace, kernel_basis, quotient_map
+from .linalg import Mat
 from .modules import (
     ModuleError,
     ProjectiveCover,
@@ -24,9 +24,7 @@ from .modules import (
     SubFamily,
     direct_sum,
     ext1,
-    hom_from_projective,
     hom_space,
-    image,
     projective_rep,
     quotient_rep,
     radical_of,
@@ -223,16 +221,6 @@ def _step(M: Representation, lam: str, below: SubFamily, above: SubFamily) -> De
     return DeltaStep(lam, s)
 
 
-def _preimage_family(M: Representation, proj: Dict[str, Mat], fam: SubFamily) -> SubFamily:
-    """{x in M : proj(x) in fam}, computed per vertex."""
-    spaces = {}
-    for v in M.vertices:
-        Q, _ = quotient_map(M.field, fam.spaces[v])
-        comp = Q.mul(proj[v])
-        spaces[v] = Subspace(M.field, M.dims[v], kernel_basis(comp))
-    return SubFamily(M, spaces)
-
-
 def is_standard_quotient(sys: StandardSystem, lam: str, dims: Dict[str, int]) -> bool:
     """Is a module W generated at lam, with dimension vector `dims`, a quotient
     of copies of Delta(lam)?
@@ -246,33 +234,40 @@ def is_standard_quotient(sys: StandardSystem, lam: str, dims: Dict[str, int]) ->
 
 
 def find_delta_filtration(sys: StandardSystem, M: Representation):
-    """Greedy standard filtration: trace of the maximal weight, then recurse.
+    """Greedy standard filtration, read in M: the trace of the maximal weight
+    modulo the chain so far, then recurse.
 
-    The weight is maximal among the vertices where the quotient is nonzero.
+    With C the chain so far, lam is maximal among the vertices where M/C is
+    nonzero.  The coordinates c of M_lam that are not pivots of C_lam index
+    (M/C)_lam; in increasing order, each adds A e_c (the columns c of the
+    path matrices out of lam) to a running trace, and each sum is a step.
     Returns a DeltaFiltration, or a FiltrationFailure whose trace witness
-    shows the obstruction (greedy failure at a maximal weight is conclusive).
+    (trace - C) shows the obstruction (greedy failure at a maximal weight is
+    conclusive).
     """
+    A = M.algebra
     chain: List[SubFamily] = [SubFamily(M)]
     steps: List[DeltaStep] = []
     while chain[-1].total_dim < M.total_dim:
-        quot, proj = quotient_rep(M, chain[-1])
-        lam = sys.poset.max_label([v for v in M.vertices if quot.dims[v]])
-        homs = hom_from_projective(sys.projective(lam), lam, quot)
-        partials, trace = [], SubFamily(quot)
-        for g in homs:
-            trace = trace.sum(image(quot, g))
-            partials.append(trace)
-        trace_dims = {v: trace.dim_at(v) for v in M.vertices}
+        below = chain[-1]
+        lam = sys.poset.max_label([v for v in M.vertices if below.dim_at(v) < M.dims[v]])
+        actions = [(A.path_target(p), M.path_matrix(p).data) for p in A.paths_from[lam]]
+        pivots = set(below.spaces[lam].pivots)
+        partials, trace = [], below
+        for c in range(M.dims[lam]):
+            if c not in pivots:
+                trace = trace.sum(SubFamily.from_vectors(M, [(w, [row[c] for row in m]) for w, m in actions]))
+                partials.append(trace)
+        trace_dims = {v: trace.dim_at(v) - below.dim_at(v) for v in M.vertices}
         factoring = is_standard_quotient(sys, lam, trace_dims)
-        if not factoring or trace.total_dim != len(homs) * sys.standard(lam).total_dim:
+        if not factoring or sum(trace_dims.values()) != len(partials) * sys.standard(lam).total_dim:
             return FiltrationFailure(
                 lam,
                 trace_dims,
                 "trace of the maximal weight is not a standard power"
                 + ("" if factoring else " (a map does not factor through the standard quotient)"),
             )
-        for partial in partials:
-            above = _preimage_family(M, proj, partial)
+        for above in partials:
             steps.append(_step(M, lam, chain[-1], above))
             chain.append(above)
     return DeltaFiltration(M, steps, chain)

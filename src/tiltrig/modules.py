@@ -63,18 +63,18 @@ class Representation:
         return sum(self.dims.values())
 
     def path_matrix(self, path: Path) -> Mat:
-        """Action of a composable arrow word (traversal order)."""
+        """Action of a composable arrow word (traversal order): the last
+        arrow's matrix times the cached action of the prefix."""
         path = tuple(path)
         if path in self._path_cache:
             return self._path_cache[path]
-        if path and path[0] in self.algebra.quiver.vertices:
-            v = path[0]
-            out = Mat.identity(self.field, self.dims[v])
+        head, last = path[:-1], path[-1]
+        if last in self.algebra.quiver.vertices:
+            out = Mat.identity(self.field, self.dims[last])
+        elif head:
+            out = self.mats[last].mul(self.path_matrix(head))
         else:
-            src = self.algebra.quiver.source(path[0])
-            out = Mat.identity(self.field, self.dims[src])
-            for a in path:
-                out = self.mats[a].mul(out)
+            out = self.mats[last]
         self._path_cache[path] = out
         return out
 
@@ -237,26 +237,6 @@ def hom_space(M: Representation, N: Representation) -> List[Dict[str, Mat]]:
                     rows.append(row)
     sols = kernel_basis(Mat.canonical(F, rows)) if rows else Mat.identity(F, nvars).data
     return [morphism_from_flat(M, N, s) for s in sols]
-
-
-def hom_from_projective(P: Representation, v: str, N: Representation) -> List[Dict[str, Mat]]:
-    """Hom(P, N) for P = P(v), read off N_v with no linear system.
-
-    x in N_v gives the map sending each basis path p of P(v) to p.x.  The
-    maps of the unit vectors span the space; it is returned in the basis
-    `hom_space` gives.  That basis (one vector per free column of an rref,
-    see `kernel_basis`) is the reduced echelon basis for the reversed
-    coordinate order, listed by last nonzero coordinate.
-    """
-    paths = {w: [N.path_matrix(p).data for _, p in cols] for w, cols in _path_columns(N.algebra, [v]).items()}
-    flats = []
-    for c in range(N.dims[v]):
-        flat = [m[r][c] for w in P.vertices for r in range(N.dims[w]) for m in paths[w]]
-        flats.append(flat[::-1])
-    if not flats:
-        return []
-    echelon = Subspace(N.field, len(flats[0]), flats).basis
-    return [morphism_from_flat(P, N, row[::-1]) for row in reversed(echelon)]
 
 
 # -- sums, subs, quotients ------------------------------------------------------

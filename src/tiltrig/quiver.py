@@ -94,7 +94,9 @@ class Relation:
 
 
 class PosetError(ValueError):
-    pass
+    def __init__(self, message: str, covers: Sequence[int] = ()):
+        super().__init__(message)
+        self.covers = list(covers)  # positions of the covers at fault, where there are any
 
 
 class WeightPoset:
@@ -105,9 +107,9 @@ class WeightPoset:
         idx = {l: i for i, l in enumerate(self.labels)}
         n = len(self.labels)
         leq = [[i == j for j in range(n)] for i in range(n)]
-        for a, b in covers:
+        for k, (a, b) in enumerate(covers):
             if a not in idx or b not in idx:
-                raise PosetError(f"order relation names unknown label: {a} < {b}")
+                raise PosetError(f"order relation names unknown label: {a} < {b}", [k])
             leq[idx[a]][idx[b]] = True
         for k in range(n):
             for i in range(n):
@@ -118,7 +120,8 @@ class WeightPoset:
         for i in range(n):
             for j in range(n):
                 if i != j and leq[i][j] and leq[j][i]:
-                    raise PosetError(f"order is not antisymmetric at {self.labels[i]}, {self.labels[j]}")
+                    cyclic = [k for k, (a, b) in enumerate(covers) if leq[idx[b]][idx[a]]]
+                    raise PosetError(f"order is not antisymmetric at {self.labels[i]}, {self.labels[j]}", cyclic)
         self._leq = leq
         self._idx = idx
 
@@ -316,9 +319,9 @@ class FinDimAlgebra:
             sa, ta = self.quiver.arrows[a]
             sb, tb = self.quiver.arrows[b]
             if (sa, ta) != (tb, sb):
-                raise QuiverError(f"duality pair {a}={b} does not reverse direction")
+                raise QuiverError(f"duality pair {a}={b} does not reverse direction", [a, b])
         if set(pairs) != set(self.quiver.arrows):
-            raise QuiverError("duality must pair every arrow")
+            raise QuiverError("duality must pair every arrow", set(self.quiver.arrows) - set(pairs))
         # the induced anti-map must preserve the relation ideal
         F = self.field
         for rel in self.relations:
@@ -566,6 +569,9 @@ def parse_alg_text(
                     a, _, b = item.partition("=")
                     if not a or not b:
                         raise ValueError(f"bad duality item {item!r}")
+                    for x, y in ((a, b), (b, a)):
+                        if duality.get(x, y) != y:
+                            raise ValueError(f"duality pairs arrow {x!r} twice")
                     duality[a] = b
                     duality[b] = a
                     duality_items.append((line_no, a, b))
@@ -586,9 +592,10 @@ def parse_alg_text(
     if not vertices:
         raise AlgParseError((), "no vertices declared")
     # vertices and arrows may be declared after the lines that name them
-    for line_no, (a, b) in zip(cover_lines, covers or ()):
-        if a not in vertices or b not in vertices:
-            raise AlgParseError(line_no, f"order relation names unknown label: {a} < {b}")
+    try:
+        WeightPoset(vertices, covers or ())
+    except PosetError as exc:
+        raise AlgParseError([cover_lines[k] for k in exc.covers], str(exc)) from exc
     for line_no, a, b in duality_items:
         if a not in arrow_lines or b not in arrow_lines:
             raise AlgParseError(line_no, f"duality names unknown arrow in {a}={b}")
@@ -615,7 +622,7 @@ def parse_alg_text(
     except AlgParseError:
         raise
     except (QuiverError, ValueError) as exc:
-        raise AlgParseError([arrow_lines[a] for a in getattr(exc, "arrows", ())], str(exc)) from exc
+        raise AlgParseError(sorted({arrow_lines[a] for a in getattr(exc, "arrows", ())}), str(exc)) from exc
 
 
 def _parse_relation_terms(body: str) -> List[Tuple[str, List[str]]]:

@@ -180,6 +180,41 @@ def test_duality_with_unknown_arrow_names_its_line(tmp_path, capsys):
     assert code == 2 and "error: line 3: duality names unknown arrow in a=c" in err
 
 
+def test_cyclic_order_names_its_lines(tmp_path, capsys):
+    # refused when the file is read, before any command builds the weight poset
+    cyclic = tmp_path / "cyclic.alg"
+    cyclic.write_text("field 0\nvertex 1 2\norder 1 < 2\norder 2 < 1\narrow a 1 2\n")
+    for argv in (("algebra", "check"), ("qh", "verify")):
+        code, out, err = run(capsys, *argv, str(cyclic))
+        assert code == 2 and out == "", argv
+        assert err == "error: lines 3, 4: order is not antisymmetric at 1, 2\n", argv
+    # only the covers on the cycle are named
+    cyclic.write_text("field 0\nvertex 1 2 3\norder 1 < 2\norder 2 < 3\norder 1 < 3\norder 3 < 2\n")
+    code, _, err = run(capsys, "algebra", "check", str(cyclic))
+    assert code == 2 and err == "error: lines 4, 6: order is not antisymmetric at 2, 3\n"
+
+
+# b.a, c.a, a.b and a.c make the algebra finite, so only the duality is at fault
+_THREE_ARROWS = "field 0\nvertex 1 2\narrow a 1 2\narrow b 2 1\narrow c 2 1\nrelation b.a\nrelation c.a\nrelation a.b\nrelation a.c\n"
+
+
+@pytest.mark.parametrize(
+    "duality,message",
+    [
+        ("duality a=b a=c\n", "line 10: duality pairs arrow 'a' twice"),
+        ("duality a=b\nduality c=b\n", "line 11: duality pairs arrow 'b' twice"),
+        # an arrow left out, or paired the wrong way round, is named by its own line
+        ("duality a=b\n", "line 5: duality must pair every arrow"),
+        ("duality a=b c=c\n", "line 5: duality pair c=c does not reverse direction"),
+    ],
+)
+def test_duality_fault_names_its_line_and_arrow(tmp_path, capsys, duality, message):
+    bad = tmp_path / "duality.alg"
+    bad.write_text(_THREE_ARROWS + duality)
+    code, out, err = run(capsys, "algebra", "check", str(bad))
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_unknown_weight_names_the_option(capsys):
     # as `--field 4` names `--field`
     for argv in (("tilting", "build"), ("rigidity", "check")):

@@ -19,7 +19,7 @@ from tiltrig.highest_weight import (
     find_delta_filtration,
     nabla_multiplicities,
 )
-from tiltrig.linalg import Mat, Subspace, kernel_basis, rref, solve
+from tiltrig.linalg import Mat, Subspace, kernel_basis, quotient_map, rref, solve
 from tiltrig.modules import (
     ModuleError,
     Representation,
@@ -324,13 +324,20 @@ def _standard_kernel_reference(sys, lam):
     return fam
 
 
+def _preimage_family(M, proj, fam):
+    """{x in M : proj(x) in fam}, computed per vertex."""
+    spaces = {}
+    for v in M.vertices:
+        Q, _ = quotient_map(M.field, fam.spaces[v])
+        spaces[v] = Subspace(M.field, M.dims[v], kernel_basis(Q.mul(proj[v])))
+    return SubFamily(M, spaces)
+
+
 def _greedy_reference(sys, M):
     """The greedy builder as it was: the weight from the radical profile of
     each quotient, each head the lift of g(e_lam) through the projection by
     a solve, shifts tagged once the chain is complete by adding whole
     families.  Returns (placement, chain), or the failure's (label, trace dims)."""
-    from tiltrig.highest_weight import _preimage_family
-
     rad = radical_series(M)
     heads, chain = [], [SubFamily(M)]
     while chain[-1].total_dim < M.total_dim:
@@ -516,6 +523,51 @@ def test_standard_filtrations_match_reference(fixture, request):
                 assert delta_filtration_from_chain(sys, N, filt.chain).placement() == filt.placement(), N.name
                 placements.append(sorted(filt.placement()))
         assert placements[0] == placements[1], M.name
+
+
+@pytest.mark.parametrize("fixture", ["sl2", "ce3", (4, 3), (3, 0), ("dx", 8, 2), ("dx", 12, 3)], ids=str)
+def test_greedy_filtration_builds_no_module(fixture, request, monkeypatch):
+    # each round is read in M itself: no quotient by the chain so far is built
+    sys = _reference_system(fixture, request)
+    modules = [f(lam) for f in (sys.projective, sys.tilting) for lam in sys.labels]
+    for lam in sys.labels:  # the failure test reads dim Delta(lam)
+        sys.standard(lam)
+    built, construct = [], Representation.__init__
+
+    def counted_construct(rep, *args, **kwargs):
+        built.append(args)
+        construct(rep, *args, **kwargs)
+
+    monkeypatch.setattr(Representation, "__init__", counted_construct)
+    filtrations = [find_delta_filtration(sys, M) for M in modules]
+    monkeypatch.undo()
+    assert built == []
+    assert not any(isinstance(filt, FiltrationFailure) for filt in filtrations)
+
+
+def _path_matrix_reference(M, path):
+    """The action of a path as the product of its arrow matrices, from the identity."""
+    quiver = M.algebra.quiver
+    if path[0] in quiver.vertices:
+        return Mat.identity(M.field, M.dims[path[0]])
+    out = Mat.identity(M.field, M.dims[quiver.source(path[0])])
+    for a in path:
+        out = M.mats[a].mul(out)
+    return out
+
+
+@pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
+def test_path_matrix_is_the_product_of_its_arrows(fixture, request):
+    sys = _reference_system(fixture, request)
+    A = sys.algebra
+    paths = list(A.basis) + [p for rel in A.relations for _, p in rel.terms]
+    for M in [f(lam) for f in (sys.projective, sys.tilting) for lam in sys.labels]:
+        # a fresh copy, with the longest paths asked first, builds every prefix on the way
+        fresh = Representation(A, M.dims, M.mats, name=M.name)
+        for N in (M, fresh):
+            for p in sorted(paths, key=len, reverse=True):
+                got, ref = N.path_matrix(p), _path_matrix_reference(N, p)
+                assert (got.rows, got.cols, got.data) == (ref.rows, ref.cols, ref.data), (M.name, p)
 
 
 def test_head_class_avoids_the_radical_of_the_step():

@@ -1,7 +1,6 @@
 from collections import Counter
 
 import pytest
-from conftest import flatten
 
 from tiltrig.linalg import Mat, Subspace, kernel_basis
 from tiltrig.modules import (
@@ -11,7 +10,6 @@ from tiltrig.modules import (
     all_submodules,
     direct_sum,
     ext1,
-    hom_from_projective,
     hom_space,
     image,
     is_rigid,
@@ -332,20 +330,6 @@ def test_relation_violation_rejected(sl2):
 def _family_modules(sys):
     """Simples, standards, costandards and projectives of a system."""
     return [f(lam) for lam in sys.labels for f in (sys.simple, sys.standard, sys.costandard, sys.projective)]
-
-
-@pytest.mark.parametrize("fixture", ["sl2", "ce3", (3, 3), (3, 0), (4, 2)], ids=str)
-def test_hom_from_projective_is_the_block_solve(fixture, request, auslander):
-    # read off N_v, Hom(P(v), N) comes out in the very basis the block solve gives
-    sys = request.getfixturevalue(fixture) if isinstance(fixture, str) else auslander(*fixture)
-    compared = 0
-    for v in sys.labels:
-        P = sys.projective(v)
-        for N in _family_modules(sys):
-            read = [flatten(f) for f in hom_from_projective(P, v, N)]
-            assert read == [flatten(f) for f in hom_space(P, N)], (v, N.name)
-            compared += len(read)
-    assert compared
 
 
 @pytest.mark.parametrize("fixture", ["sl2", "ce3", (3, 3), (3, 0), (4, 2)], ids=str)

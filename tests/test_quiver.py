@@ -115,6 +115,14 @@ def test_duality_must_reverse_and_cover():
         parse_alg_text(text)
 
 
+def test_duality_built_in_code_names_the_arrows_it_leaves_out():
+    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "1")])
+    relations = [Relation(quiver, [(1, tuple(p))]) for p in (["b", "a"], ["c", "a"], ["a", "b"], ["a", "c"])]
+    with pytest.raises(QuiverError, match="duality must pair every arrow") as caught:
+        build_algebra(quiver, relations, Field(0), duality_pairs={"a": "b", "b": "a"})
+    assert caught.value.arrows == ["c"]
+
+
 def test_non_admissible_relation_rejected():
     with pytest.raises(AlgParseError):
         parse_alg_text("field 0\nvertex 1 2\narrow a 1 2\nrelation 1*a\n")

@@ -35,8 +35,10 @@ def test_traced_rigidity_check_records_spans(tmp_path):
     # ce3's T(3) is not rigid, so the verdict is false
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["rigid_oracle"] is False
-    # the benchmark's per-layer modules.radical_series metrics are read off this span
-    assert {"rigidity.MinimalPresentation", "modules.ext1", "modules.radical_series"} <= names
+    # the benchmark's per-layer modules.radical_series and
+    # highest_weight.find_delta_filtration metrics are read off these spans
+    spans = {"rigidity.MinimalPresentation", "modules.ext1", "modules.radical_series", "highest_weight.find_delta_filtration"}
+    assert spans <= names
 
 
 def test_traced_selftest_records_bruteforce_spans(tmp_path):
