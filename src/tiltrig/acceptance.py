@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .linalg import Field, Mat, Subspace, kernel_basis, rref
 from . import characters as ch
@@ -41,38 +41,25 @@ from .rigidity import (
 )
 
 
-SL2_BLOCK = """
-field 0
-vertex 1 2
-order 1 < 2
-arrow a 1 2
-arrow b 2 1
-relation 1*b.a
-duality a=b
-"""
-
-CE3_BLOCK = """
-field 2
-vertex 1 2 3
-order 1 < 2
-order 2 < 3
-arrow a 1 2
-arrow c 1 3
-arrow d 2 3
-"""
-
-SL2_REVERSED = SL2_BLOCK.replace("order 1 < 2", "order 2 < 1")
+def bundled_system(name: str, field_override: Optional[int] = None) -> StandardSystem:
+    """A new system on the bundled algebra `<name>.alg`, over F_p if field_override = p."""
+    return StandardSystem(parse_alg_text(ch.data_text(f"{name}.alg"), field_override, name=name))
 
 
 # Each fixture system is built once per process; its memo then serves every criterion.
 @lru_cache(maxsize=None)
 def _sl2_system(characteristic: int = 0) -> StandardSystem:
-    text = SL2_BLOCK if characteristic == 0 else SL2_BLOCK.replace("field 0", f"field {characteristic}")
-    return StandardSystem(parse_alg_text(text, name="sl2block"))
+    return bundled_system("sl2block", characteristic)
 
 @lru_cache(maxsize=None)
 def _ce3_system() -> StandardSystem:
-    return StandardSystem(parse_alg_text(CE3_BLOCK, name="ce3"))
+    return bundled_system("ce3")
+
+
+def sl2_reversed() -> StandardSystem:
+    """The bundled sl2 block with its order swapped, which is not quasi-hereditary."""
+    text = ch.data_text("sl2block.alg").replace("order 1 < 2", "order 2 < 1")
+    return StandardSystem(parse_alg_text(text, name="sl2block-reversed"))
 
 
 # -- criterion 1: SL4 projective reconstruction ------------------------------------------
@@ -103,7 +90,7 @@ def criterion_1_sl4_projectives() -> Tuple[bool, str]:
         want = [Counter(layer) for layer in expected]
         if got != want:
             return False, f"P({mu}) computed {got} != recorded {want}"
-    golden = ch.parse_lay_text(ch.golden_lay("sl4.projectives.lay"), b.labels)
+    golden = ch.parse_lay_text(ch.data_text("sl4.projectives.lay"), b.labels)
     for kind, label, prof in golden:
         if ch.projective_layers(b, label) != prof:
             return False, f"golden mismatch at P({label})"
@@ -116,7 +103,7 @@ def criterion_2_sl4_tiltings() -> Tuple[bool, str]:
         got = layers_from_placement(ch.SL4_TILTING_PLACEMENTS[lam], b.layered)
         if got != [Counter(layer) for layer in expected]:
             return False, f"T({lam}) layers mismatch"
-    golden = ch.parse_lay_text(ch.golden_lay("sl4.tiltings.lay"), b.labels)
+    golden = ch.parse_lay_text(ch.data_text("sl4.tiltings.lay"), b.labels)
     for kind, label, prof in golden:
         if layers_from_placement(ch.SL4_TILTING_PLACEMENTS[label], b.layered) != prof:
             return False, f"golden mismatch at T({label})"
@@ -170,9 +157,9 @@ def criterion_5_sl2_end_to_end() -> Tuple[bool, str]:
         return False, f"pipeline verdicts {rep['rigid_theorem']}, {rep['rigid_oracle']}, {rep['consistent']}"
     for lam in sys.labels:
         for r in range(-3, 4):
-            res = filtered_ext1_delta(sys, lam, r, T2)
-            if res.dim != 0:
-                return False, f"filtered Ext^1(Delta({lam})<{r}>, T(2)) = {res.dim}"
+            dim = filtered_ext1_delta(sys, lam, r, T2)
+            if dim != 0:
+                return False, f"filtered Ext^1(Delta({lam})<{r}>, T(2)) = {dim}"
     return True, "qh verify, T(2)=[1|2|1], RIGID via both paths, filtered Ext vanishes on [-3,3]"
 
 
@@ -209,9 +196,9 @@ def criterion_6_property_suites() -> Tuple[bool, str]:
             if mod.total_dim > 8:
                 return False, f"fixture {name} exceeds the dimension bound"
             for side in ("delta-L", "L-nabla"):
-                det = detect_stretched(sys, mod, side)
+                failures = detect_stretched(sys, mod, side)
                 wits = stretched_subquotients_bruteforce(sys, mod, side)
-                if det.ok != (len(wits) == 0):
+                if bool(failures) != bool(wits):
                     return False, f"detector/enumerator disagree on {name} ({side})"
 
     # filtration independence: two distinct chains of P(1) (+) Delta(2)
@@ -290,8 +277,7 @@ def criterion_6_property_suites() -> Tuple[bool, str]:
 
 def criterion_7_negative_controls() -> Tuple[bool, str]:
     # reversed order: quasi-heredity fails at axiom (ii)
-    rev = StandardSystem(parse_alg_text(SL2_REVERSED, name="sl2block-reversed"))
-    qh = check_quasihereditary(rev)
+    qh = check_quasihereditary(sl2_reversed())
     if qh["ok"] or qh["weights"]["2"]["axiom_ii"]:
         return False, "reversed sl2 block unexpectedly quasi-hereditary"
 

@@ -294,7 +294,8 @@ def parse_lay_text(text: str, labels: Sequence[str]) -> List[Tuple[str, str, Loe
     return out
 
 
-def _data_text(name: str) -> str:
+def data_text(name: str) -> str:
+    """The text of a bundled data file."""
     from importlib import resources
 
     return resources.files("tiltrig").joinpath("data").joinpath(name).read_text(encoding="utf-8")
@@ -303,13 +304,9 @@ def _data_text(name: str) -> str:
 def load_block(path: Optional[str] = None) -> BlockData:
     """The bundled SL4 restricted block, or a .block file override."""
     if path is None:
-        return parse_block_text(_data_text("sl4.block"))
+        return parse_block_text(data_text("sl4.block"))
     with open(path, "r", encoding="utf-8") as fh:
         return parse_block_text(fh.read())
-
-
-def golden_lay(name: str) -> str:
-    return _data_text(name)
 
 
 SL4_TILTING_PLACEMENTS: Dict[str, List[Tuple[str, int]]] = {

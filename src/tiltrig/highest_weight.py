@@ -72,31 +72,23 @@ class MinimalPresentation(ProjectiveCover):
         super().__init__(sys.projective(lam), [lam], sys.standard_kernel(lam))
 
 
-class DeltaStep:
-    def __init__(self, label: str, shift: int):
-        self.label = label
-        self.shift = shift
-
-    def __repr__(self) -> str:
-        return f"DeltaStep({self.label}, shift {self.shift})"
-
-
 class DeltaFiltration:
-    """Ascending chain 0 = C_0 < ... < C_n = M with standard subquotients."""
+    """Ascending chain 0 = C_0 < ... < C_n = M with standard subquotients,
+    each step given as its (label, head shift)."""
 
-    def __init__(self, module: Representation, steps: List[DeltaStep], chain: List[SubFamily]):
+    def __init__(self, module: Representation, steps: List[Tuple[str, int]], chain: List[SubFamily]):
         self.module = module
         self.steps = steps
         self.chain = chain
 
     def multiplicities(self) -> Counter:
-        return Counter(s.label for s in self.steps)
+        return Counter(label for label, _ in self.steps)
 
     def placement(self) -> List[Tuple[str, int]]:
-        return [(s.label, s.shift) for s in self.steps]
+        return list(self.steps)
 
     def __repr__(self) -> str:
-        return f"DeltaFiltration({[(s.label, s.shift) for s in self.steps]})"
+        return f"DeltaFiltration({self.steps})"
 
 
 class FiltrationFailure:
@@ -205,7 +197,7 @@ class StandardSystem:
 # -- Delta-filtrations ------------------------------------------------------------
 
 
-def _step(M: Representation, lam: str, below: SubFamily, above: SubFamily) -> DeltaStep:
+def _step(M: Representation, lam: str, below: SubFamily, above: SubFamily) -> Tuple[str, int]:
     """The standard step above/below at lam, shifted by the depth of its head class.
 
     The head class is a complement x of below + J above at lam, and its depth
@@ -218,7 +210,7 @@ def _step(M: Representation, lam: str, below: SubFamily, above: SubFamily) -> De
     rad, s = radical_series(M), 0
     while s + 1 < len(rad) and rad[s + 1].spaces[lam].sum(below.spaces[lam]).contains(comp[0]):
         s += 1
-    return DeltaStep(lam, s)
+    return lam, s
 
 
 def is_standard_quotient(sys: StandardSystem, lam: str, dims: Dict[str, int]) -> bool:
@@ -247,7 +239,7 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
     """
     A = M.algebra
     chain: List[SubFamily] = [SubFamily(M)]
-    steps: List[DeltaStep] = []
+    steps: List[Tuple[str, int]] = []
     while chain[-1].total_dim < M.total_dim:
         below = chain[-1]
         lam = sys.poset.max_label([v for v in M.vertices if below.dim_at(v) < M.dims[v]])
@@ -287,7 +279,7 @@ def delta_filtration_from_chain(
     """
     if chain[0].total_dim != 0 or chain[-1].total_dim != M.total_dim:
         raise ModuleError("chain must run from 0 to the whole module")
-    steps: List[DeltaStep] = []
+    steps: List[Tuple[str, int]] = []
     for below, above in zip(chain, chain[1:]):
         if not above.contains(below):
             raise ModuleError("chain is not nested")
@@ -367,10 +359,7 @@ def universal_extension(X: Representation, cover: ProjectiveCover, classes: List
     """
     d, F = len(classes), X.field
     big = direct_sum([X] + [cover.P0] * d)[0]
-    blocks, pos = [], 0  # where phi(v_j) sits in a class
-    for g in cover.generators:
-        blocks.append(slice(pos, pos + X.dims[g.label]))
-        pos = blocks[-1].stop
+    blocks = cover.generator_slices(X)  # where phi(v_j) sits in a class
     vectors = []
     for w in X.vertices:
         zero = [F.zero] * cover.P0.dims[w]

@@ -466,18 +466,19 @@ class Subspace:
     def complement_in(self, other: "Subspace") -> List[Vec]:
         """Vectors of `other` extending this basis to a basis of `other`.
 
-        Requires self <= other; the chosen complement is the deterministic
-        pivot-greedy one, so a fixed input always yields the same answer.
+        Requires self <= other.  The complement is the greedy one: each basis
+        vector of `other`, in order, that is not in the span of this basis and
+        the vectors before it.  Those are the pivot columns of the matrix
+        whose columns are this basis, then the basis of `other`, so one
+        elimination finds them.
         """
         if not other.contains_space(self):
             raise ValueError("complement_in requires containment")
-        comp = []
-        cur = self
-        for v in other.basis:
-            if not cur.contains(v):
-                comp.append(v)
-                cur = cur.sum(Subspace(self.field, self.ambient, [v]))
-        return comp
+        if not other.basis:
+            return []
+        k = self.dim
+        _, pivots = rref(Mat.from_cols(self.field, self.basis + other.basis))
+        return [other.basis[c - k] for c in pivots if c >= k]
 
 
 def quotient_map(field: Field, sub: Subspace) -> Tuple[Mat, List[int]]:

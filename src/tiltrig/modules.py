@@ -510,6 +510,15 @@ class ProjectiveCover:
         relations = _path_rows(N, labels, self.paths, [(w, r) for w in N.vertices for r in self.relations[w]])
         return Subspace(N.field, relations.cols, kernel_basis(relations))
 
+    def generator_slices(self, N: Representation) -> List[slice]:
+        """Where the image f(v_j) of each generator sits in (+) N_{v_j}, the
+        layout of `hom` and `read_off` (`_path_rows`)."""
+        slices, pos = [], 0
+        for g in self.generators:
+            slices.append(slice(pos, pos + N.dims[g.label]))
+            pos = slices[-1].stop
+        return slices
+
     def read_off(self, N: Representation) -> Mat:
         """Hom(P0, N) restricted to Omega, read off with no linear system.
 

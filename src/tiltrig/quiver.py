@@ -379,10 +379,12 @@ def build_algebra(
     c*p'.a is reduced through the lower degrees).  In each (source, target,
     L) stratum the non-pivot products survive as normal words and the pivots
     get rewrite rules, which together form the table of (normal word).(arrow)
-    products.  Stops at the first degree with no normal word; aborts once the
-    basis passes dim_cap, so a degree never has more than dim_cap * (number
-    of arrows) columns.  An oriented cycle of arrows that no relation
-    involves is refused before any degree is built.
+    products.  Stops at the first degree with no normal word; aborts after
+    the first degree at which the basis passes dim_cap, so a degree never
+    has more than dim_cap * (number of arrows) columns, naming the arrows
+    that the longest surviving words repeat (all of their arrows if they
+    repeat none).  An oriented cycle of arrows that no relation involves is
+    refused before any degree is built.
     """
     if dim_cap <= 0:
         raise QuiverError("dim_cap must be positive")
@@ -448,13 +450,19 @@ def build_algebra(
             if keep:
                 degree[key] = keep
             basis.extend(keep)
-            if len(basis) > dim_cap:
-                raise QuiverError(
-                    f"basis exceeded dim_cap={dim_cap}; the presentation may be infinite-dimensional"
-                )
         if not degree:
             break
         normal.append(degree)
+        if len(basis) > dim_cap:
+            longest = [Counter(w) for ws in degree.values() for w in ws]  # the arrows of each longest word
+            repeated = sorted({a for counts in longest for a, k in counts.items() if k > 1})
+            at_fault = repeated or sorted({a for counts in longest for a in counts})
+            raise QuiverError(
+                f"basis exceeded dim_cap={dim_cap}; the surviving words of length {length} "
+                f"{'repeat' if repeated else 'run through'} {', '.join(at_fault)}, "
+                "so the presentation may be infinite-dimensional",
+                at_fault,
+            )
 
     basis.sort(key=lambda p: (0 if p[0] in vertices else len(p), p))
     return FinDimAlgebra(

@@ -72,11 +72,10 @@ class PositionedLifting:
         m_j + shift <= 0 there is none, since f(J^t A v_j) <= J^t T = rad^t T.
         """
         if shift not in self._deep:
-            F, n, vectors, pos = self.hom.field, self.hom.ambient, [], 0
-            for g in self.pres.generators:  # (+)_j rad^(m_j+shift) T_{v_j}
+            F, n, vectors, pres = self.hom.field, self.hom.ambient, [], self.pres
+            for g, block in zip(pres.generators, pres.generator_slices(self.T)):  # (+)_j rad^(m_j+shift) T_{v_j}
                 depth = _clamped(radical_series(self.T), g.depth + shift).spaces[g.label]
-                vectors.extend([F.zero] * pos + row + [F.zero] * (n - pos - depth.ambient) for row in depth.basis)
-                pos += depth.ambient
+                vectors.extend([F.zero] * block.start + row + [F.zero] * (n - block.stop) for row in depth.basis)
             self._deep[shift] = self.hom.intersect(Subspace(F, n, vectors))
         return self._deep[shift]
 
@@ -103,80 +102,37 @@ def positioned_lifting(sys: StandardSystem, lam: str, T: Representation) -> Posi
     return sys.memo(("lifting", lam, T), lambda: PositionedLifting(sys, lam, T))
 
 
-class FilteredExtResult:
-    def __init__(self, label: str, shift: int, dim: int, cocycle_dim: int, boundary_dim: int):
-        self.label = label
-        self.shift = shift
-        self.dim = dim
-        self.cocycle_dim = cocycle_dim
-        self.boundary_dim = boundary_dim
-
-    def __repr__(self) -> str:
-        return f"FilteredExt1(Delta({self.label})<{self.shift}>, dim {self.dim})"
-
-
-def filtered_ext1_delta(sys: StandardSystem, lam: str, shift: int, T: Representation) -> FilteredExtResult:
-    """Filtered Ext^1(Delta(lam)<shift>, T): positioned cocycles mod positioned
-    restrictions of maps out of the projective cover."""
+def filtered_ext1_delta(sys: StandardSystem, lam: str, shift: int, T: Representation) -> int:
+    """dim of filtered Ext^1(Delta(lam)<shift>, T): positioned cocycles mod
+    positioned restrictions of maps out of the projective cover."""
     lift = positioned_lifting(sys, lam, T)
     deep, boundaries = lift.deep(shift), lift.boundary(shift)
     if not deep.contains_space(boundaries):
         raise ModuleError("filtered boundaries escaped the cocycle space; solver bug")
-    return FilteredExtResult(lam, shift, deep.dim - boundaries.dim, deep.dim, boundaries.dim)
+    return deep.dim - boundaries.dim
 
 
 # -- stretched-subquotient detection ---------------------------------------------------
 
 
-class StretchEntry:
-    def __init__(self, label: str, layer: int, ok: bool, witness: Optional[list]):
-        self.label = label
-        self.layer = layer
-        self.ok = ok
-        self.witness = witness
-
-
-class StretchReport:
-    """Per (weight, layer) verdicts of the hom-lifting layer criterion."""
-
-    def __init__(self, side: str, entries: List[StretchEntry]):
-        self.side = side
-        self.entries = entries
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def failures(self) -> List[StretchEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    def as_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "ok": self.ok,
-            "failures": [
-                {"weight": e.label, "layer": e.layer} for e in self.failures()
-            ],
-        }
-
-
-def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-L") -> StretchReport:
+def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-L") -> List[Tuple[str, int, list]]:
     """Layer-compatibility criterion from the filtered-lifting argument.
 
     For each weight and each layer s: every restriction to the syzygy of a
     map P(lam) -> T that is s-deep relative to the generator positions must
     split as (restriction of a map with image in rad^s T) plus a restriction
-    that is (s+1)-deep.  The L-nabla side runs the same test on the duality
-    image of T, per the radical/socle exchange.
+    that is (s+1)-deep.  Returns the failing cells (lam, s, witness), the
+    witness an s-deep restriction that does not split; the list is empty
+    when the criterion holds.  The L-nabla side runs the same test on the
+    duality image of T, per the radical/socle exchange.
     """
     if side not in ("delta-L", "L-nabla"):
         raise ValueError(f"unknown side {side!r}")
     if side == "L-nabla":
         dual, dual_sys = sys.dual_module(T)
-        inner = detect_stretched(dual_sys, dual, side="delta-L")
-        return StretchReport("L-nabla", inner.entries)
+        return detect_stretched(dual_sys, dual, side="delta-L")
 
-    entries: List[StretchEntry] = []
+    failures = []
     ell = loewy_length(T)
     for lam in sys.labels:
         lift = positioned_lifting(sys, lam, T)
@@ -184,12 +140,10 @@ def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-
         G = [lift.deep(s).intersect(restr_all) for s in range(ell + 2)]
         for s in range(ell + 1):
             span = lift.boundary(s).sum(G[s + 1])
-            if span.contains_space(G[s]):
-                entries.append(StretchEntry(lam, s, True, None))
-            else:
-                witness = next(f for f in G[s].basis if not span.contains(f))
-                entries.append(StretchEntry(lam, s, False, witness))
-    return StretchReport("delta-L", entries)
+            witness = next((f for f in G[s].basis if not span.contains(f)), None)
+            if witness is not None:
+                failures.append((lam, s, witness))
+    return failures
 
 
 # -- brute-force enumerator (definitional oracle) ----------------------------------------
@@ -353,33 +307,27 @@ def rigidity_pipeline(sys: StandardSystem, lam: str, method: str = "both") -> di
         "radical_profile": [dict(layer) for layer in radical_profile(T)],
     }
 
-    rigid_oracle = None
     if method in ("direct", "both"):
-        ok, witness = is_rigid(T)
-        rigid_oracle = ok
-        report["rigid_oracle"] = ok
+        report["rigid_oracle"], witness = is_rigid(T)
         if witness:
             report["oracle_witness"] = witness
 
-    rigid_theorem: Optional[bool] = None
+    rigid_theorem = False
     if method in ("theorem", "both"):
-        det_delta = detect_stretched(sys, T, "delta-L")
-        det_nabla = detect_stretched(sys, T, "L-nabla")
-        report["stretched"] = {"deltaL": det_delta.as_dict(), "Lnabla": det_nabla.as_dict()}
+        stretched = {}
+        for key, side in (("deltaL", "delta-L"), ("Lnabla", "L-nabla")):
+            failures = [{"weight": mu, "layer": s} for mu, s, _ in detect_stretched(sys, T, side)]
+            stretched[key] = {"side": side, "ok": not failures, "failures": failures}
+        report["stretched"] = stretched
         ell = loewy_length(T)
-        filtered = []
-        for mu in sys.labels:
-            for r in range(-ell, ell + 1):
-                res = filtered_ext1_delta(sys, mu, r, T)
-                filtered.append({"weight": mu, "shift": r, "dim": res.dim})
+        filtered = [
+            {"weight": mu, "shift": r, "dim": filtered_ext1_delta(sys, mu, r, T)}
+            for mu in sys.labels
+            for r in range(-ell, ell + 1)
+        ]
         report["filteredExt"] = filtered
         report["filteredExt_all_vanish"] = all(e["dim"] == 0 for e in filtered)
-        if hypothesis["ok"] and det_delta.ok and det_nabla.ok:
-            rigid_theorem = True
-    report["rigid_theorem"] = rigid_theorem if rigid_theorem is not None else "n/a"
-
-    if rigid_theorem is True and rigid_oracle is False:
-        report["consistent"] = False
-    else:
-        report["consistent"] = True
+        rigid_theorem = hypothesis["ok"] and all(entry["ok"] for entry in stretched.values())
+    report["rigid_theorem"] = True if rigid_theorem else "n/a"
+    report["consistent"] = not (rigid_theorem and report.get("rigid_oracle") is False)
     return report

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tiltrig import modules
-from tiltrig.acceptance import CE3_BLOCK, SL2_BLOCK
+from tiltrig.acceptance import bundled_system
 from tiltrig.highest_weight import StandardSystem
 from tiltrig.linalg import Mat, Subspace, kernel_basis
 from tiltrig.modules import (
@@ -34,17 +34,17 @@ _FAMILY.loader.exec_module(family)
 
 @pytest.fixture(scope="session")
 def sl2():
-    return StandardSystem(parse_alg_text(SL2_BLOCK, name="sl2block"))
+    return bundled_system("sl2block")
 
 
 @pytest.fixture(scope="session")
 def sl2_f2():
-    return StandardSystem(parse_alg_text(SL2_BLOCK.replace("field 0", "field 2"), name="sl2block-f2"))
+    return bundled_system("sl2block", 2)
 
 
 @pytest.fixture(scope="session")
 def ce3():
-    return StandardSystem(parse_alg_text(CE3_BLOCK, name="ce3"))
+    return bundled_system("ce3")
 
 
 def _dual_extension_alg(seed: int, p: int) -> str:

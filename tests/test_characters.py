@@ -249,12 +249,12 @@ def test_block_validation_errors():
 
 
 def test_golden_files_parse_and_match(block):
-    golden = ch.parse_lay_text(ch.golden_lay("sl4.projectives.lay"), block.labels)
+    golden = ch.parse_lay_text(ch.data_text("sl4.projectives.lay"), block.labels)
     assert len(golden) == 8
     for kind, label, prof in golden:
         assert kind == "proj"
         assert prof == ch.projective_layers(block, label)
-    golden = ch.parse_lay_text(ch.golden_lay("sl4.tiltings.lay"), block.labels)
+    golden = ch.parse_lay_text(ch.data_text("sl4.tiltings.lay"), block.labels)
     assert len(golden) == 8
     for kind, label, prof in golden:
         assert kind == "tilt"

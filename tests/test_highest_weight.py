@@ -34,7 +34,7 @@ from tiltrig.modules import (
     radical_series,
     spin_submodule,
 )
-from tiltrig.acceptance import SL2_REVERSED
+from tiltrig.acceptance import sl2_reversed
 from tiltrig.quiver import parse_alg_text
 
 
@@ -455,7 +455,7 @@ def test_end_dim_matches_the_block_solve(fixture, request):
     # End Delta(lam) is read off Delta(lam)_lam; the reversed sl2 order makes
     # Delta(1) = P(1), with L(1) twice, so End Delta(1) is 2-dimensional there
     if fixture == "sl2_reversed":
-        sys = StandardSystem(parse_alg_text(SL2_REVERSED, name="sl2block-reversed"))
+        sys = sl2_reversed()
     else:
         sys = _reference_system(fixture, request)
     report = check_quasihereditary(sys)

@@ -95,6 +95,31 @@ def test_coords_and_complement(coords):
     assert len(comp) == 1 and not U.contains(comp[0])
 
 
+def _greedy_complement(U, W):
+    """The vectors of W's basis, in order, outside the span of U and the vectors kept before them."""
+    comp, cur = [], U
+    for v in W.basis:
+        if not cur.contains(v):
+            comp.append(v)
+            cur = cur.sum(Subspace(U.field, U.ambient, [v]))
+    return comp
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_complement_matches_the_greedy_loop(p):
+    F, rng = Field(p), random.Random(p)
+    for case in range(150):
+        n = rng.randint(1, 6)
+        W = Subspace(F, n, [[F.of(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(0, n))])
+        combos = [[F.of(rng.randint(-2, 2)) for _ in W.basis] for _ in range(rng.randint(0, W.dim))]
+        U = Subspace(F, n, [Mat.from_cols(F, W.basis).apply(c) for c in combos if W.basis])
+        comp = U.complement_in(W)
+        assert comp == _greedy_complement(U, W), case
+        assert U.sum(Subspace(F, n, comp)) == W and U.dim + len(comp) == W.dim, case
+    with pytest.raises(ValueError, match="requires containment"):
+        Subspace(F, 2, [[F.one, F.zero]]).complement_in(Subspace(F, 2, [[F.zero, F.one]]))
+
+
 def test_quotient_map_kernel():
     Q = Field(0)
     U = Subspace(Q, 3, [[1, 2, 0]])

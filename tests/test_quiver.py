@@ -135,11 +135,26 @@ def test_inhomogeneous_relation_rejected():
 
 
 def test_dim_cap_guards_infinite_algebra():
-    # K[x, y]: the relation involves both loops, so only dim_cap stops it
+    # K[x, y]: the relation involves both loops, so only dim_cap stops it,
+    # and the longest surviving words repeat both
     text = "field 0\nvertex 1\narrow x 1 1\narrow y 1 1\nrelation x.y + -1*y.x\n"
-    with pytest.raises(AlgParseError, match="^basis exceeded dim_cap=50") as exc:
+    with pytest.raises(AlgParseError, match="^lines 3, 4: basis exceeded dim_cap=50") as exc:
         parse_alg_text(text, dim_cap=50)
-    assert exc.value.lines == []
+    assert exc.value.lines == [3, 4]
+
+
+def test_dim_cap_abort_names_the_arrows_the_longest_words_repeat():
+    # a occurs in the relation b.a, so the free-cycle refusal does not fire,
+    # but the cycle a.c survives: the longest words, such as (a.c)^k.a.b,
+    # repeat a and c and run through b at most once
+    text = "field 0\nvertex 1 2\narrow a 1 2\narrow b 2 1\narrow c 2 1\nrelation b.a\n"
+    with pytest.raises(AlgParseError, match="words of length 17 repeat a, c, so") as exc:
+        parse_alg_text(text, dim_cap=50)
+    assert exc.value.lines == [3, 5]
+    # words that repeat no arrow are named whole
+    path = "field 0\nvertex 1 2 3\narrow a 1 2\narrow b 2 3\n"
+    with pytest.raises(AlgParseError, match="^lines 3, 4: .* length 2 run through a, b, so"):
+        parse_alg_text(path, dim_cap=5)
 
 
 def test_parse_error_reports_line():
