@@ -101,13 +101,18 @@ class FiltrationFailure:
         return f"FiltrationFailure(at {self.label}: {self.reason})"
 
 
+def _where(algebra: FinDimAlgebra) -> str:
+    """The prefix naming the algebra's file (its name) in a message about the whole file."""
+    return f"{algebra.name}: " if algebra.name else ""
+
+
 class StandardSystem:
     """The L / P / I / Delta / nabla / T family attached to the weight poset."""
 
     def __init__(self, algebra: FinDimAlgebra):
         self.algebra = algebra
         if algebra.order_covers is None and len(algebra.quiver.vertices) > 1:
-            raise PosetError("algebra file declares no weight order")
+            raise PosetError(f"{_where(algebra)}algebra file declares no weight order")
         self.poset = WeightPoset(algebra.quiver.vertices, algebra.order_covers or ())
         self.labels = list(algebra.quiver.vertices)
         self._cache: Dict[tuple, object] = {}
@@ -171,12 +176,13 @@ class StandardSystem:
     def require_quasihereditary(self) -> None:
         """Raise ModuleError naming the first weight that breaks an axiom."""
         report = self.memo(("qh",), lambda: check_quasihereditary(self))
+        where = _where(self.algebra)
         for lam, entry in report["weights"].items():
             if not entry["axiom_i"]:
-                raise ModuleError(f"not quasi-hereditary at weight {lam}: axiom (i), End Delta({lam}) = K, fails")
+                raise ModuleError(f"{where}not quasi-hereditary at weight {lam}: axiom (i), End Delta({lam}) = K, fails")
             if not entry["axiom_ii"]:
                 raise ModuleError(
-                    f"not quasi-hereditary at weight {lam}: axiom (ii), a heredity-ordered standard filtration of P({lam}), fails"
+                    f"{where}not quasi-hereditary at weight {lam}: axiom (ii), a heredity-ordered standard filtration of P({lam}), fails"
                 )
 
     def dual_module(self, M: Representation) -> Tuple[Representation, "StandardSystem"]:

@@ -22,6 +22,12 @@ row by its content rather than by the previous pivot; it builds Fractions
 only when it normalises the pivot rows at the end.  The reduced
 row-echelon form is unique, so both give what element-wise Gauss-Jordan
 gives, entry for entry.
+
+Subspaces grow incrementally.  `Subspace.sum` and `Subspace.intersect`
+return an operand, not a copy, whenever it already is the answer (a zero or
+whole operand, or a sum that adds nothing), and a sum eliminates only the
+residues of the other basis.  Results are therefore shared: nothing may
+change a `Subspace`'s basis or pivots after it is built.
 """
 
 from __future__ import annotations
@@ -373,6 +379,35 @@ def solve(m: Mat, b: Vec) -> Optional[Vec]:
     return x
 
 
+def extend_echelon(field: Field, rows: List[Vec], pivots: List[int], v: Vec) -> Optional[Vec]:
+    """Grow an echelon spanning set by v in place; the row added, or None.
+
+    `rows` are in the order they were added, each 1 at its pivot and 0 at
+    the pivots of the rows before it, so reducing v by them in that order
+    leaves a residue that is 0 exactly when v is in their span.  A nonzero
+    residue is scaled to 1 at its first nonzero entry and appended.
+    """
+    p = field.p
+    for row, pc in zip(rows, pivots):
+        c = v[pc] % p if p else v[pc]
+        if c:
+            v = [x - c * y for x, y in zip(v, row)] if p else [x - c * y if y else x for x, y in zip(v, row)]
+    if p:
+        v = [x % p for x in v]
+    pc = next((k for k, x in enumerate(v) if x), None)
+    if pc is None:
+        return None
+    if p:
+        inv = pow(v[pc], -1, p)
+        v = [x * inv % p for x in v]
+    else:
+        inv = 1 / Fraction(v[pc])
+        v = [x * inv if x else x for x in v]
+    rows.append(v)
+    pivots.append(pc)
+    return v
+
+
 # -- subspaces ---------------------------------------------------------------
 #
 # A subspace of K^n is stored as the rref of a spanning set, one basis vector
@@ -380,7 +415,11 @@ def solve(m: Mat, b: Vec) -> Optional[Vec]:
 
 
 class Subspace:
-    """Canonical (rref-basis) subspace of K^n, spanned by canonical vectors."""
+    """Canonical (rref-basis) subspace of K^n, spanned by canonical vectors.
+
+    A subspace never changes after it is built: `sum` and `intersect` may
+    return one of their operands, so its basis may be shared.
+    """
 
     __slots__ = ("field", "ambient", "basis", "pivots")
 
@@ -417,7 +456,8 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, tuple(tuple(map(str, row)) for row in self.basis)))
+        # entries are canonical for one field, so equal bases hash equal
+        return hash((self.ambient, tuple(map(tuple, self.basis))))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
@@ -444,21 +484,38 @@ class Subspace:
         return not any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return other.dim <= self.dim and all(self.contains(v) for v in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """U + V; an operand itself when it already is the sum (`self` when both are).
+
+        Otherwise V's basis is reduced against U's, and U's basis is
+        eliminated together with the nonzero residues only.
+        """
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return Subspace(self.field, self.ambient, self.basis + other.basis)
+        if not other.basis or self.dim == self.ambient:
+            return self
+        if not self.basis or other.dim == other.ambient:
+            return other
+        residues = [r for r in map(self.reduce, other.basis) if any(r)]
+        if not residues:
+            return self
+        return Subspace(self.field, self.ambient, self.basis + residues)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref [[u u],[v 0]]; zero left blocks carry U cap V."""
+        """U cap V; an operand itself when one is zero or the whole space.
+
+        Otherwise Zassenhaus: rref [[u u],[v 0]]; zero left blocks carry U cap V.
+        """
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
+        if not self.basis or other.dim == other.ambient:
+            return self
+        if not other.basis or self.dim == self.ambient:
+            return other
         F, n = self.field, self.ambient
         rows = [u + u for u in self.basis] + [v + [F.zero] * n for v in other.basis]
-        if not rows:
-            return Subspace(F, n)
         R, piv = rref(Mat.canonical(F, rows))
         out = [R.data[i][n:] for i in range(len(piv)) if not any(R.data[i][:n])]
         return Subspace(F, n, out)

@@ -19,12 +19,14 @@ import itertools
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, kernel_basis, quotient_map
+from .linalg import Mat, Subspace, extend_echelon, kernel_basis, quotient_map
 from .quiver import FinDimAlgebra, LoewyProfile, Path
 
 
 class ModuleError(ValueError):
-    pass
+    def __init__(self, message: str, arrows: Sequence[str] = ()):
+        super().__init__(message)
+        self.arrows = list(arrows)  # the arrows at fault, where there are any
 
 
 class Representation:
@@ -86,7 +88,7 @@ class Representation:
                 term = self.path_matrix(p).scale(F.of(c))
                 total = term if total is None else total.add(term)
             if total is not None and not total.is_zero():
-                raise ModuleError(f"relation {rel!r} does not act by zero")
+                raise ModuleError(f"relation {rel!r} does not act by zero", sorted({a for _, p in rel.terms for a in p}))
 
     def __repr__(self) -> str:
         d = ", ".join(f"{v}:{self.dims[v]}" for v in self.vertices)
@@ -139,7 +141,11 @@ class SubFamily:
         return f"SubFamily({d})"
 
     def sum(self, other: "SubFamily") -> "SubFamily":
-        return SubFamily(self.rep, {v: self.spaces[v].sum(other.spaces[v]) for v in self.rep.vertices})
+        """The sum, and `self` itself when other <= self."""
+        spaces = {v: self.spaces[v].sum(other.spaces[v]) for v in self.rep.vertices}
+        if all(spaces[v] is self.spaces[v] for v in self.rep.vertices):
+            return self
+        return SubFamily(self.rep, spaces)
 
     def intersect(self, other: "SubFamily") -> "SubFamily":
         return SubFamily(self.rep, {v: self.spaces[v].intersect(other.spaces[v]) for v in self.rep.vertices})
@@ -307,13 +313,22 @@ def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Dic
 
 
 def spin_submodule(M: Representation, vectors: Iterable[Tuple[str, Sequence]]) -> SubFamily:
-    """Smallest arrow-stable family containing the vectors: S + J S + J^2 S + ..."""
-    fam = SubFamily.from_vectors(M, vectors)
-    while True:
-        grown = fam.sum(radical_of(M, fam))
-        if grown.total_dim == fam.total_dim:
-            return fam
-        fam = grown
+    """Smallest arrow-stable family containing the vectors: S + J S + J^2 S + ...
+
+    A worklist: each vector is reduced against the rows kept at its vertex,
+    and only a nonzero residue is kept and pushed through the arrows out of
+    that vertex.  One elimination per vertex then makes the bases canonical.
+    """
+    F, quiver = M.field, M.algebra.quiver
+    out = {v: [(quiver.target(a), M.mats[a]) for a in quiver.arrows_from(v)] for v in M.vertices}
+    kept: Dict[str, Tuple[list, list]] = {v: ([], []) for v in M.vertices}  # echelon rows, pivots
+    work = [(v, list(vec)) for v, vec in vectors]
+    while work:
+        v, vec = work.pop()
+        new = extend_echelon(F, *kept[v], vec)
+        if new is not None:
+            work.extend((w, X.apply(new)) for w, X in out[v])
+    return SubFamily(M, {v: Subspace(F, M.dims[v], rows) for v, (rows, _) in kept.items() if rows})
 
 
 def radical_of(M: Representation, fam: SubFamily) -> SubFamily:
@@ -575,10 +590,8 @@ def all_submodules(M: Representation, max_total_dim: int = 10) -> List[SubFamily
         new = set()
         for a in frontier:
             for b in cyclics:
-                if a.contains(b):  # a + b = a is already in the lattice
-                    continue
                 s = a.sum(b)
-                if s not in lattice:
+                if s is not a and s not in lattice:  # a + b is a exactly when b <= a
                     lattice.add(s)
                     new.add(s)
         frontier = new
@@ -598,6 +611,7 @@ def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Represe
     quiver = algebra.quiver
     dims: Dict[str, int] = {}
     mats: Dict[str, Mat] = {}
+    map_lines: Dict[str, int] = {}
     # (1-based line number, tokens) of each line that is not blank or a comment
     lines = [(n, parts) for n, raw in enumerate(text.splitlines(), start=1) if (parts := raw.split("#", 1)[0].split())]
     for line_no, parts in lines:
@@ -622,6 +636,7 @@ def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Represe
             a = parts[1]
             if a not in quiver.arrows:
                 raise ModuleError(f"line {line_no}: unknown arrow {a!r} in representation file")
+            map_lines[a] = line_no
             u, w = quiver.arrows[a]
             rows, first = [], i
             for k in range(dims.get(w, 0)):
@@ -646,7 +661,13 @@ def parse_rep_text(text: str, algebra: FinDimAlgebra, name: str = "") -> Represe
             mats[a] = Mat.canonical(algebra.field, rows, dims.get(u, 0))
         else:
             raise ModuleError(f"line {line_no}: unknown keyword {parts[0]!r} in representation file")
-    return Representation(algebra, dims, mats, name=name)
+    try:
+        return Representation(algebra, dims, mats, name=name)
+    except ModuleError as exc:  # a relation that does not act by zero: name its arrows' map lines
+        at = sorted({map_lines[a] for a in exc.arrows if a in map_lines})
+        if not at:
+            raise
+        raise ModuleError(f"line{'s' if len(at) > 1 else ''} {', '.join(map(str, at))}: {exc}") from exc
 
 
 def load_rep(path: str, field_override: Optional[int] = None) -> Representation:
@@ -665,4 +686,4 @@ def load_rep(path: str, field_override: Optional[int] = None) -> Representation:
             if not os.path.isabs(alg_path):
                 alg_path = os.path.join(os.path.dirname(os.path.abspath(path)), alg_path)
             return parse_rep_text(text, load_alg(alg_path, field_override=field_override), name=path)
-    raise ModuleError("representation file lacks an 'algebra' line")
+    raise ModuleError(f"{path}: representation file lacks an 'algebra' line")

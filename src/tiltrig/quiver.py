@@ -524,10 +524,12 @@ def _times_arrow(
 
 
 class AlgParseError(ValueError):
-    def __init__(self, lines, message: str):
+    """A fault in `.alg` text, located at its lines, or else at the file `name`."""
+
+    def __init__(self, lines, message: str, name: str = ""):
         self.lines = [lines] if isinstance(lines, int) else list(lines)  # none where no line is at fault
-        where = ", ".join(map(str, self.lines))
-        super().__init__(f"line{'s' if len(self.lines) > 1 else ''} {where}: {message}" if self.lines else message)
+        where = f"line{'s' if len(self.lines) > 1 else ''} {', '.join(map(str, self.lines))}" if self.lines else name
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 def parse_alg_text(
@@ -591,14 +593,14 @@ def parse_alg_text(
             raise AlgParseError(line_no, str(exc)) from exc
 
     if field is None:
-        raise AlgParseError((), "missing 'field' line")
+        raise AlgParseError((), "missing 'field' line", name)
     if field_override is not None:
         try:
             field = Field(field_override)
         except ValueError as exc:
             raise ValueError(f"field override: {exc}") from exc
     if not vertices:
-        raise AlgParseError((), "no vertices declared")
+        raise AlgParseError((), "no vertices declared", name)
     # vertices and arrows may be declared after the lines that name them
     try:
         WeightPoset(vertices, covers or ())
@@ -630,7 +632,7 @@ def parse_alg_text(
     except AlgParseError:
         raise
     except (QuiverError, ValueError) as exc:
-        raise AlgParseError(sorted({arrow_lines[a] for a in getattr(exc, "arrows", ())}), str(exc)) from exc
+        raise AlgParseError(sorted({arrow_lines[a] for a in getattr(exc, "arrows", ())}), str(exc), name) from exc
 
 
 def _parse_relation_terms(body: str) -> List[Tuple[str, List[str]]]:

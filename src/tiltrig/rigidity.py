@@ -149,25 +149,13 @@ def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-
 # -- brute-force enumerator (definitional oracle) ----------------------------------------
 
 
-class BruteForceWitness:
-    def __init__(self, outer_dims, inner_dims, label, mu, positions):
-        self.outer_dims = outer_dims
-        self.inner_dims = inner_dims
-        self.label = label
-        self.mu = mu
-        self.positions = positions
-
-    def __repr__(self) -> str:
-        return (
-            f"StretchedSubquotient(head weight {self.label}, socle weight {self.mu}, "
-            f"layers {self.positions})"
-        )
-
-
 BRUTE_FORCE_MAX_DIM = 8  # the largest T whose submodule lattice the oracle enumerates
 
 
-def stretched_subquotients_bruteforce(sys: StandardSystem, T: Representation, side: str = "delta-L") -> List[BruteForceWitness]:
+Witness = Tuple[Tuple[int, ...], Tuple[int, ...], str, str, List[Tuple[int, ...]]]
+
+
+def stretched_subquotients_bruteforce(sys: StandardSystem, T: Representation, side: str = "delta-L") -> List[Witness]:
     """Enumerate subquotient pairs and test the defining conditions directly.
 
     Only usable over a small finite field; this is the definitional oracle the
@@ -178,6 +166,10 @@ def stretched_subquotients_bruteforce(sys: StandardSystem, T: Representation, si
     differences of dimensions.  The head and standard-quotient tests are read
     off Q's top and dimension vector; the shifted-quotient test then runs
     once per pair and the socle test on the line Q_mu.  No module is built.
+
+    Each witness is (outer_dims, inner_dims, lam, mu, positions): the
+    dimension vectors of the pair, the head and socle weights of Q, and the
+    dimension vectors of the layers of Q's induced chain.
     """
     if side not in ("delta-L", "L-nabla"):
         raise ValueError(f"unknown side {side!r}")
@@ -189,15 +181,18 @@ def stretched_subquotients_bruteforce(sys: StandardSystem, T: Representation, si
     if T.total_dim > BRUTE_FORCE_MAX_DIM:
         raise ModuleError(f"module too large for brute force (dim {T.total_dim} > {BRUTE_FORCE_MAX_DIM})")
 
-    witnesses: List[BruteForceWitness] = []
+    witnesses: List[Witness] = []
     subs = all_submodules(T, max_total_dim=BRUTE_FORCE_MAX_DIM)
     for outer in subs:
         rad_outer = radical_of(T, outer)  # rad Q = J outer + inner
         for inner in subs:
-            if outer.total_dim - inner.total_dim < 2 or not outer.contains(inner):
+            if outer.total_dim - inner.total_dim < 2:
+                continue
+            dims = {v: outer.dim_at(v) - inner.dim_at(v) for v in T.vertices}
+            # a witness needs a weight mu with dim Q_mu = 1 (see _witness_weights)
+            if 1 not in dims.values() or not outer.contains(inner):
                 continue
             top = {v: outer.dim_at(v) - rad_outer.spaces[v].sum(inner.spaces[v]).dim for v in T.vertices}
-            dims = {v: outer.dim_at(v) - inner.dim_at(v) for v in T.vertices}
             weights = _witness_weights(sys, top, dims)
             if weights is None:
                 continue
@@ -210,7 +205,7 @@ def stretched_subquotients_bruteforce(sys: StandardSystem, T: Representation, si
             if not inner.contains(radical_of(T, SubFamily(T, {mu: outer.spaces[mu]}))):
                 continue
             outer_dims, inner_dims = (tuple(fam.dim_at(v) for v in T.vertices) for fam in (outer, inner))
-            witnesses.append(BruteForceWitness(outer_dims, inner_dims, lam, mu, _induced_positions(induced, inner)))
+            witnesses.append((outer_dims, inner_dims, lam, mu, _induced_positions(induced, inner)))
     return witnesses
 
 

@@ -222,6 +222,26 @@ def subquotient():
     return _subquotient
 
 
+def _spin_fixpoint(M, vectors):
+    """The spin as a fixpoint: add J * fam to the family until it stops growing.
+
+    Each round eliminates the whole family again; the library's worklist
+    spin is compared against it.
+    """
+    fam = SubFamily.from_vectors(M, vectors)
+    while True:
+        grown = fam.sum(radical_of(M, fam))
+        if grown.total_dim == fam.total_dim:
+            return fam
+        fam = grown
+
+
+@pytest.fixture(scope="session")
+def spin_fixpoint():
+    """spin_fixpoint(M, vectors) is the reference for `spin_submodule`."""
+    return _spin_fixpoint
+
+
 def _syzygy_block_solve(cover, N):
     """Hom(Omega, N) by the block solve on Omega as a module in its own right.
 

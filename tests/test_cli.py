@@ -47,14 +47,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
     bad.write_text("field 0\nvertex 1\nbogus\n")
     code, _, err = run(capsys, "algebra", "check", str(bad))
     assert code == 2 and "line 3" in err
-    # errors that no line holds name none
     bad.write_text("field 0\nvertex 1 2\narrow a 1 2\narrow a 2 1\n")
     code, _, err = run(capsys, "algebra", "check", str(bad))
     assert code == 2 and err == "error: line 4: duplicate arrow name 'a'\n"
+    # errors that no line holds name the file
     for text, message in (("vertex 1\n", "missing 'field' line"), ("field 0\n", "no vertices declared")):
         bad.write_text(text)
         code, _, err = run(capsys, "algebra", "check", str(bad))
-        assert code == 2 and err == f"error: {message}\n", text
+        assert code == 2 and err == f"error: {bad}: {message}\n", text
 
 
 def test_module_series(capsys):
@@ -83,7 +83,7 @@ def test_bare_order_line_declares_an_order_with_no_covers(tmp_path, capsys):
     # without an `order` line, no order is declared
     alg.write_text("field 3\nvertex 1 2\n")
     code, _, err = run(capsys, "qh", "verify", str(alg))
-    assert code == 2 and err == "error: algebra file declares no weight order\n"
+    assert code == 2 and err == f"error: {alg}: algebra file declares no weight order\n"
 
 
 def test_incomparable_weights_reach_the_factoring_witness(tmp_path, capsys):
@@ -133,6 +133,7 @@ def test_truncated_rep_exit_2(tmp_path, capsys):
         ("dim 1 2\ndim 2 1\nmap\n", "line 4: expected 'map <arrow>'"),
         ("dim 1 2\ndim 2 1\nmap a\n1 0\nmap b\n0 1\n1\n", "line 8: map 'b': row has 1 entries"),
         ("dim 1 2\ndim 2 1\nmap a\n1 0 1\n", "line 5: map 'a': row has 3 entries, expected dim 1 = 2"),
+        ("dim 1 2\ndim 2 1\nmap a\n1 0\nmap b\n1\n0\n", "lines 4, 6: relation 1*b.a does not act by zero"),
     ],
 )
 def test_malformed_rep_exit_2(tmp_path, capsys, body, message):
@@ -141,6 +142,17 @@ def test_malformed_rep_exit_2(tmp_path, capsys, body, message):
     code, _, err = run(capsys, "module", "series", str(bad))
     assert code == 2 and message in err
     assert "Traceback" not in err
+
+
+def test_whole_file_faults_name_the_file(tmp_path, capsys):
+    rep = tmp_path / "headless.rep"
+    rep.write_text("dim 1 1\n")
+    code, _, err = run(capsys, "module", "series", str(rep))
+    assert code == 2 and err == f"error: {rep}: representation file lacks an 'algebra' line\n"
+    reversed_alg = tmp_path / "rev.alg"
+    reversed_alg.write_text("field 0\nvertex 1 2\norder 2 < 1\narrow a 1 2\narrow b 2 1\nrelation 1*b.a\n")
+    code, _, err = run(capsys, "tilting", "build", str(reversed_alg), "--weight", "2")
+    assert code == 2 and err.startswith(f"error: {reversed_alg}: not quasi-hereditary at weight 1")
 
 
 def test_rep_comments_inside_map_block(tmp_path, capsys):

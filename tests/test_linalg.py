@@ -326,3 +326,58 @@ def test_canonical_entries_on_auslander(monkeypatch, auslander, p):
                 _assert_canonical(F, lift.deep(shift).basis + lift.boundary(shift).basis)
                 nonzero += lift.deep(shift).dim
     assert built and nonzero
+
+
+# -- growth shortcuts against from-scratch elimination ------------------------------
+
+
+def _sum_from_scratch(U, V):
+    """U + V as one elimination of both bases, with no operand returned."""
+    return Subspace(U.field, U.ambient, U.basis + V.basis)
+
+
+def _intersect_from_scratch(U, V):
+    """Zassenhaus on both bases, whatever the operands."""
+    F, n = U.field, U.ambient
+    rows = [u + u for u in U.basis] + [v + [F.zero] * n for v in V.basis]
+    if not rows:
+        return Subspace(F, n)
+    R, piv = rref(Mat.canonical(F, rows))
+    return Subspace(F, n, [R.data[i][n:] for i in range(len(piv)) if not any(R.data[i][:n])])
+
+
+def _operand_pairs(rng, F):
+    """(U, V) pairs in K^n with zero, whole, equal, nested and random operands."""
+    n = rng.randint(1, 6)
+    zero, full = Subspace(F, n), Subspace.full(F, n)
+    U = Subspace(F, n, _random_rows(rng, F, rng.randint(1, n), n, rank=rng.randint(1, n)))
+    combos = Mat.canonical(F, _random_rows(rng, F, rng.randint(1, 3), U.dim), U.dim)
+    inside = Subspace(F, n, combos.mul(Mat.canonical(F, U.basis, n)).data)
+    other = Subspace(F, n, _random_rows(rng, F, rng.randint(1, n), n))
+    others = [zero, full, U, Subspace(F, n, U.basis), inside, other]
+    return [(a, b) for a in (zero, full, U, other) for b in others]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_growth_matches_from_scratch_elimination(p):
+    F, rng = Field(p), random.Random(2400 + p)
+    cases = 0
+    for _ in range(6):
+        for U, V in _operand_pairs(rng, F):
+            for got, want in ((U.sum(V), _sum_from_scratch(U, V)), (U.intersect(V), _intersect_from_scratch(U, V))):
+                assert (got.ambient, got.basis, got.pivots) == (want.ambient, want.basis, want.pivots), (U, V)
+                assert got == want and hash(got) == hash(want)
+                _assert_canonical(F, got.basis)
+            inside = all(U.contains(v) for v in V.basis)
+            assert U.contains_space(V) == inside, (U, V)
+            # an operand that already is the answer comes back itself
+            n = U.ambient
+            assert U.sum(Subspace(F, n)) is U
+            if inside or not U.basis:
+                assert U.sum(V) is (U if inside else V), (U, V)
+            if not U.basis or V.dim == n:
+                assert U.intersect(V) is U, (U, V)
+            elif not V.basis or U.dim == n:
+                assert U.intersect(V) is V, (U, V)
+            cases += 1
+    assert cases == 144

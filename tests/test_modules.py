@@ -153,6 +153,22 @@ def test_spin_examples(sl2):
     assert spin_submodule(P1, [("1", vec)]).total_dim == 1
 
 
+@pytest.mark.parametrize("fixture", ["sl2", "sl2_f2", "ce3"] + [(seed, p) for seed in range(10) for p in (2, 3)], ids=str)
+def test_spin_matches_the_fixpoint_loop(fixture, request, dual_extension, spin_fixpoint):
+    sys = request.getfixturevalue(fixture) if isinstance(fixture, str) else dual_extension(*fixture)
+    F = sys.algebra.field
+    for lam in sys.labels:
+        P, T = sys.projective(lam), sys.tilting(lam)
+        for M in (P, T):
+            units = [(v, row) for v in M.vertices for row in Mat.identity(F, M.dims[v]).data]
+            sums = [(v, [F.one] * M.dims[v]) for v in M.vertices if M.dims[v]]
+            for vectors in [[], units, sums, units[::2] + units[1::3]] + [[u] for u in units]:
+                assert spin_submodule(M, vectors) == spin_fixpoint(M, vectors), (M.name, vectors)
+        # the standard kernel U(lam) spins P(lam)_mu for every mu not <= lam
+        higher = [(mu, row) for mu in sys.labels if not sys.poset.leq(mu, lam) for row in Mat.identity(F, P.dims[mu]).data]
+        assert sys.standard_kernel(lam) == spin_fixpoint(P, higher), lam
+
+
 def test_radical_is_intersection_of_maximals(sl2, subquotient):
     # rad M = sum of arrow images and M/rad is semisimple
     for M in (P(sl2, "1"), P(sl2, "2")):
