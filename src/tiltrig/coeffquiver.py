@@ -1,6 +1,10 @@
 """Coefficient quivers of modules: one node per adapted basis vector, one
 edge per non-zero arrow matrix entry, plus DOT/ASCII rendering and the
 graph-level pruning rule for stretched-subquotient candidates.
+
+A coefficient quiver is the pair (nodes, edges).  Node i is the (label,
+layer) of the i-th basis vector, and an edge is a (src, dst) pair of node
+indices.
 """
 
 from __future__ import annotations
@@ -12,97 +16,70 @@ from .linalg import Mat, solve
 from .modules import Representation, SubFamily, flag_complements, radical_series
 from .quiver import LoewyProfile, format_profile
 
-
-class CQNode:
-    def __init__(self, node_id: int, label: str, layer: int):
-        self.id = node_id
-        self.label = label
-        self.layer = layer
-
-    def __repr__(self) -> str:
-        return f"CQNode({self.id}: {self.label}@{self.layer})"
+Node = Tuple[str, int]
+Edge = Tuple[int, int]
 
 
-class CQEdge:
-    def __init__(self, src: int, dst: int):
-        self.src = src
-        self.dst = dst
-
-    def __repr__(self) -> str:
-        return f"CQEdge({self.src} -> {self.dst})"
-
-
-class CoefficientQuiver:
-    def __init__(self, nodes: List[CQNode], edges: List[CQEdge]):
-        self.nodes = nodes
-        self.edges = edges
-
-    def layer_profile(self) -> LoewyProfile:
-        depth = max((n.layer for n in self.nodes), default=-1) + 1
-        out: LoewyProfile = [Counter() for _ in range(depth)]
-        for n in self.nodes:
-            out[n.layer][n.label] += 1
-        return out
+def layer_profile(nodes: Sequence[Node]) -> LoewyProfile:
+    """The labels of the nodes on each layer."""
+    out: LoewyProfile = [Counter() for _ in range(_depth(nodes))]
+    for label, layer in nodes:
+        out[layer][label] += 1
+    return out
 
 
-def extract(M: Representation) -> CoefficientQuiver:
+def _depth(nodes: Sequence[Node]) -> int:
+    return max((layer for _, layer in nodes), default=-1) + 1
+
+
+def extract(M: Representation) -> Tuple[List[Node], List[Edge]]:
     """Coefficient quiver w.r.t. a radical-adapted basis (bottom-up pivoting).
 
     The basis of each vertex space refines the radical flag, deepest layer
     first, so every edge points to a strictly deeper layer and the node
-    multiset per layer equals the Loewy profile.
+    multiset per layer equals the Loewy profile.  Each edge is kept once,
+    in the order first seen.
     """
     F = M.field
     basis_vectors = flag_complements(radical_series(M), SubFamily(M))
 
-    nodes: List[CQNode] = []
-    index: Dict[Tuple[str, int], int] = {}
+    nodes: List[Node] = []
+    start: Dict[str, int] = {}  # index of the first node at each vertex
     for v in M.vertices:
-        for k, (depth, _) in enumerate(basis_vectors[v]):
-            index[(v, k)] = len(nodes)
-            nodes.append(CQNode(len(nodes), v, depth))
+        start[v] = len(nodes)
+        nodes.extend((v, depth) for depth, _ in basis_vectors[v])
 
-    edges: List[CQEdge] = []
+    edges: Dict[Edge, None] = {}
     for a, (u, w) in M.algebra.quiver.arrows.items():
         if M.dims[u] == 0 or M.dims[w] == 0:
             continue
         B = Mat.from_cols(F, [vec for _, vec in basis_vectors[w]])
         for j, (_, vec) in enumerate(basis_vectors[u]):
-            img = M.mats[a].apply(vec)
-            coords = solve(B, img)
+            coords = solve(B, M.mats[a].apply(vec))
             if coords is None:
                 raise ValueError("adapted basis failed to span an arrow image")
             for i, c in enumerate(coords):
                 if c != F.zero:
-                    edges.append(CQEdge(index[(u, j)], index[(w, i)]))
-    seen = set()
-    unique_edges = []
-    for e in edges:
-        if (e.src, e.dst) not in seen:
-            seen.add((e.src, e.dst))
-            unique_edges.append(e)
-    return CoefficientQuiver(nodes, unique_edges)
+                    edges[start[u] + j, start[w] + i] = None
+    return nodes, list(edges)
 
 
-def render(cq: CoefficientQuiver, fmt: str = "dot", label_order: Optional[Sequence[str]] = None) -> str:
+def render(cq: Tuple[List[Node], List[Edge]], fmt: str = "dot", label_order: Optional[Sequence[str]] = None) -> str:
     if fmt == "dot":
         return render_dot(cq)
     if fmt == "ascii":
-        return format_profile(cq.layer_profile(), label_order or ())
+        return format_profile(layer_profile(cq[0]), label_order or ())
     raise ValueError(f"unknown render format {fmt!r}")
 
 
-def render_dot(cq: CoefficientQuiver) -> str:
+def render_dot(cq: Tuple[List[Node], List[Edge]]) -> str:
+    nodes, edges = cq
     lines = ["digraph coeffquiver {", "  rankdir=TB;", "  node [shape=plaintext];"]
-    depth = max((n.layer for n in cq.nodes), default=-1) + 1
-    for layer in range(depth):
-        members = [n for n in cq.nodes if n.layer == layer]
+    for layer in range(_depth(nodes)):
         lines.append("  { rank = same;")
-        for n in members:
-            lines.append(f'    n{n.id} [label="{n.label}"];')
+        lines.extend(f'    n{i} [label="{label}"];' for i, (label, at) in enumerate(nodes) if at == layer)
         lines.append("  }")
-    for e in cq.edges:
-        lines.append(f"  n{e.src} -> n{e.dst} [style=solid];")
+    lines.extend(f"  n{src} -> n{dst} [style=solid];" for src, dst in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -110,25 +87,13 @@ def render_dot(cq: CoefficientQuiver) -> str:
 # -- graph-level pruning for stretched-subquotient candidates ---------------------------
 
 
-class PruneVerdict:
-    def __init__(self, head: CQNode, middle: CQNode, bottom: CQNode, verdict: str, escape: Optional[str]):
-        self.head = head
-        self.middle = middle
-        self.bottom = bottom
-        self.verdict = verdict  # "IMPOSSIBLE" | "POSSIBLE"
-        self.escape = escape  # None | "duplicated-middle" | "second-head"
-
-    def __repr__(self) -> str:
-        return f"PruneVerdict({self.head.label}@{self.head.layer} -> {self.middle.label} -> {self.bottom.label}: {self.verdict})"
-
-
 def lemma_prune(
-    cq: CoefficientQuiver,
+    cq: Tuple[List[Node], List[Edge]],
     lam: str,
     mu: str,
     ext_table: Dict[Tuple[str, str], bool],
     less,
-) -> List[PruneVerdict]:
+) -> List[Tuple[int, int, int, Optional[str]]]:
     """Repeated-factor pruning of candidate stretched configurations.
 
     For a copy of `lam` connecting down through a middle factor `lam'` (with
@@ -137,46 +102,37 @@ def lemma_prune(
     factor joins the same head and bottom, or a second copy of `lam`
     connects down to the middle factor.  Requires mu > lam and a recorded
     first-layer occurrence of L(mu) in the radical of P(lam).
+
+    Returns one (head, middle, bottom, escape) tuple of node indices per
+    configuration.  The escape is "duplicated-middle" or "second-head", and
+    None when the configuration is impossible.
     """
     if not less(lam, mu):
         raise ValueError("pruning applies only to mu strictly above lam")
     if not ext_table.get((lam, mu), False):
         raise ValueError(f"ext table does not place L({mu}) on the first radical layer of P({lam})")
-    by_id = {n.id: n for n in cq.nodes}
+    nodes, edges = cq
     down: Dict[int, List[int]] = {}
     up: Dict[int, List[int]] = {}
-    for e in cq.edges:
-        down.setdefault(e.src, []).append(e.dst)
-        up.setdefault(e.dst, []).append(e.src)
-    verdicts: List[PruneVerdict] = []
-    for head in cq.nodes:
-        if head.label != lam:
+    for src, dst in edges:
+        down.setdefault(src, []).append(dst)
+        up.setdefault(dst, []).append(src)
+    verdicts = []
+    for head, (label, layer) in enumerate(nodes):
+        if label != lam:
             continue
-        for mid_id in down.get(head.id, []):
-            mid = by_id[mid_id]
-            if mid.layer != head.layer + 1 or less(mid.label, lam):
+        for mid in down.get(head, []):
+            mid_label, mid_layer = nodes[mid]
+            if mid_layer != layer + 1 or less(mid_label, lam):
                 continue
-            for bot_id in down.get(mid.id, []):
-                bot = by_id[bot_id]
-                if bot.label != mu or bot.layer != head.layer + 2:
+            for bottom in down.get(mid, []):
+                if nodes[bottom] != (mu, layer + 2):
                     continue
-                escape = None
-                for other_id in down.get(head.id, []):
-                    other = by_id[other_id]
-                    if (
-                        other.id != mid.id
-                        and other.label == mid.label
-                        and bot.id in down.get(other.id, [])
-                    ):
-                        escape = "duplicated-middle"
-                        break
-                if escape is None:
-                    for other_head_id in up.get(mid.id, []):
-                        other_head = by_id[other_head_id]
-                        if other_head.id != head.id and other_head.label == lam:
-                            escape = "second-head"
-                            break
-                verdicts.append(
-                    PruneVerdict(head, mid, bot, "POSSIBLE" if escape else "IMPOSSIBLE", escape)
-                )
+                if any(other != mid and nodes[other][0] == mid_label and bottom in down.get(other, []) for other in down[head]):
+                    escape = "duplicated-middle"
+                elif any(other != head and nodes[other][0] == lam for other in up[mid]):
+                    escape = "second-head"
+                else:
+                    escape = None
+                verdicts.append((head, mid, bottom, escape))
     return verdicts

@@ -72,33 +72,15 @@ class MinimalPresentation(ProjectiveCover):
         super().__init__(sys.projective(lam), [lam], sys.standard_kernel(lam))
 
 
-class DeltaFiltration:
-    """Ascending chain 0 = C_0 < ... < C_n = M with standard subquotients,
-    each step given as its (label, head shift)."""
+class FiltrationFailure(ModuleError):
+    """The greedy standard filtration stops at weight `label`: the trace of
+    P(label) modulo the chain so far, of dimension vector `trace_dims`, is
+    not a standard power (greedy failure at a maximal weight is conclusive)."""
 
-    def __init__(self, module: Representation, steps: List[Tuple[str, int]], chain: List[SubFamily]):
-        self.module = module
-        self.steps = steps
-        self.chain = chain
-
-    def multiplicities(self) -> Counter:
-        return Counter(label for label, _ in self.steps)
-
-    def placement(self) -> List[Tuple[str, int]]:
-        return list(self.steps)
-
-    def __repr__(self) -> str:
-        return f"DeltaFiltration({self.steps})"
-
-
-class FiltrationFailure:
     def __init__(self, label: str, trace_dims: Dict[str, int], reason: str):
+        super().__init__(f"at {label}: {reason}")
         self.label = label
         self.trace_dims = trace_dims
-        self.reason = reason
-
-    def __repr__(self) -> str:
-        return f"FiltrationFailure(at {self.label}: {self.reason})"
 
 
 def _where(algebra: FinDimAlgebra) -> str:
@@ -169,8 +151,8 @@ class StandardSystem:
         self.require_quasihereditary()
         return self.memo(("T", lam), lambda: ringel_tilting(self, lam))
 
-    def projective_filtration(self, lam: str):
-        """The greedy standard filtration of P(lam), or its FiltrationFailure."""
+    def projective_filtration(self, lam: str) -> Tuple[List[Tuple[str, int]], List[SubFamily]]:
+        """The greedy standard filtration of P(lam); raises FiltrationFailure."""
         return self.memo(("P filtration", lam), lambda: find_delta_filtration(self, self.projective(lam)))
 
     def require_quasihereditary(self) -> None:
@@ -239,9 +221,9 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
     nonzero.  The coordinates c of M_lam that are not pivots of C_lam index
     (M/C)_lam; in increasing order, each adds A e_c (the columns c of the
     path matrices out of lam) to a running trace, and each sum is a step.
-    Returns a DeltaFiltration, or a FiltrationFailure whose trace witness
-    (trace - C) shows the obstruction (greedy failure at a maximal weight is
-    conclusive).
+    Returns (steps, chain): the (label, head shift) of each step and the
+    chain 0 = C_0 < ... < C_n = M.  Raises FiltrationFailure, whose trace
+    witness (trace - C) shows the obstruction.
     """
     A = M.algebra
     chain: List[SubFamily] = [SubFamily(M)]
@@ -259,7 +241,7 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
         trace_dims = {v: trace.dim_at(v) - below.dim_at(v) for v in M.vertices}
         factoring = is_standard_quotient(sys, lam, trace_dims)
         if not factoring or sum(trace_dims.values()) != len(partials) * sys.standard(lam).total_dim:
-            return FiltrationFailure(
+            raise FiltrationFailure(
                 lam,
                 trace_dims,
                 "trace of the maximal weight is not a standard power"
@@ -268,13 +250,12 @@ def find_delta_filtration(sys: StandardSystem, M: Representation):
         for above in partials:
             steps.append(_step(M, lam, chain[-1], above))
             chain.append(above)
-    return DeltaFiltration(M, steps, chain)
+    return steps, chain
 
 
-def delta_filtration_from_chain(
-    sys: StandardSystem, M: Representation, chain: List[SubFamily]
-) -> DeltaFiltration:
-    """Validate a user-supplied chain as a standard filtration and tag shifts.
+def delta_filtration_from_chain(sys: StandardSystem, M: Representation, chain: List[SubFamily]) -> List[Tuple[str, int]]:
+    """Validate a user-supplied chain as a standard filtration and return its
+    (label, head shift) steps.
 
     Each step above/below is read in M.  Its top is above - (J above +
     below), which must be one L(lam), so the step is generated at lam.
@@ -301,16 +282,16 @@ def delta_filtration_from_chain(
         if dims != sys.standard(lam).dims:
             raise ModuleError(f"chain step is not a standard module at weight {lam}")
         steps.append(_step(M, lam, below, above))
-    return DeltaFiltration(M, steps, list(chain))
+    return steps
 
 
 def check_radical_respecting(
-    sys: StandardSystem, M: Representation, filt: DeltaFiltration
+    sys: StandardSystem, M: Representation, steps: List[Tuple[str, int]]
 ) -> Tuple[bool, LoewyProfile, LoewyProfile]:
-    """Compare the layer-formula prediction with the actual radical profile."""
-    placement = filt.placement()
-    layered = {lam: radical_profile(sys.standard(lam)) for lam, _ in placement}
-    predicted = layers_from_placement(placement, layered)
+    """Compare the layer-formula prediction from a filtration's steps with
+    the actual radical profile."""
+    layered = {lam: radical_profile(sys.standard(lam)) for lam, _ in steps}
+    predicted = layers_from_placement(steps, layered)
     actual = radical_profile(M)
     while len(predicted) < len(actual):
         predicted.append(Counter())
@@ -332,17 +313,18 @@ def check_quasihereditary(sys: StandardSystem) -> dict:
         entry["end_dim"] = end_dim
         entry["axiom_i"] = end_dim == 1
         entry["projective_profile"] = [dict(layer) for layer in radical_profile(sys.projective(lam))]
-        filt = sys.projective_filtration(lam)
-        if isinstance(filt, FiltrationFailure):
+        try:
+            steps = sys.projective_filtration(lam)[0]
+        except FiltrationFailure as failure:
             entry["axiom_ii"] = False
-            entry["witness"] = repr(filt)
+            entry["witness"] = f"FiltrationFailure({failure})"
         else:
-            mults = filt.multiplicities()
+            mults = Counter(label for label, _ in steps)
             heredity = mults[lam] == 1 and all(
                 sys.poset.less(lam, mu) for mu in mults if mu != lam
             )
             entry["axiom_ii"] = heredity
-            entry["filtration"] = filt.placement()
+            entry["filtration"] = list(steps)
             if not heredity:
                 entry["witness"] = f"step labels {dict(mults)} violate the heredity ordering"
         entry["ok"] = entry["axiom_i"] and entry["axiom_ii"]
@@ -469,7 +451,8 @@ def check_bgg(sys: StandardSystem) -> dict:
 def nabla_multiplicities(sys: StandardSystem, M: Representation) -> Optional[Counter]:
     """Costandard filtration multiplicities via the dual-side greedy search."""
     dual, dual_sys = sys.dual_module(M)
-    filt = find_delta_filtration(dual_sys, dual)
-    if isinstance(filt, FiltrationFailure):
+    try:
+        steps = find_delta_filtration(dual_sys, dual)[0]
+    except FiltrationFailure:
         return None
-    return filt.multiplicities()
+    return Counter(label for label, _ in steps)

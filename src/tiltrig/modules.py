@@ -440,16 +440,6 @@ def is_rigid(M: Representation) -> Tuple[bool, Optional[dict]]:
 # -- projective presentations and Ext^1 -------------------------------------------
 
 
-class PositionedGenerator:
-    def __init__(self, label: str, depth: int, vector: list):
-        self.label = label  # vertex carrying the generator
-        self.depth = depth  # radical layer of P0 it sits in, modulo rad Omega
-        self.vector = vector  # in P0 coordinates at `label`
-
-    def __repr__(self) -> str:
-        return f"PositionedGenerator(L({self.label}) at layer {self.depth})"
-
-
 def _path_columns(A: FinDimAlgebra, labels: Sequence[str]) -> Dict[str, List[Tuple[int, Path]]]:
     """The columns (j, p) of (+) P(labels[j]) at each vertex w, one per basis
     path p of P(labels[j]) ending at w, summand by summand, each in the
@@ -492,7 +482,9 @@ def _path_rows(N: Representation, labels: Sequence[str], columns, vectors) -> Ma
 class ProjectiveCover:
     """Projective presentation P0 -> P0/Omega of a given projective
     P0 = (+) P(heads[i]) and submodule Omega, with generators v_j of Omega
-    positioned by radical depth in P0.
+    positioned by radical depth in P0: `generators` holds the triples
+    (label, depth, vector), the vertex carrying v_j, the radical layer of P0
+    it sits in modulo rad Omega, and v_j in P0 coordinates at that vertex.
 
     P0 is stacked summand by summand at each vertex, as `direct_sum` of
     `projective_rep`s stacks it: column c of P0 at vertex w is the basis
@@ -510,10 +502,8 @@ class ProjectiveCover:
         self.columns = _path_columns(P0.algebra, self.heads)
         rad_syz = radical_of(P0, syzygy)
         flag = [syzygy.intersect(rad_d).sum(rad_syz) for rad_d in radical_series(P0)]
-        self.generators = [
-            PositionedGenerator(v, depth, vec) for v, picked in flag_complements(flag, rad_syz).items() for depth, vec in picked
-        ]
-        self.paths, self.path_images = _path_map(P0, [(g.label, g.vector) for g in self.generators])
+        self.generators = [(v, depth, vec) for v, picked in flag_complements(flag, rad_syz).items() for depth, vec in picked]
+        self.paths, self.path_images = _path_map(P0, [(v, vec) for v, _, vec in self.generators])
         self.relations = {w: kernel_basis(self.path_images[w]) for w in P0.vertices}
         for w in P0.vertices:  # the rank of e_j |-> v_j at w must be dim Omega_w
             if len(self.paths[w]) - len(self.relations[w]) != syzygy.dim_at(w):
@@ -521,7 +511,7 @@ class ProjectiveCover:
 
     def hom(self, N: Representation) -> Subspace:
         """Hom(Omega, N) as the generator images in (+) N_{v_j} that the relations kill."""
-        labels = [g.label for g in self.generators]
+        labels = [v for v, _, _ in self.generators]
         relations = _path_rows(N, labels, self.paths, [(w, r) for w in N.vertices for r in self.relations[w]])
         return Subspace(N.field, relations.cols, kernel_basis(relations))
 
@@ -529,8 +519,8 @@ class ProjectiveCover:
         """Where the image f(v_j) of each generator sits in (+) N_{v_j}, the
         layout of `hom` and `read_off` (`_path_rows`)."""
         slices, pos = [], 0
-        for g in self.generators:
-            slices.append(slice(pos, pos + N.dims[g.label]))
+        for v, _, _ in self.generators:
+            slices.append(slice(pos, pos + N.dims[v]))
             pos = slices[-1].stop
         return slices
 
@@ -541,7 +531,7 @@ class ProjectiveCover:
         summand i to p.x_i.  Column k of the result holds the generator
         images, as in `hom`, of the map of the k-th unit vector.
         """
-        return _path_rows(N, self.heads, self.columns, [(g.label, g.vector) for g in self.generators])
+        return _path_rows(N, self.heads, self.columns, [(v, vec) for v, _, vec in self.generators])
 
 
 def ext1(cover: ProjectiveCover, N: Representation) -> List[list]:
@@ -679,11 +669,15 @@ def load_rep(path: str, field_override: Optional[int] = None) -> Representation:
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line.startswith("algebra "):
             alg_path = line.split(None, 1)[1]
             if not os.path.isabs(alg_path):
                 alg_path = os.path.join(os.path.dirname(os.path.abspath(path)), alg_path)
-            return parse_rep_text(text, load_alg(alg_path, field_override=field_override), name=path)
+            try:
+                algebra = load_alg(alg_path, field_override=field_override)
+            except OSError as exc:
+                raise ModuleError(f"{path}: line {line_no}: cannot read algebra file {alg_path!r}: {exc.strerror or exc}") from exc
+            return parse_rep_text(text, algebra, name=path)
     raise ModuleError(f"{path}: representation file lacks an 'algebra' line")

@@ -73,9 +73,9 @@ class PositionedLifting:
         """
         if shift not in self._deep:
             F, n, vectors, pres = self.hom.field, self.hom.ambient, [], self.pres
-            for g, block in zip(pres.generators, pres.generator_slices(self.T)):  # (+)_j rad^(m_j+shift) T_{v_j}
-                depth = _clamped(radical_series(self.T), g.depth + shift).spaces[g.label]
-                vectors.extend([F.zero] * block.start + row + [F.zero] * (n - block.stop) for row in depth.basis)
+            for (label, m, _), block in zip(pres.generators, pres.generator_slices(self.T)):  # (+)_j rad^(m_j+shift) T_{v_j}
+                deep = _clamped(radical_series(self.T), m + shift).spaces[label]
+                vectors.extend([F.zero] * block.start + row + [F.zero] * (n - block.stop) for row in deep.basis)
             self._deep[shift] = self.hom.intersect(Subspace(F, n, vectors))
         return self._deep[shift]
 
@@ -287,12 +287,9 @@ def rigidity_pipeline(sys: StandardSystem, lam: str, method: str = "both") -> di
 
     hypothesis = {"ok": True, "projectives": {}}
     for mu in sys.labels:
-        filt = sys.projective_filtration(mu)
-        respecting, _, _ = check_radical_respecting(sys, filt.module, filt)
-        hypothesis["projectives"][mu] = {
-            "ok": respecting,
-            "placement": filt.placement(),
-        }
+        steps = sys.projective_filtration(mu)[0]
+        respecting, _, _ = check_radical_respecting(sys, sys.projective(mu), steps)
+        hypothesis["projectives"][mu] = {"ok": respecting, "placement": list(steps)}
         hypothesis["ok"] = hypothesis["ok"] and respecting
     report["hypothesis"] = hypothesis
 

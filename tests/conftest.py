@@ -11,7 +11,6 @@ from tiltrig.highest_weight import StandardSystem
 from tiltrig.linalg import Mat, Subspace, kernel_basis
 from tiltrig.modules import (
     ModuleError,
-    PositionedGenerator,
     ProjectiveCover,
     Representation,
     SubFamily,
@@ -251,8 +250,8 @@ def _syzygy_block_solve(cover, N):
     """
     omega, inclusion = _sub_rep(cover.P0, cover.syzygy)
     homs = hom_space(omega, N)
-    coords = [_coords(cover.syzygy.spaces[g.label], g.vector) for g in cover.generators]
-    images = [[x for g, c in zip(cover.generators, coords) for x in f[g.label].apply(c)] for f in homs]
+    coords = [_coords(cover.syzygy.spaces[v], vec) for v, _, vec in cover.generators]
+    images = [[x for (v, _, _), c in zip(cover.generators, coords) for x in f[v].apply(c)] for f in homs]
     return homs, images, inclusion
 
 
@@ -294,18 +293,23 @@ def _signed_cover(M):
     They generate the syzygy as well, with entries other than 1, so a
     dropped or misplaced coefficient shows.
     """
-    F, built = M.field, []
+    F, complements = M.field, modules.flag_complements
 
-    def signed(label, depth, vector):
-        c = F.of((-1) ** len(built))
-        built.append(c)
-        return PositionedGenerator(label, depth, [F.mul(c, x) for x in vector])
+    def signed(flag, bottom):
+        out, k = {}, 0
+        for v, picked in complements(flag, bottom).items():
+            out[v] = []
+            for depth, vector in picked:
+                c = F.of((-1) ** k)
+                k += 1
+                out[v].append((depth, [F.mul(c, x) for x in vector]))
+        return out
 
-    modules.PositionedGenerator = signed
+    modules.flag_complements = signed
     try:
         return _projective_cover(M)
     finally:
-        modules.PositionedGenerator = PositionedGenerator
+        modules.flag_complements = complements
 
 
 @pytest.fixture(scope="session")

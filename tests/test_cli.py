@@ -155,6 +155,15 @@ def test_whole_file_faults_name_the_file(tmp_path, capsys):
     assert code == 2 and err.startswith(f"error: {reversed_alg}: not quasi-hereditary at weight 1")
 
 
+def test_unreadable_algebra_file_names_the_rep_and_its_line(tmp_path, capsys):
+    rep = tmp_path / "orphan.rep"
+    for target, reason in (("missing.alg", "No such file or directory"), (".", "Is a directory")):
+        rep.write_text(f"# the algebra line names no readable file\nalgebra {target}\ndim 1 1\n")
+        code, _, err = run(capsys, "module", "series", str(rep))
+        alg = os.path.join(str(tmp_path), target)
+        assert code == 2 and err == f"error: {rep}: line 2: cannot read algebra file {alg!r}: {reason}\n", target
+
+
 def test_rep_comments_inside_map_block(tmp_path, capsys):
     rep = tmp_path / "commented.rep"
     rep.write_text(f"algebra {SL2}\ndim 1 2\ndim 2 1\nmap a\n# generator to middle\n\n1 0\nmap b\n0\n  # socle\n1\n")

@@ -3,7 +3,8 @@
 Each case deletes, duplicates or swaps a line, or deletes, duplicates,
 inserts or replaces a token, in one bundled file, and runs one subcommand
 that reads it.  Every case must exit 0, 1 or 2 without an exception, and
-every exit 2 must print a message that names a line, a file or an option.
+every exit 2 must print a message that names a line, an option or the
+mutated input file itself.
 The seed and the case count are fixed, so a failure reproduces.
 """
 
@@ -54,8 +55,8 @@ _LOCATED = re.compile(r"\blines? \d+|--weight|--field")
 
 
 def _located(message, path):
-    """Names a line, an option, or the input file or one beside it (the algebra a `.rep` names)."""
-    return bool(_LOCATED.search(message)) or str(path.parent) in message
+    """Names a line, an option or the input file itself; a file beside it is not enough."""
+    return bool(_LOCATED.search(message)) or str(path) in message
 
 
 def test_mutated_inputs_exit_cleanly_with_located_messages(tmp_path, capsys):

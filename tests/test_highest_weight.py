@@ -104,36 +104,46 @@ duality a=b
 
 def test_find_delta_filtration_examples(sl2):
     # a standard module is a single step
-    filt = find_delta_filtration(sl2, sl2.standard("2"))
-    assert filt.placement() == [("2", 0)]
+    steps, _ = find_delta_filtration(sl2, sl2.standard("2"))
+    assert steps == [("2", 0)]
     # P(1): standard modules at shifts 1 and 0
-    filt = find_delta_filtration(sl2, sl2.projective("1"))
-    assert sorted(filt.placement()) == [("1", 0), ("2", 1)]
+    steps, chain = find_delta_filtration(sl2, sl2.projective("1"))
+    assert sorted(steps) == [("1", 0), ("2", 1)]
     # the chain climbs from 0 through Delta(2) = [2 | 1] to P(1)
-    assert [c.total_dim for c in filt.chain] == [0, 2, 3]
+    assert [c.total_dim for c in chain] == [0, 2, 3]
     # semisimple of minimal weight: two steps at shift 0
     M, _ = direct_sum([sl2.simple("1"), sl2.simple("1")])
-    filt = find_delta_filtration(sl2, M)
-    assert filt.placement() == [("1", 0), ("1", 0)]
+    steps, _ = find_delta_filtration(sl2, M)
+    assert steps == [("1", 0), ("1", 0)]
 
 
 def test_filtration_failure_witness(sl2):
     # Nabla(2) = [1 over 2] has no standard filtration
-    out = find_delta_filtration(sl2, sl2.costandard("2"))
-    assert isinstance(out, FiltrationFailure)
+    with pytest.raises(FiltrationFailure) as failure:
+        find_delta_filtration(sl2, sl2.costandard("2"))
     # the trace of P(2) is the socle L(2), not a copy of Delta(2)
-    assert out.label == "2" and out.trace_dims == {"1": 0, "2": 1}
+    assert failure.value.label == "2" and failure.value.trace_dims == {"1": 0, "2": 1}
+
+
+def test_reversed_order_raises_filtration_failure():
+    # with 2 < 1 the greedy filtration of either projective stops at weight 1
+    sys = sl2_reversed()
+    for lam, trace_dims in (("1", {"1": 2, "2": 1}), ("2", {"1": 1, "2": 0})):
+        with pytest.raises(FiltrationFailure, match="^at 1: trace of the maximal weight is not a standard power$") as failure:
+            find_delta_filtration(sys, sys.projective(lam))
+        assert isinstance(failure.value, ModuleError)
+        assert (failure.value.label, failure.value.trace_dims) == ("1", trace_dims), lam
 
 
 def test_radical_respecting_examples(sl2):
     P1 = sl2.projective("1")
-    filt = find_delta_filtration(sl2, P1)
-    ok, predicted, actual = check_radical_respecting(sl2, P1, filt)
+    steps, _ = find_delta_filtration(sl2, P1)
+    ok, predicted, actual = check_radical_respecting(sl2, P1, steps)
     assert ok and predicted == actual
     # direct sum with a shift-0 placement: predicted [ {1,2}, {1} ]
     M, _ = direct_sum([sl2.simple("1"), sl2.standard("2")])
-    filt = find_delta_filtration(sl2, M)
-    ok, predicted, actual = check_radical_respecting(sl2, M, filt)
+    steps, _ = find_delta_filtration(sl2, M)
+    ok, predicted, actual = check_radical_respecting(sl2, M, steps)
     assert ok
     assert actual == [Counter({"1": 1, "2": 1}), Counter({"1": 1})]
 
@@ -149,8 +159,8 @@ def test_filtration_independence_two_chains(sl2):
     assert chain_a[1] != chain_b[1]
     preds = []
     for chain in (chain_a, chain_b):
-        filt = delta_filtration_from_chain(sl2, M, chain)
-        ok, predicted, actual = check_radical_respecting(sl2, M, filt)
+        steps = delta_filtration_from_chain(sl2, M, chain)
+        ok, predicted, actual = check_radical_respecting(sl2, M, steps)
         assert ok
         preds.append(predicted)
     assert preds[0] == preds[1]
@@ -172,8 +182,8 @@ def test_filtration_from_chain_refusals(sl2):
 def test_heredity_multiplicity_from_filtration(sl2, ce3):
     for sys in (sl2, ce3):
         for lam in sys.labels:
-            filt = find_delta_filtration(sys, sys.projective(lam))
-            mults = filt.multiplicities()
+            steps, _ = find_delta_filtration(sys, sys.projective(lam))
+            mults = Counter(label for label, _ in steps)
             assert mults[lam] == 1
             assert all(sys.poset.less(lam, mu) for mu in mults if mu != lam)
 
@@ -247,8 +257,7 @@ def test_tilting_has_both_filtrations_and_ext_vanishing(sl2, ce3, projective_cov
     for sys in (sl2, ce3):
         for lam in sys.labels:
             T = sys.tilting(lam)
-            filt = find_delta_filtration(sys, T)
-            assert not isinstance(filt, FiltrationFailure)
+            find_delta_filtration(sys, T)  # raises FiltrationFailure if there is none
             assert nabla_multiplicities(sys, T) is not None
             cover = projective_cover(T)
             for mu in sys.labels:
@@ -263,14 +272,15 @@ def test_hom_pairing_on_filtered_pairs(sl2):
     # dim Hom(M, N) = sum of standard x costandard multiplicities
     mods = [sl2.projective("1"), sl2.projective("2"), sl2.standard("2"), sl2.tilting("2")]
     for M in mods:
-        filt = find_delta_filtration(sl2, M)
-        if isinstance(filt, FiltrationFailure):
+        try:
+            steps, _ = find_delta_filtration(sl2, M)
+        except FiltrationFailure:
             continue
         for N in mods:
             nm = nabla_multiplicities(sl2, N)
             if nm is None:
                 continue
-            dm = filt.multiplicities()
+            dm = Counter(label for label, _ in steps)
             assert len(hom_space(M, N)) == sum(dm[l] * nm[l] for l in sl2.labels)
 
 
@@ -387,12 +397,6 @@ def _rebased(M, rng):
     return Representation(M.algebra, M.dims, mats, name=f"rebased({M.name})")
 
 
-def _filtration_summary(filt):
-    if isinstance(filt, FiltrationFailure):
-        return filt.label, filt.trace_dims
-    return filt.placement(), filt.chain
-
-
 REFERENCE_FIXTURES = ["sl2", "ce3"] + [(n, p) for n in (2, 3, 4, 5) for p in (2, 3, 0)]
 REFERENCE_FIXTURES += [("dx", seed, p) for seed in (2, 8, 9, 12) for p in (2, 3)] + [("dx", 8, 0)]
 
@@ -426,9 +430,7 @@ def test_presentation_is_the_cover_of_delta_on_the_systems_own_objects(fixture, 
         assert pres.syzygy == sys.standard_kernel(lam), lam
         ref = projective_cover(sys.standard(lam))
         assert ref.heads == pres.heads and ref.columns == pres.columns, lam
-        assert [(g.label, g.depth, g.vector) for g in pres.generators] == [
-            (g.label, g.depth, g.vector) for g in ref.generators
-        ], lam
+        assert pres.generators == ref.generators, lam
         assert pres.paths == ref.paths, lam
         assert {w: m.data for w, m in pres.path_images.items()} == {w: m.data for w, m in ref.path_images.items()}, lam
         assert pres.relations == ref.relations, lam
@@ -474,7 +476,7 @@ def test_end_of_tilting_is_the_filtration_pairing(fixture, request):
     sys = _reference_system(fixture, request)
     for lam in sys.labels:
         T = sys.tilting(lam)
-        delta = find_delta_filtration(sys, T).multiplicities()
+        delta = Counter(label for label, _ in find_delta_filtration(sys, T)[0])
         nabla = nabla_multiplicities(sys, T)
         assert len(hom_space(T, T)) == sum(delta[mu] * nabla[mu] for mu in sys.labels), lam
 
@@ -515,13 +517,15 @@ def test_standard_filtrations_match_reference(fixture, request):
         # the step below shows; isomorphic modules get one placement up to order
         placements = []
         for N in (M, _rebased(M, rng)):
-            filt = find_delta_filtration(sys, N)
-            assert _filtration_summary(filt) == _greedy_reference(sys, N), N.name
-            if isinstance(filt, FiltrationFailure):
+            try:
+                steps, chain = find_delta_filtration(sys, N)
+            except FiltrationFailure as failure:
+                assert (failure.label, failure.trace_dims) == _greedy_reference(sys, N), N.name
                 placements.append(None)
             else:
-                assert delta_filtration_from_chain(sys, N, filt.chain).placement() == filt.placement(), N.name
-                placements.append(sorted(filt.placement()))
+                assert (steps, chain) == _greedy_reference(sys, N), N.name
+                assert delta_filtration_from_chain(sys, N, chain) == steps, N.name
+                placements.append(sorted(steps))
         assert placements[0] == placements[1], M.name
 
 
@@ -539,10 +543,10 @@ def test_greedy_filtration_builds_no_module(fixture, request, monkeypatch):
         construct(rep, *args, **kwargs)
 
     monkeypatch.setattr(Representation, "__init__", counted_construct)
-    filtrations = [find_delta_filtration(sys, M) for M in modules]
+    for M in modules:  # raises FiltrationFailure if one has none
+        find_delta_filtration(sys, M)
     monkeypatch.undo()
     assert built == []
-    assert not any(isinstance(filt, FiltrationFailure) for filt in filtrations)
 
 
 def _path_matrix_reference(M, path):
@@ -578,8 +582,7 @@ def test_head_class_avoids_the_radical_of_the_step():
     P = sys.projective("1")
     mats = {"x": Mat.canonical(P.field, [row[::-1] for row in P.mats["x"].data[::-1]], 2)}
     M = Representation(sys.algebra, P.dims, mats, name="P(1) deepest first")
-    filt = delta_filtration_from_chain(sys, M, [SubFamily(M), SubFamily.full(M)])
-    assert filt.placement() == [("1", 0)]
+    assert delta_filtration_from_chain(sys, M, [SubFamily(M), SubFamily.full(M)]) == [("1", 0)]
 
 
 @pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
@@ -601,10 +604,10 @@ def test_repeated_weight_at_mixed_shifts(dual_extension, p):
     # Delta(2) twice at shift 1, and Delta(3) once along 3 -> 1 and twice
     # along 3 -> 2 -> 1
     sys = dual_extension(8, p)
-    filt = sys.projective_filtration("1")
-    assert filt.placement() == [("3", 1), ("3", 2), ("3", 2), ("2", 1), ("2", 1), ("1", 0)]
-    assert _greedy_reference(sys, filt.module) == (filt.placement(), filt.chain)
-    ok, _, _ = check_radical_respecting(sys, filt.module, filt)
+    steps, chain = sys.projective_filtration("1")
+    assert steps == [("3", 1), ("3", 2), ("3", 2), ("2", 1), ("2", 1), ("1", 0)]
+    assert _greedy_reference(sys, sys.projective("1")) == (steps, chain)
+    ok, _, _ = check_radical_respecting(sys, sys.projective("1"), steps)
     assert ok
 
 
@@ -683,11 +686,11 @@ def _graph_meets_the_base(X, cover, phi):
     A, F, P0 = X.algebra, X.field, cover.P0
     big = direct_sum([X, P0])[0]
     vectors, pos = [], 0
-    for g in cover.generators:
-        block, pos = phi[pos : pos + X.dims[g.label]], pos + X.dims[g.label]
+    for label, _, vector in cover.generators:
+        block, pos = phi[pos : pos + X.dims[label]], pos + X.dims[label]
         for p in A.basis:
-            if A.path_source(p) == g.label:
-                minus = [F.neg(c) for c in P0.path_matrix(p).apply(g.vector)]
+            if A.path_source(p) == label:
+                minus = [F.neg(c) for c in P0.path_matrix(p).apply(vector)]
                 vectors.append((A.path_target(p), X.path_matrix(p).apply(block) + minus))
     base = [(v, unit + [F.zero] * P0.dims[v]) for v in X.vertices for unit in Mat.identity(F, X.dims[v]).data]
     return SubFamily.from_vectors(big, vectors).intersect(SubFamily.from_vectors(big, base)).total_dim

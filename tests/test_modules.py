@@ -363,7 +363,7 @@ def test_read_off_restrictions_match_the_block_solve(fixture, request, auslander
             if not cover.generators:
                 continue
             # the generator images of the restriction of g: P0 -> N are the g(v_j)
-            restricted = [[x for v in cover.generators for x in g[v.label].apply(v.vector)] for g in solved]
+            restricted = [[x for v, _, vec in cover.generators for x in g[v].apply(vec)] for g in solved]
             ambient = read.rows
             assert Subspace(F, ambient, read.transpose().data) == Subspace(F, ambient, restricted), (M.name, N.name)
 

@@ -4,6 +4,9 @@ It wraps library functions by name, so a rename in the library that the
 harness still names shows here.
 """
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -55,3 +58,31 @@ def test_traced_tilting_build_records_profile_spans(tmp_path):
     proc, names = _traced(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr
     assert {"modules.radical_profile", "quiver.format_profile"} <= names
+
+
+# PER_LAYER names that no library function carries: modules.decompose was
+# deleted with its sampled certificate, and traced.py counts Mat entries and
+# FinDimAlgebra.reduce calls without a span
+NOT_SPANNED = {"modules.decompose.calls", "modules.decompose.self_s", "linalg.Mat.entries", "quiver.reduce.calls"}
+
+
+def test_every_per_layer_metric_names_a_library_function():
+    # a rename in the library leaves the benchmark's metric of the old name at 0
+    tree = ast.parse((ROOT / "benchmarks" / "run.py").read_text(encoding="utf-8"))
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PER_LAYER"]
+    ]
+    assert NOT_SPANNED <= set(names)
+    assert not hasattr(importlib.import_module("tiltrig.modules"), "decompose")
+    for metric in names:
+        parts = metric.split(".")
+        if len(parts) != 3 or metric in NOT_SPANNED:
+            continue  # module-level metrics such as linalg.self_s name no function
+        module = importlib.import_module(f"tiltrig.{parts[0]}")
+        obj = getattr(module, parts[1], None)
+        assert obj is not None, metric
+        # a function's span is named for the module that defines it; a class's
+        # span wraps its constructor, under the module the harness names
+        assert inspect.isclass(obj) or obj.__module__ == module.__name__, metric
