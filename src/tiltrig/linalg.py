@@ -2,10 +2,16 @@
 
 Everything downstream (path algebras, quiver representations, filtration
 machinery) reduces to row operations on small exact matrices, so this module
-deliberately stays simple: matrices are lists of rows, entries are
-`fractions.Fraction` in characteristic 0 and plain ints in [0, p) over F_p,
+deliberately stays simple: matrices are lists of rows of canonical entries,
 and the canonical form of a subspace is the reduced row-echelon basis of its
 row span.  No floating point anywhere.
+
+Each field element has exactly one representation.  Over F_p it is an int
+in [0, p).  Over Q it is an int when it is integral and a
+`fractions.Fraction` with denominator > 1 otherwise, so module matrices,
+which are almost all 0 and +-1, do their arithmetic on ints.  0 and 1 are
+the ints 0 and 1 over every field.  The only true division is by a
+`Fraction`, as int / int would give a float.
 
 Coercion happens once, at the public boundary: `Field.of` and
 `Mat(field, rows)` turn ints, Fractions and 'n/d' strings into canonical
@@ -13,15 +19,18 @@ entries.  Everything computed here is canonical already and is wrapped by
 `Mat.canonical`, which neither copies nor coerces; other modules use it for
 rows they build from canonical entries.
 
-Arithmetic runs on whole rows.  `rref` is the one elimination routine and
-has two row kernels.  Over F_p, `_rref_mod_p` updates each row with one list
-comprehension and one `% p` per entry.  Over Q, `_rref_rational` clears the
-denominators of each row and eliminates fraction-free on integer rows, by
-cross-multiplication as in Bareiss (Math. Comp. 1968) but dividing every new
-row by its content rather than by the previous pivot; it builds Fractions
-only when it normalises the pivot rows at the end.  The reduced
-row-echelon form is unique, so both give what element-wise Gauss-Jordan
-gives, entry for entry.
+Arithmetic runs on whole rows, with one row path for both field kinds:
+`_canonical` then reduces the rows mod p, or over Q turns integral Fractions
+back into ints, which is needed only where a Fraction entered.  `rref` is
+the one elimination routine and has two row kernels.  Over F_p,
+`_rref_mod_p` updates each row with one list comprehension and one `% p` per
+entry.  Over Q, `_rref_rational` clears the denominators of each row and
+eliminates fraction-free on integer rows, by cross-multiplication as in
+Bareiss (Math. Comp. 1968) but dividing every new row by its content rather
+than by the previous pivot; it builds Fractions only when it normalises the
+pivot rows at the end, and only for entries its pivot does not divide.  The
+reduced row-echelon form is unique, so both give what element-wise
+Gauss-Jordan gives, entry for entry.
 
 Subspaces grow incrementally.  `Subspace.sum` and `Subspace.intersect`
 return an operand, not a copy, whenever it already is the answer (a zero or
@@ -33,7 +42,8 @@ change a `Subspace`'s basis or pivots after it is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -51,11 +61,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_QZERO = Fraction(0)
+def _rational(x):
+    """An element of Q in canonical form: an integral Fraction as its int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _canonical(p: int, rows: List[list]) -> List[list]:
+    """Rows of exact ring arithmetic on canonical entries, made canonical.
+
+    Over F_p every entry is reduced mod p.  Over Q an int result is
+    canonical already, and an integral Fraction can only arise where a
+    Fraction entered, so rows are rewritten only when the results hold one.
+    """
+    if p:
+        return [[x % p for x in row] for row in rows]
+    if Fraction not in set(map(type, chain.from_iterable(rows))):
+        return rows
+    return [list(map(_rational, row)) for row in rows]
 
 
 class Field:
     """Exact ground field: characteristic 0 means Q, p means F_p (p prime)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, characteristic: int):
         if characteristic != 0 and not _is_prime(characteristic):
@@ -79,29 +108,23 @@ class Field:
 
     def of(self, x) -> "Elt":
         """Coerce an int, Fraction, or 'n[/d]' string to a canonical element."""
-        if isinstance(x, str):
+        p = self.p
+        if type(x) is not int:
             x = Fraction(x)
-        if self.p == 0:
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"{x} has no image in F_{self.p}")
-            return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        return int(x) % self.p
-
-    @property
-    def zero(self):
-        return _QZERO if self.p == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p == 0 else 1
+            if x.denominator != 1:
+                if not p:
+                    return x
+                if x.denominator % p == 0:
+                    raise ZeroDivisionError(f"{x} has no image in F_{p}")
+                return x.numerator * pow(x.denominator, -1, p) % p
+            x = x.numerator
+        return x % p if p else x
 
     def add(self, a, b):
-        return a + b if self.p == 0 else (a + b) % self.p
+        return _rational(a + b) if self.p == 0 else (a + b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p == 0 else (a * b) % self.p
+        return _rational(a * b) if self.p == 0 else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p == 0 else (-a) % self.p
@@ -112,14 +135,8 @@ class Field:
             raise ValueError("cannot enumerate the rationals")
         return list(range(self.p))
 
-    def fmt(self, a) -> str:
-        if self.p == 0:
-            f = Fraction(a)
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-        return str(a)
 
-
-# A field element is a Fraction or an int; kept opaque behind Field methods.
+# A field element is an int or, over Q, a Fraction; kept opaque behind Field methods.
 Elt = object
 Vec = List
 
@@ -151,13 +168,13 @@ class Mat:
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls.canonical(field, [[field.zero] * cols for _ in range(rows)], cols)
+        return cls.canonical(field, [[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
         m = cls.zero(field, n, n)
         for i in range(n):
-            m.data[i][i] = field.one
+            m.data[i][i] = 1
         return m
 
     @classmethod
@@ -175,7 +192,7 @@ class Mat:
         )
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(map(str, row)) for row in self.data)
         return f"Mat({self.field!r}, {self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
@@ -188,67 +205,37 @@ class Mat:
         """Each row of the product is a combination of the rows of `other`."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        F, p, n = self.field, self.field.p, other.cols
+        n = other.cols
         out = []
         for row in self.data:
             acc = None
             for a, orow in zip(row, other.data):
-                if not a:
-                    continue
-                if p:
+                if a:
                     acc = [a * y for y in orow] if acc is None else [x + a * y for x, y in zip(acc, orow)]
-                elif acc is None:
-                    acc = [a * y if y else y for y in orow]
-                else:
-                    acc = [x + a * y if y else x for x, y in zip(acc, orow)]
-            if acc is None:
-                acc = [F.zero] * n
-            elif p:
-                acc = [x % p for x in acc]
-            out.append(acc)
-        return Mat.canonical(F, out, n)
+            out.append([0] * n if acc is None else acc)
+        return Mat.canonical(self.field, _canonical(self.field.p, out), n)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        p = self.field.p
-        if p:
-            data = [[(a + b) % p for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        else:
-            data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        return Mat.canonical(self.field, data, self.cols)
+        data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return Mat.canonical(self.field, _canonical(self.field.p, data), self.cols)
 
     def scale(self, c) -> "Mat":
-        F = self.field
-        c = F.of(c)
-        if F.p:
-            data = [[c * a % F.p for a in row] for row in self.data]
-        else:
-            data = [[c * a for a in row] for row in self.data]
-        return Mat.canonical(F, data, self.cols)
+        c = self.field.of(c)
+        data = [[c * a for a in row] for row in self.data]
+        return Mat.canonical(self.field, _canonical(self.field.p, data), self.cols)
 
     def apply(self, v: Vec) -> Vec:
         """Matrix times a column vector of canonical entries."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        p = self.field.p
-        if p:
-            return [sum(map(mul, row, v)) % p for row in self.data]
-        support = [(k, x) for k, x in enumerate(v) if x]
-        out = []
-        for row in self.data:
-            s = _QZERO
-            for k, x in support:
-                a = row[k]
-                if a:
-                    s += a * x
-            out.append(s)
-        return out
+        return _canonical(self.field.p, [[sum(map(mul, row, v)) for row in self.data]])[0]
 
 
 # -- row kernels -------------------------------------------------------------
 #
-# Both take rows of canonical entries (plain ints are accepted too), leave the
+# Both take rows of canonical entries (over F_p, ints not reduced mod p too), leave the
 # input untouched and return the nonzero rows of the reduced row-echelon form
 # with their pivot columns.
 
@@ -291,12 +278,10 @@ def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[list], Li
     """Fraction-free Gauss-Jordan over Q on primitive integer rows."""
     rest = []
     for row in data:
-        den = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                den = den // gcd(den, d) * d
-        irow = _primitive([x.numerator * (den // x.denominator) for x in row])
+        if Fraction in set(map(type, row)):
+            den = lcm(*[x.denominator for x in row])
+            row = [x.numerator * (den // x.denominator) for x in row]
+        irow = _primitive(list(row))
         if any(irow):
             rest.append(irow)
     done: List[list] = []
@@ -321,8 +306,11 @@ def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[list], Li
         rest = [row for row in rest if row is not None]
         done.append(prow)
         pivots.append(c)
-    rows = [[Fraction(x, row[c]) if x else _QZERO for x in row] for row, c in zip(done, pivots)]
-    return rows, pivots
+    for i, (row, c) in enumerate(zip(done, pivots)):
+        a = row[c]
+        if a != 1:
+            done[i] = [Fraction(x, a) if x % a else x // a for x in row]
+    return done, pivots
 
 
 def rref(m: Mat) -> Tuple[Mat, List[int]]:
@@ -332,7 +320,7 @@ def rref(m: Mat) -> Tuple[Mat, List[int]]:
         rows, pivots = _rref_mod_p(m.data, m.cols, F.p)
     else:
         rows, pivots = _rref_rational(m.data, m.cols)
-    rows.extend([F.zero] * m.cols for _ in range(m.rows - len(rows)))
+    rows.extend([0] * m.cols for _ in range(m.rows - len(rows)))
     return Mat.canonical(F, rows, m.cols), pivots
 
 
@@ -346,8 +334,8 @@ def _free_vectors(F: Field, rows: Sequence[Sequence], pivots: List[int], n: int)
     free = [c for c in range(n) if c not in piv_set]
     vectors = []
     for fc in free:
-        v = [F.zero] * n
-        v[fc] = F.one
+        v = [0] * n
+        v[fc] = 1
         for row, pc in zip(rows, pivots):
             x = row[fc]
             if x:
@@ -368,12 +356,12 @@ def solve(m: Mat, b: Vec) -> Optional[Vec]:
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     if m.rows == 0:
-        return [F.zero] * m.cols
+        return [0] * m.cols
     aug = Mat.canonical(F, [row + [F.of(bv)] for row, bv in zip(m.data, b)])
     R, pivots = rref(aug)
     if m.cols in pivots:
         return None
-    x = [F.zero] * m.cols
+    x = [0] * m.cols
     for i, pc in enumerate(pivots):
         x[pc] = R.data[i][m.cols]
     return x
@@ -391,18 +379,14 @@ def extend_echelon(field: Field, rows: List[Vec], pivots: List[int], v: Vec) -> 
     for row, pc in zip(rows, pivots):
         c = v[pc] % p if p else v[pc]
         if c:
-            v = [x - c * y for x, y in zip(v, row)] if p else [x - c * y if y else x for x, y in zip(v, row)]
-    if p:
-        v = [x % p for x in v]
+            v = [x - c * y for x, y in zip(v, row)]
+    (v,) = _canonical(p, [v])
     pc = next((k for k, x in enumerate(v) if x), None)
     if pc is None:
         return None
-    if p:
-        inv = pow(v[pc], -1, p)
-        v = [x * inv % p for x in v]
-    else:
-        inv = 1 / Fraction(v[pc])
-        v = [x * inv if x else x for x in v]
+    if v[pc] != 1:
+        inv = pow(v[pc], -1, p) if p else 1 / Fraction(v[pc])
+        (v,) = _canonical(p, [[x * inv for x in v]])
     rows.append(v)
     pivots.append(pc)
     return v
@@ -468,17 +452,12 @@ class Subspace:
         The basis is reduced, so the coefficient of each basis row is the
         entry of v itself at that row's pivot.
         """
-        p = self.field.p
         out = v
         for row, pc in zip(self.basis, self.pivots):
             c = v[pc]
-            if not c:
-                continue
-            if p:
+            if c:
                 out = [x - c * y for x, y in zip(out, row)]
-            else:
-                out = [x - c * y if y else x for x, y in zip(out, row)]
-        return [x % p for x in out] if p else list(out)
+        return list(v) if out is v else _canonical(self.field.p, [out])[0]
 
     def contains(self, v: Vec) -> bool:
         return not any(self.reduce(v))
@@ -515,7 +494,7 @@ class Subspace:
         if not other.basis or self.dim == self.ambient:
             return other
         F, n = self.field, self.ambient
-        rows = [u + u for u in self.basis] + [v + [F.zero] * n for v in other.basis]
+        rows = [u + u for u in self.basis] + [v + [0] * n for v in other.basis]
         R, piv = rref(Mat.canonical(F, rows))
         out = [R.data[i][n:] for i in range(len(piv)) if not any(R.data[i][:n])]
         return Subspace(F, n, out)

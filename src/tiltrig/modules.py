@@ -85,7 +85,8 @@ class Representation:
         for rel in self.algebra.relations:
             total = None
             for c, p in rel.terms:
-                term = self.path_matrix(p).scale(F.of(c))
+                c = F.of(c)
+                term = self.path_matrix(p) if c == 1 else self.path_matrix(p).scale(c)
                 total = term if total is None else total.add(term)
             if total is not None and not total.is_zero():
                 raise ModuleError(f"relation {rel!r} does not act by zero", sorted({a for _, p in rel.terms for a in p}))
@@ -474,7 +475,7 @@ def _path_rows(N: Representation, labels: Sequence[str], columns, vectors) -> Ma
         blocks = [Mat.zero(F, N.dims[w], N.dims[v]) for v in labels]
         for (j, p), c in zip(columns[w], coeffs):
             if c:
-                blocks[j] = blocks[j].add(N.path_matrix(p).scale(c))
+                blocks[j] = blocks[j].add(N.path_matrix(p) if c == 1 else N.path_matrix(p).scale(c))
         rows.extend([x for b in blocks for x in b.data[r]] for r in range(N.dims[w]))
     return Mat.canonical(F, rows, sum(N.dims[v] for v in labels))
 
@@ -669,15 +670,23 @@ def load_rep(path: str, field_override: Optional[int] = None) -> Representation:
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    found = None  # (line number, path) of the one `algebra` line
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("algebra "):
-            alg_path = line.split(None, 1)[1]
-            if not os.path.isabs(alg_path):
-                alg_path = os.path.join(os.path.dirname(os.path.abspath(path)), alg_path)
-            try:
-                algebra = load_alg(alg_path, field_override=field_override)
-            except OSError as exc:
-                raise ModuleError(f"{path}: line {line_no}: cannot read algebra file {alg_path!r}: {exc.strerror or exc}") from exc
-            return parse_rep_text(text, algebra, name=path)
-    raise ModuleError(f"{path}: representation file lacks an 'algebra' line")
+        parts = raw.split("#", 1)[0].split()
+        if parts[:1] != ["algebra"]:
+            continue
+        if len(parts) != 2:
+            raise ModuleError(f"{path}: line {line_no}: expected 'algebra <path>'")
+        if found:
+            raise ModuleError(f"{path}: line {line_no}: second 'algebra' line, after line {found[0]}")
+        found = (line_no, parts[1])
+    if not found:
+        raise ModuleError(f"{path}: representation file lacks an 'algebra' line")
+    line_no, alg_path = found
+    if not os.path.isabs(alg_path):
+        alg_path = os.path.join(os.path.dirname(os.path.abspath(path)), alg_path)
+    try:
+        algebra = load_alg(alg_path, field_override=field_override)
+    except OSError as exc:
+        raise ModuleError(f"{path}: line {line_no}: cannot read algebra file {alg_path!r}: {exc.strerror or exc}") from exc
+    return parse_rep_text(text, algebra, name=path)

@@ -164,6 +164,23 @@ def test_unreadable_algebra_file_names_the_rep_and_its_line(tmp_path, capsys):
         assert code == 2 and err == f"error: {rep}: line 2: cannot read algebra file {alg!r}: {reason}\n", target
 
 
+@pytest.mark.parametrize(
+    "head, tail, message",
+    [
+        (f"algebra algebra {SL2}\n", "", "line 1: expected 'algebra <path>'"),
+        (f"# one path only\nalgebra {SL2} extra\n", "", "line 2: expected 'algebra <path>'"),
+        (f"algebra\nalgebra {SL2}\n", "", "line 1: expected 'algebra <path>'"),
+        (f"algebra {SL2}\n", f"algebra {SL2}\n", "line 9: second 'algebra' line, after line 1"),
+    ],
+    ids=["keyword twice", "trailing token", "no path", "second line"],
+)
+def test_algebra_line_is_one_path_given_once(tmp_path, capsys, head, tail, message):
+    rep = tmp_path / "heads.rep"
+    rep.write_text(f"{head}dim 1 2\ndim 2 1\nmap a\n1 0\nmap b\n0\n1\n{tail}")
+    code, _, err = run(capsys, "module", "series", str(rep))
+    assert code == 2 and err == f"error: {rep}: {message}\n"
+
+
 def test_rep_comments_inside_map_block(tmp_path, capsys):
     rep = tmp_path / "commented.rep"
     rep.write_text(f"algebra {SL2}\ndim 1 2\ndim 2 1\nmap a\n# generator to middle\n\n1 0\nmap b\n0\n  # socle\n1\n")

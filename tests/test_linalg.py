@@ -20,7 +20,7 @@ def test_field_coercion():
     F5 = Field(5)
     assert F5.of("2/3") == (2 * pow(3, -1, 5)) % 5
     Q = Field(0)
-    assert Q.fmt(Q.of("4/6")) == "2/3"
+    assert str(Q.of("4/6")) == "2/3"
 
 
 def test_rref_zero_and_identity():
@@ -153,7 +153,7 @@ def _ops(F):
     p = F.p
     if p:
         return (lambda a, b: (a - b) % p), (lambda a, b: a * b % p), (lambda a: pow(a, -1, p))
-    return (lambda a, b: a - b), (lambda a, b: a * b), (lambda a: 1 / a)
+    return (lambda a, b: a - b), (lambda a, b: a * b), (lambda a: 1 / Fraction(a))
 
 
 def ref_rref(F, data, ncols):
@@ -242,12 +242,13 @@ def _shapes(rng, F):
 
 
 def _assert_canonical(F, vectors):
+    """Over F_p an int in [0, p); over Q an int, or a Fraction that is not integral."""
     for vec in vectors:
         for x in vec:
             if F.p:
                 assert type(x) is int and 0 <= x < F.p, (F, x)
             else:
-                assert type(x) is Fraction, (F, x)
+                assert type(x) is int or (type(x) is Fraction and x.denominator != 1), (F, x)
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
@@ -278,7 +279,7 @@ def test_row_kernels_match_elementwise_reference(p, coords):
             for v in (inside, x):
                 got, want = coords(U, v), ref_solve(F, columns, U.dim, v)
                 assert got == want, name
-                assert [type(c) for c in got or []] == [type(c) for c in want or []], name
+                _assert_canonical(F, [got or []])
             assert coords(U, inside) is not None
             meet = U.intersect(V)
             assert meet.basis == ref_intersect(F, n, U.basis, V.basis), name
@@ -291,8 +292,93 @@ def test_row_kernels_match_elementwise_reference(p, coords):
 
 def test_public_constructor_coerces():
     assert Mat(Field(3), [[5, -1]]).data == [[2, 2]]
-    (x,), = Mat(Field(0), [[1]]).data
-    assert type(x) is Fraction and x == 1
+    (row,) = Mat(Field(0), [[1, Fraction(2), "3/3"]]).data
+    assert row == [1, 2, 1] and all(type(x) is int for x in row)
+
+
+# -- strict entries over Q from mixed inputs -----------------------------------------
+
+
+def _mixed_entry(rng):
+    """A rational given as an int, an integral Fraction, a proper Fraction or an 'n/d' string."""
+    num, den = rng.randint(-6, 6), rng.randint(1, 4)
+    return rng.choice([0, 0, num, Fraction(num * den, den), Fraction(num, den), f"{num}/{den}"])
+
+
+def _mixed_rows(rng, rows, cols):
+    """(raw rows, the same values as Fractions): the input and the all-Fraction reference's input."""
+    raw = [[_mixed_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    return raw, [[Fraction(x) for x in row] for row in raw]
+
+
+def _ref_complement(Q, n, U, W):
+    """The vectors of W, in order, that raise the rank of the span of U and the vectors kept before them."""
+    kept = []
+    for w in W:
+        if len(ref_span(Q, U + kept + [w], n)[1]) > len(ref_span(Q, U + kept, n)[1]):
+            kept.append(w)
+    return kept
+
+
+def _ref_reduce(basis, pivots, v):
+    """v minus v[pc] times the basis row at pc, for every pivot pc of a reduced basis."""
+    for row, pc in zip(basis, pivots):
+        v = [x - v[pc] * y for x, y in zip(v, row)]
+    return v
+
+
+def test_mixed_rational_inputs_give_strict_entries():
+    """Every output is an int or a proper Fraction, equal in value to the all-Fraction reference."""
+    Q, rng = Field(0), random.Random(26)
+
+    def same(got, want):
+        _assert_canonical(Q, got)
+        assert got == want
+
+    def vector(length):
+        raw, ref = _mixed_rows(rng, 1, length)
+        return [Q.of(x) for x in raw[0]], ref[0]
+
+    for case in range(60):
+        rows, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        raw, ref = _mixed_rows(rng, rows, n)
+        same([[Q.of(x) for x in row] for row in raw], ref)
+        m = Mat(Q, raw)
+        same(m.data, ref)
+        raw2, ref2 = _mixed_rows(rng, rows, n)
+        m2 = Mat(Q, raw2)
+        same(m.add(m2).data, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(ref, ref2)])
+        c = _mixed_entry(rng)
+        same(m.scale(c).data, [[Fraction(c) * a for a in row] for row in ref])
+        raw3, ref3 = _mixed_rows(rng, n, k)
+        same(m.mul(Mat(Q, raw3)).data, [[sum(a * b for a, b in zip(row, col)) for col in zip(*ref3)] for row in ref])
+        x, x_ref = vector(n)
+        same([m.apply(x)], [[sum(a * b for a, b in zip(row, x_ref)) for row in ref]])
+
+        R, piv = rref(m)
+        R_ref, piv_ref = ref_rref(Q, ref, n)
+        same(R.data, R_ref)
+        assert piv == piv_ref
+        same(kernel_basis(m), ref_null_vectors(Q, R_ref, piv_ref, n))
+        inside = m.apply(x), [sum(a * e for a, e in zip(row, x_ref)) for row in ref]
+        for b, b_ref in (vector(rows), inside):
+            got, want = solve(m, b), ref_solve(Q, ref, n, b_ref)
+            assert (got is None) == (want is None), case
+            if got is not None:
+                same([got], [want])
+
+        U, V = Subspace(Q, n, m.data), Subspace(Q, n, m2.data)
+        U_ref, V_ref = ref_span(Q, ref, n)[0], ref_span(Q, ref2, n)[0]
+        same(U.basis, U_ref)
+        W = U.sum(V)
+        same(W.basis, ref_span(Q, U_ref + V_ref, n)[0])
+        same(U.intersect(V).basis, ref_intersect(Q, n, U_ref, V_ref))
+        same(U.complement_in(W), _ref_complement(Q, n, U_ref, ref_span(Q, U_ref + V_ref, n)[0]))
+        v, v_ref = vector(n)
+        same([U.reduce(v)], [_ref_reduce(U_ref, U.pivots, v_ref)])
+        Qm, free = quotient_map(Q, U)
+        same(Qm.data, ref_null_vectors(Q, U_ref, U.pivots, n))
+        assert free == [c for c in range(n) if c not in U.pivots]
 
 
 @pytest.mark.parametrize("p", [0, 3])

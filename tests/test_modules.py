@@ -314,7 +314,7 @@ def test_rep_roundtrip(sl2):
     for a in P1.algebra.quiver.arrows:
         lines.append(f"map {a}")
         for row in P1.mats[a].data:
-            lines.append(" ".join(P1.field.fmt(x) for x in row))
+            lines.append(" ".join(map(str, row)))
     again = parse_rep_text("\n".join(lines), P1.algebra)
     assert again.dims == P1.dims
     assert radical_profile(again) == radical_profile(P1)
