@@ -252,7 +252,7 @@ def criterion_6_property_suites() -> Tuple[bool, str]:
         R, piv = rref(m)
         if len(piv) + len(kernel_basis(m)) != cols:
             return False, f"rank-nullity fails (case {case})"
-        R2, piv2 = rref(R)
+        R2, piv2 = rref(Mat.canonical(F, R, cols))
         if R2 != R or piv2 != piv:
             return False, f"rref not idempotent (case {case})"
         # canonicity: an invertible row mix does not change the rref

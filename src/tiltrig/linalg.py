@@ -22,7 +22,8 @@ rows they build from canonical entries.
 Arithmetic runs on whole rows, with one row path for both field kinds:
 `_canonical` then reduces the rows mod p, or over Q turns integral Fractions
 back into ints, which is needed only where a Fraction entered.  `rref` is
-the one elimination routine and has two row kernels.  Over F_p,
+the one elimination routine: it returns the nonzero rows of the reduced
+row-echelon form and their pivots, and has two row kernels.  Over F_p,
 `_rref_mod_p` updates each row with one list comprehension and one `% p` per
 entry.  Over Q, `_rref_rational` clears the denominators of each row and
 eliminates fraction-free on integer rows, by cross-multiplication as in
@@ -32,15 +33,18 @@ pivot rows at the end, and only for entries its pivot does not divide.  The
 reduced row-echelon form is unique, so both give what element-wise
 Gauss-Jordan gives, entry for entry.
 
-Subspaces grow incrementally.  `Subspace.sum` and `Subspace.intersect`
-return an operand, not a copy, whenever it already is the answer (a zero or
-whole operand, or a sum that adds nothing), and a sum eliminates only the
-residues of the other basis.  Results are therefore shared: nothing may
-change a `Subspace`'s basis or pivots after it is built.
+Each echelon form is eliminated once: `Subspace.echelon` adopts rows that
+are reduced already, and `complement_in` grows a copy of its echelon basis
+by `extend_echelon`.  Subspaces grow incrementally.  `Subspace.sum` and
+`Subspace.intersect` return an operand, not a copy, whenever it already is
+the answer (a zero or whole operand, or a sum that adds nothing), and a sum
+eliminates only the residues of the other basis.  Results are therefore
+shared: nothing may change a `Subspace`'s basis or pivots after it is built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -313,15 +317,10 @@ def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[list], Li
     return done, pivots
 
 
-def rref(m: Mat) -> Tuple[Mat, List[int]]:
-    """Reduced row-echelon form (same shape, zero rows last) and pivot columns."""
-    F = m.field
-    if F.p:
-        rows, pivots = _rref_mod_p(m.data, m.cols, F.p)
-    else:
-        rows, pivots = _rref_rational(m.data, m.cols)
-    rows.extend([0] * m.cols for _ in range(m.rows - len(rows)))
-    return Mat.canonical(F, rows, m.cols), pivots
+def rref(m: Mat) -> Tuple[List[list], List[int]]:
+    """The nonzero rows of the reduced row-echelon form, and their pivot columns."""
+    p = m.field.p
+    return _rref_mod_p(m.data, m.cols, p) if p else _rref_rational(m.data, m.cols)
 
 
 def _free_vectors(F: Field, rows: Sequence[Sequence], pivots: List[int], n: int) -> Tuple[List[Vec], List[int]]:
@@ -346,8 +345,7 @@ def _free_vectors(F: Field, rows: Sequence[Sequence], pivots: List[int], n: int)
 
 def kernel_basis(m: Mat) -> List[Vec]:
     """Basis of the right kernel {v : m v = 0}, one vector per free column."""
-    R, pivots = rref(m)
-    return _free_vectors(m.field, R.data, pivots, m.cols)[0]
+    return _free_vectors(m.field, *rref(m), m.cols)[0]
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
@@ -358,12 +356,12 @@ def solve(m: Mat, b: Vec) -> Optional[Vec]:
     if m.rows == 0:
         return [0] * m.cols
     aug = Mat.canonical(F, [row + [F.of(bv)] for row, bv in zip(m.data, b)])
-    R, pivots = rref(aug)
+    rows, pivots = rref(aug)
     if m.cols in pivots:
         return None
     x = [0] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = R.data[i][m.cols]
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[m.cols]
     return x
 
 
@@ -414,19 +412,19 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient:
                 raise ValueError(f"vector length {len(v)} != ambient {ambient}")
-        if vecs:
-            R, piv = rref(Mat.canonical(field, vecs, ambient))
-            self.basis = R.data[: len(piv)]
-            self.pivots = piv
-        else:
-            self.basis, self.pivots = [], []
+        self.basis, self.pivots = rref(Mat.canonical(field, vecs, ambient)) if vecs else ([], [])
+
+    @classmethod
+    def echelon(cls, field: Field, ambient: int, rows: List[Vec], pivots: List[int]) -> "Subspace":
+        """Adopt rows already in reduced row-echelon form, with their pivots: no elimination."""
+        sub = cls.__new__(cls)
+        sub.field, sub.ambient, sub.basis, sub.pivots = field, ambient, rows, pivots
+        return sub
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        """K^n, whose rref basis is the identity: no elimination needed."""
-        sub = cls(field, ambient)
-        sub.basis, sub.pivots = Mat.identity(field, ambient).data, list(range(ambient))
-        return sub
+        """K^n, whose rref basis is the identity."""
+        return cls.echelon(field, ambient, Mat.identity(field, ambient).data, list(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -485,7 +483,8 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """U cap V; an operand itself when one is zero or the whole space.
 
-        Otherwise Zassenhaus: rref [[u u],[v 0]]; zero left blocks carry U cap V.
+        Otherwise Zassenhaus: rref [[u u],[v 0]]; its last rows, pivoted at
+        or after n, have zero left blocks and right blocks a reduced basis of U cap V.
         """
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
@@ -494,27 +493,21 @@ class Subspace:
         if not other.basis or self.dim == self.ambient:
             return other
         F, n = self.field, self.ambient
-        rows = [u + u for u in self.basis] + [v + [0] * n for v in other.basis]
-        R, piv = rref(Mat.canonical(F, rows))
-        out = [R.data[i][n:] for i in range(len(piv)) if not any(R.data[i][:n])]
-        return Subspace(F, n, out)
+        rows, piv = rref(Mat.canonical(F, [u + u for u in self.basis] + [v + [0] * n for v in other.basis]))
+        k = bisect_left(piv, n)
+        return Subspace.echelon(F, n, [row[n:] for row in rows[k:]], [pc - n for pc in piv[k:]])
 
     def complement_in(self, other: "Subspace") -> List[Vec]:
         """Vectors of `other` extending this basis to a basis of `other`.
 
         Requires self <= other.  The complement is the greedy one: each basis
         vector of `other`, in order, that is not in the span of this basis and
-        the vectors before it.  Those are the pivot columns of the matrix
-        whose columns are this basis, then the basis of `other`, so one
-        elimination finds them.
+        the vectors before it, found by growing a copy of this echelon basis.
         """
         if not other.contains_space(self):
             raise ValueError("complement_in requires containment")
-        if not other.basis:
-            return []
-        k = self.dim
-        _, pivots = rref(Mat.from_cols(self.field, self.basis + other.basis))
-        return [other.basis[c - k] for c in pivots if c >= k]
+        rows, pivots = list(self.basis), list(self.pivots)
+        return [w for w in other.basis if extend_echelon(self.field, rows, pivots, w) is not None]
 
 
 def quotient_map(field: Field, sub: Subspace) -> Tuple[Mat, List[int]]:

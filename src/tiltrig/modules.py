@@ -342,14 +342,20 @@ def radical_of(M: Representation, fam: SubFamily) -> SubFamily:
     return SubFamily.from_vectors(M, vectors)
 
 
+def radical_chain(M: Representation, outer: SubFamily, inner: SubFamily) -> List[SubFamily]:
+    """The radical series of outer/inner read in M, for submodules inner <= outer:
+    outer > J outer + inner > ... > inner (last entry inner)."""
+    chain = [outer]
+    while chain[-1] != inner:
+        chain.append(radical_of(M, chain[-1]).sum(inner))
+    return chain
+
+
 def radical_series(M: Representation) -> Tuple[SubFamily, ...]:
     """Descending chain M = rad^0 > rad^1 > ... > 0 (last entry zero), built
     once and kept on M; callers must not change M or the families."""
     if M._radical_series is None:
-        chain = [SubFamily.full(M)]
-        while not chain[-1].is_zero():
-            chain.append(radical_of(M, chain[-1]))
-        M._radical_series = tuple(chain)
+        M._radical_series = tuple(radical_chain(M, SubFamily.full(M), SubFamily(M)))
     return M._radical_series
 
 

@@ -437,15 +437,15 @@ def build_algebra(
         degree: Dict[Tuple[str, str], List[Path]] = {}
         for key in sorted(cols):
             words = cols[key]
-            R, pivots = rref(Mat.canonical(field, rows[key])) if key in rows else (None, [])
+            reduced, pivots = rref(Mat.canonical(field, rows[key])) if key in rows else ([], [])
             piv_set = set(pivots)
             keep = [w for j, w in enumerate(words) if j not in piv_set]
             table.update((w, {w: field.one}) for w in keep)
-            for i, pc in enumerate(pivots):
+            for row, pc in zip(reduced, pivots):
                 table[words[pc]] = {
-                    w: field.neg(R.data[i][j])
+                    w: field.neg(row[j])
                     for j, w in enumerate(words)
-                    if j not in piv_set and R.data[i][j] != field.zero
+                    if j not in piv_set and row[j] != field.zero
                 }
             if keep:
                 degree[key] = keep

@@ -28,6 +28,7 @@ from .modules import (
     all_submodules,
     is_rigid,
     loewy_length,
+    radical_chain,
     radical_of,
     radical_profile,
     radical_series,
@@ -115,6 +116,16 @@ def filtered_ext1_delta(sys: StandardSystem, lam: str, shift: int, T: Representa
 # -- stretched-subquotient detection ---------------------------------------------------
 
 
+def _delta_side(sys: StandardSystem, T: Representation, side: str) -> Tuple[StandardSystem, Representation]:
+    """(sys, T) to run a delta-L test on: T itself, or for the L-nabla side its duality image."""
+    if side not in ("delta-L", "L-nabla"):
+        raise ValueError(f"unknown side {side!r}")
+    if side == "delta-L":
+        return sys, T
+    dual, dual_sys = sys.dual_module(T)
+    return dual_sys, dual
+
+
 def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-L") -> List[Tuple[str, int, list]]:
     """Layer-compatibility criterion from the filtered-lifting argument.
 
@@ -126,12 +137,7 @@ def detect_stretched(sys: StandardSystem, T: Representation, side: str = "delta-
     when the criterion holds.  The L-nabla side runs the same test on the
     duality image of T, per the radical/socle exchange.
     """
-    if side not in ("delta-L", "L-nabla"):
-        raise ValueError(f"unknown side {side!r}")
-    if side == "L-nabla":
-        dual, dual_sys = sys.dual_module(T)
-        return detect_stretched(dual_sys, dual, side="delta-L")
-
+    sys, T = _delta_side(sys, T, side)
     failures = []
     ell = loewy_length(T)
     for lam in sys.labels:
@@ -171,11 +177,7 @@ def stretched_subquotients_bruteforce(sys: StandardSystem, T: Representation, si
     dimension vectors of the pair, the head and socle weights of Q, and the
     dimension vectors of the layers of Q's induced chain.
     """
-    if side not in ("delta-L", "L-nabla"):
-        raise ValueError(f"unknown side {side!r}")
-    if side == "L-nabla":
-        dual, dual_sys = sys.dual_module(T)
-        return stretched_subquotients_bruteforce(dual_sys, dual, side="delta-L")
+    sys, T = _delta_side(sys, T, side)
     if T.field.p == 0:
         raise ModuleError("brute-force enumeration requires a finite field")
     if T.total_dim > BRUTE_FORCE_MAX_DIM:
@@ -198,7 +200,7 @@ def stretched_subquotients_bruteforce(sys: StandardSystem, T: Representation, si
                 continue
             lam, mu = weights
             induced = _induced_chain(T, outer, inner)
-            if _filtered_iso_to_shifted_quotient(lam, induced, _radical_chain(T, outer, inner)):
+            if _filtered_iso_to_shifted_quotient(lam, induced, radical_chain(T, outer, inner)):
                 continue
             # Q_mu is a line in rad Q, as top Q = L(lam); it is the socle line
             # at mu exactly when every arrow sends it into inner
@@ -228,14 +230,6 @@ def _witness_weights(sys: StandardSystem, top: Dict[str, int], dims: Dict[str, i
         if d == 1 and sys.poset.less(lam, mu) and is_standard_quotient(sys, lam, {**dims, mu: 0}):
             return lam, mu
     return None
-
-
-def _radical_chain(T: Representation, outer: SubFamily, inner: SubFamily) -> List[SubFamily]:
-    """The radical series of Q = outer/inner in T: outer > J outer + inner > ... > inner."""
-    chain = [outer]
-    while chain[-1] != inner:
-        chain.append(radical_of(T, chain[-1]).sum(inner))
-    return chain
 
 
 def _induced_chain(T: Representation, outer: SubFamily, inner: SubFamily) -> List[SubFamily]:

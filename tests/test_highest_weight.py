@@ -391,7 +391,7 @@ def _rebased(M, rng):
             unit = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
             R, pivots = rref(Mat.canonical(F, [a + b for a, b in zip(g, unit)], 2 * n))
             if pivots == list(range(n)):
-                change[v], inverse[v] = Mat.canonical(F, g, n), Mat.canonical(F, [row[n:] for row in R.data], n)
+                change[v], inverse[v] = Mat.canonical(F, g, n), Mat.canonical(F, [row[n:] for row in R], n)
                 break
     mats = {a: change[w].mul(M.mats[a]).mul(inverse[u]) for a, (u, w) in M.algebra.quiver.arrows.items()}
     return Representation(M.algebra, M.dims, mats, name=f"rebased({M.name})")

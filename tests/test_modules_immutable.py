@@ -6,10 +6,10 @@ constructed.  `Subspace.sum` and `Subspace.intersect` may return an
 operand, so one basis can be held by many families.  This test parses `src/`
 and fails on any store to `.mats`, `.dims`, `.basis` or `.pivots`, or to an
 item of one, outside an `__init__` (for `.basis` and `.pivots`, also
-outside `Subspace.full`, which sets the identity basis with no
-elimination): an assignment, an augmented assignment, a loop or `with`
-target, or a `del`.  A call of a mutating list or dict method on one of them
-counts as a store too.
+outside `Subspace.echelon`, which adopts rows already in reduced row-echelon
+form with no elimination): an assignment, an augmented assignment, a loop
+or `with` target, or a `del`.  A call of a mutating list or dict method on
+one of them counts as a store too.
 """
 
 import ast
@@ -17,7 +17,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tiltrig"
 GUARDED = ("mats", "dims", "basis", "pivots")
-CONSTRUCTORS = ("Subspace.full",)  # besides every `__init__`
+CONSTRUCTORS = ("Subspace.echelon",)  # besides every `__init__`
 MUTATORS = ("append", "extend", "insert", "pop", "remove", "sort", "reverse", "clear", "update", "setdefault", "popitem")
 
 
@@ -72,9 +72,9 @@ def test_only_the_constructors_may_set_a_basis():
     source = (
         "class Subspace:\n"
         "    def __init__(self):\n        self.basis = []\n"
-        "    @classmethod\n    def full(cls):\n        sub.basis, sub.pivots = [], []\n"
+        "    @classmethod\n    def echelon(cls):\n        sub.basis, sub.pivots = [], []\n"
         "    def sum(self, other):\n        self.basis = other.basis\n"
-        "def full(sub):\n    sub.pivots = []\n"
+        "def echelon(sub):\n    sub.pivots = []\n"
     )
     tree = ast.parse(source)
     allowed = _allowed_nodes(tree)

@@ -259,12 +259,12 @@ def _enumerate_words(A):
                             j = col[u + p + w]
                             row[j] = F.add(row[j], F.of(c))
                         rows[(k, u, w)] = row
-            R, pivots = rref(Mat(F, list(rows.values()))) if rows else (None, [])
+            reduced, pivots = rref(Mat(F, list(rows.values()))) if rows else ([], [])
             piv_set = set(pivots)
             keep = [w for j, w in enumerate(ws) if j not in piv_set]
             red.update((w, {w: F.one}) for w in keep)
-            for i, pc in enumerate(pivots):
-                red[ws[pc]] = {w: F.neg(R.data[i][col[w]]) for w in keep if R.data[i][col[w]] != F.zero}
+            for row, pc in zip(reduced, pivots):
+                red[ws[pc]] = {w: F.neg(row[col[w]]) for w in keep if row[col[w]] != F.zero}
             basis += keep
             survivors += len(keep)
         if not survivors:
