@@ -271,7 +271,8 @@ def criterion_6_property_suites() -> Tuple[bool, str]:
     # (socle layers are listed socle-first, so the exchange is index-aligned)
     sys = _sl2_system()
     for M in (sys.projective("1"), sys.projective("2"), sys.standard("2"), sys.tilting("2"), sys.simple("1")):
-        if socle_profile(M) != radical_profile(dualize(M)) or radical_profile(M) != socle_profile(dualize(M)):
+        D = dualize(M, sys.algebra)
+        if socle_profile(M) != radical_profile(D) or radical_profile(M) != socle_profile(D):
             return False, f"duality fails to exchange series on {M.name}"
     return True, "detector agreement, filtration independence, hom pairing, 100 linalg cases, duality exchange"
 

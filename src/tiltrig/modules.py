@@ -284,30 +284,26 @@ def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Dic
     return total, injections
 
 
-def quotient_rep(M: Representation, fam: SubFamily) -> Tuple[Representation, Dict[str, Mat]]:
-    """Quotient by a submodule family, with the vertex matrices of the projection.
+def quotient_rep(M: Representation, fam: SubFamily) -> Representation:
+    """Quotient by a submodule family, read on the free coordinates.
 
-    Q_v has kernel exactly fam_v, so the family is arrow-stable exactly when
-    Q_w X_a B_u = 0 for each arrow a: u -> w, with B_u the basis of fam_u as
+    Q_v of `quotient_map` has kernel exactly fam_v and sends the unit vector
+    of its k-th free coordinate to the k-th unit vector, so arrow a: u -> w
+    acts on the quotient by the free columns of Q_w X_a.  The family is
+    arrow-stable exactly when Q_w X_a B_u = 0, with B_u the basis of fam_u as
     columns; otherwise raises ModuleError.
     """
     F = M.field
-    qmaps, sections = {}, {}
-    for v in M.vertices:
-        Q, free = quotient_map(F, fam.spaces[v])
-        qmaps[v] = Q
-        S = Mat.zero(F, M.dims[v], len(free))
-        for k, fc in enumerate(free):
-            S.data[fc][k] = F.one
-        sections[v] = S
-    dims = {v: qmaps[v].rows for v in M.vertices}
+    quotients = {v: quotient_map(F, fam.spaces[v]) for v in M.vertices}
     mats = {}
     for a, (u, w) in M.algebra.quiver.arrows.items():
-        QX = qmaps[w].mul(M.mats[a])
+        QX = quotients[w][0].mul(M.mats[a])
         if fam.spaces[u].dim and not QX.mul(Mat.from_cols(F, fam.spaces[u].basis)).is_zero():
             raise ModuleError("family is not arrow-stable; not a submodule")
-        mats[a] = QX.mul(sections[u])
-    return Representation(M.algebra, dims, mats, name=f"{M.name}/sub"), qmaps
+        free = quotients[u][1]
+        mats[a] = Mat.canonical(F, [[row[c] for c in free] for row in QX.data], len(free))
+    dims = {v: len(free) for v, (_, free) in quotients.items()}
+    return Representation(M.algebra, dims, mats, name=f"{M.name}/sub")
 
 
 # -- series and profiles ---------------------------------------------------------

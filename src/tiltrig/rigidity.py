@@ -9,8 +9,9 @@ positioned cocycle and boundary spaces of the minimal presentation of
 Delta(lam).  A `PositionedLifting` holds them for one (lam, T) and builds
 each shift's spaces on first use; it and the `MinimalPresentation` of each
 weight live in the `StandardSystem` memo, so each is built once per system,
-as is the duality image the L-nabla side runs on.  Every radical series
-read here is the one kept on its module, built once and never changed.
+as is the duality image of T over `dual_system()` that the L-nabla side
+runs on.  Every radical series read here is the one kept on its module,
+built once and never changed.
 
 Shift conventions: a map of shift r sends rad^i of the source into rad^(i+r)
 of the target; head shifts in filtrations are non-negative radical depths.
@@ -117,7 +118,7 @@ def filtered_ext1_delta(sys: StandardSystem, lam: str, shift: int, T: Representa
 
 
 def _delta_side(sys: StandardSystem, T: Representation, side: str) -> Tuple[StandardSystem, Representation]:
-    """(sys, T) to run a delta-L test on: T itself, or for the L-nabla side its duality image."""
+    """(sys, T) to run a delta-L test on: T itself, or for the L-nabla side its dual over the dual system."""
     if side not in ("delta-L", "L-nabla"):
         raise ValueError(f"unknown side {side!r}")
     if side == "delta-L":

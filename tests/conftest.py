@@ -8,7 +8,7 @@ import pytest
 from tiltrig import modules
 from tiltrig.acceptance import bundled_system
 from tiltrig.highest_weight import StandardSystem
-from tiltrig.linalg import Mat, Subspace, kernel_basis
+from tiltrig.linalg import Mat, Subspace, kernel_basis, quotient_map
 from tiltrig.modules import (
     ModuleError,
     ProjectiveCover,
@@ -198,7 +198,8 @@ def _subquotient(M, outer, inner):
         outer_rep,
         {v: Subspace(M.field, outer.dim_at(v), [_coords(outer.spaces[v], x) for x in inner.spaces[v].basis]) for v in M.vertices},
     )
-    quot, proj = quotient_rep(outer_rep, inner_in_outer)
+    quot = quotient_rep(outer_rep, inner_in_outer)
+    proj = {v: quotient_map(M.field, inner_in_outer.spaces[v])[0] for v in M.vertices}
     induced = []
     for rad_i in radical_series(M):
         meet = rad_i.intersect(outer)

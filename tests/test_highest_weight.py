@@ -35,7 +35,7 @@ from tiltrig.modules import (
     spin_submodule,
 )
 from tiltrig.acceptance import sl2_reversed
-from tiltrig.quiver import parse_alg_text
+from tiltrig.quiver import FinDimAlgebra, parse_alg_text
 
 
 def test_poset_validation():
@@ -74,6 +74,44 @@ def test_costandard_via_duality_and_opposite(sl2, ce3):
         Counter({"2": 1}),
         Counter({"3": 1}),
     ]
+
+
+def test_dual_system_is_the_system_itself_under_a_declared_duality(sl2, auslander):
+    for sys in (sl2, auslander(3, 0)):
+        assert sys.algebra.duality_pairs is not None
+        assert sys.dual_system() is sys
+        assert sys.dual_module(sys.standard(sys.labels[-1]))[1] is sys
+
+
+def test_dual_system_without_a_duality_is_the_opposite_linked_back(ce3, monkeypatch):
+    opposites = []
+    build = FinDimAlgebra.opposite
+
+    def counted_opposite(algebra):
+        opposites.append(algebra)
+        return build(algebra)
+
+    monkeypatch.setattr(FinDimAlgebra, "opposite", counted_opposite)
+    sys = StandardSystem(ce3.algebra)  # a fresh system, so no dual is built yet
+    dual = sys.dual_system()
+    assert dual is not sys and dual.dual_system() is sys and sys.dual_system() is dual
+    for lam in sys.labels:  # both sides ask for duals, and A^op^op is never built
+        assert sys.dual_module(sys.costandard(lam))[1] is dual
+        assert dual.dual_module(dual.costandard(lam))[1] is sys
+    assert opposites == [ce3.algebra]
+
+
+def test_costandard_without_a_duality_is_the_transpose_of_the_opposite_standard(ce3):
+    # the matrices the opposite-algebra route has always given: arrow a of A
+    # acts on Nabla(lam) by the transpose of a's matrix on Delta(lam) over A^op
+    for lam in ce3.labels:
+        delta, nabla = ce3.dual_system().standard(lam), ce3.costandard(lam)
+        assert nabla.algebra is ce3.algebra and nabla.dims == delta.dims
+        for a, (u, w) in ce3.algebra.quiver.arrows.items():
+            m = delta.mats[a]
+            assert (m.rows, m.cols) == (delta.dims[u], delta.dims[w])
+            hand = [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)]
+            assert (nabla.mats[a].rows, nabla.mats[a].cols, nabla.mats[a].data) == (m.cols, m.rows, hand), (lam, a)
 
 
 def test_check_quasihereditary(sl2, ce3):
@@ -351,7 +389,8 @@ def _greedy_reference(sys, M):
     rad = radical_series(M)
     heads, chain = [], [SubFamily(M)]
     while chain[-1].total_dim < M.total_dim:
-        quot, proj = quotient_rep(M, chain[-1])
+        quot = quotient_rep(M, chain[-1])
+        proj = {v: quotient_map(M.field, chain[-1].spaces[v])[0] for v in M.vertices}
         lam = sys.poset.max_label(list(sum(radical_profile(quot), Counter())))
         P, kernel = sys.projective(lam), _standard_kernel_reference(sys, lam)
         homs = hom_space(P, quot)
@@ -407,6 +446,34 @@ def _reference_system(fixture, request):
     if fixture[0] == "dx":
         return request.getfixturevalue("dual_extension")(*fixture[1:])
     return request.getfixturevalue("auslander")(*fixture)
+
+
+@pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
+def test_quotient_rep_is_the_projection_times_a_section(fixture, request):
+    # X_a on M/U is Q_w X_a S_u, with S_u the section that sends the k-th
+    # quotient coordinate to the k-th coordinate that is not a pivot of U_u
+    sys = _reference_system(fixture, request)
+    F = sys.algebra.field
+    checked = 0
+    for lam in sys.labels:
+        P = sys.projective(lam)
+        pairs = [(P, sys.standard_kernel(lam))] + [(M, fam) for M in (P, sys.tilting(lam)) for fam in radical_series(M)]
+        for M, fam in pairs:
+            quot, proj, section = quotient_rep(M, fam), {}, {}
+            for v in M.vertices:
+                proj[v] = quotient_map(F, fam.spaces[v])[0]
+                free = [c for c in range(M.dims[v]) if c not in fam.spaces[v].pivots]
+                section[v] = Mat.zero(F, M.dims[v], len(free))
+                for k, c in enumerate(free):
+                    section[v].data[c][k] = 1
+                assert proj[v].mul(section[v]) == Mat.identity(F, len(free))
+                assert quot.dims[v] == len(free)
+            for a, (u, w) in M.algebra.quiver.arrows.items():
+                expected = proj[w].mul(M.mats[a]).mul(section[u])
+                assert (quot.mats[a].rows, quot.mats[a].cols) == (expected.rows, expected.cols)
+                assert quot.mats[a] == expected, (M.name, a)
+                checked += expected.rows * expected.cols
+    assert checked
 
 
 @pytest.mark.parametrize("fixture", REFERENCE_FIXTURES, ids=str)
@@ -613,7 +680,7 @@ def test_repeated_weight_at_mixed_shifts(dual_extension, p):
 
 def test_dualize_fixes_simples(sl2):
     for lam in sl2.labels:
-        img = dualize(sl2.simple(lam))
+        img = dualize(sl2.simple(lam), sl2.algebra)
         assert img.dims == sl2.simple(lam).dims
 
 
